@@ -9,6 +9,7 @@ is the quantity the rest of the toolkit budgets against.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,9 +26,9 @@ __all__ = [
     "AttentionWeights",
     "MLAConfig",
     "MLAWeights",
+    "map_mixer",
     "FullKV",
     "LatentKV",
-    "EmptyCache",
     "rope_apply",
     "mha_forward",
     "mla_forward",
@@ -151,6 +152,16 @@ class MLAWeights:
                 ("W_DQ", "W_UQ", "W_QR", "W_DKV", "W_UK", "W_UV", "W_KR", "W_O")]
 
 
+def map_mixer(m, fn):
+    """Same-kind mixer weights with ``fn`` applied to every tensor of ``m``.
+
+    Serves every weight class with an ``items()`` listing of its tensor
+    fields (the two attention kinds here and the SSM kind); other fields,
+    such as the SSM head counts, carry over.
+    """
+    return dataclasses.replace(m, **{name: fn(t) for name, t in m.items()})
+
+
 # ---------------------------------------------------------------------------
 # decode caches
 
@@ -207,18 +218,6 @@ class LatentKV:
             c_kv=np.concatenate([self.c_kv, c_new], axis=0),
             k_r=np.concatenate([self.k_r, kr_new], axis=0),
         )
-
-
-@dataclass
-class EmptyCache:
-    """Placeholder for layers that keep no per-token state."""
-
-    @property
-    def t(self) -> int:
-        return 0
-
-    def byte_size(self) -> int:
-        return 0
 
 
 def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:

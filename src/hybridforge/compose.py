@@ -29,13 +29,13 @@ from .attention import (
     KIND_MLA,
     KIND_MAMBA2,
     AttentionWeights,
-    EmptyCache,
     FullKV,
     LatentKV,
     MLAConfig,
     MLAWeights,
     ModelConfig,
     kv_bytes,
+    map_mixer,
     mha_forward,
     mla_forward,
 )
@@ -140,7 +140,7 @@ class HybridModel:
 
     # -- forward passes -------------------------------------------------------
 
-    def _mix(self, x: Tensor, i: int, cache=None):
+    def _mix(self, x: Tensor, i: int, cache):
         kind = self.cfg.layer_kinds[i]
         mixer = self.layers[i].mixer
         if kind == KIND_MHA:
@@ -156,21 +156,25 @@ class HybridModel:
         mixer's own output projection, before the residual add) for
         layer-alignment losses.
         """
-        ids = np.asarray(ids)
-        x = nk.embedding(self.embed, ids)
-        mixer_outs = []
+        logits, _, mixer_outs = self._blocks(ids, [None] * len(self.layers))
+        if collect_mixer_outputs:
+            return logits, mixer_outs
+        return logits
+
+    def _blocks(self, ids, caches: list):
+        """Logits, new caches and mixer outputs; a None cache runs its layer stateless."""
+        x = nk.embedding(self.embed, np.asarray(ids))
+        new_caches, mixer_outs = [], []
         for i, layer in enumerate(self.layers):
-            mixed, _ = self._mix(nk.rms_norm(x, layer.norm1), i)
-            if collect_mixer_outputs:
-                mixer_outs.append(mixed)
+            mixed, c = self._mix(nk.rms_norm(x, layer.norm1), i, caches[i])
+            new_caches.append(c)
+            mixer_outs.append(mixed)
             x = nk.add(x, mixed)
             z = nk.rms_norm(x, layer.norm2)
             gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
             x = nk.add(x, nk.matmul(gated, layer.mlp_down))
         logits = nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
-        if collect_mixer_outputs:
-            return logits, mixer_outs
-        return logits
+        return logits, new_caches, mixer_outs
 
     def init_caches(self, dtype=np.float32) -> list:
         caches = []
@@ -188,16 +192,7 @@ class HybridModel:
         ids = np.asarray(ids)
         if ids.ndim != 1:
             raise ValueError("cached decode takes a flat token id array")
-        x = nk.embedding(self.embed, ids)
-        new_caches = []
-        for i, layer in enumerate(self.layers):
-            mixed, c = self._mix(nk.rms_norm(x, layer.norm1), i, caches[i])
-            new_caches.append(c)
-            x = nk.add(x, mixed)
-            z = nk.rms_norm(x, layer.norm2)
-            gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
-            x = nk.add(x, nk.matmul(gated, layer.mlp_down))
-        logits = nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
+        logits, new_caches, _ = self._blocks(ids, caches)
         return logits, new_caches
 
     def cache_bytes(self, caches: list) -> tuple[int, int]:
@@ -208,15 +203,9 @@ class HybridModel:
 
 
 def _map_tensors(model: HybridModel, fn) -> HybridModel:
-    def map_mixer(m):
-        fields = {name: fn(t) for name, t in m.items()}
-        if isinstance(m, Mamba2Weights):
-            return Mamba2Weights(n_h=m.n_h, n_kv=m.n_kv, d_h=m.d_h, k=m.k, **fields)
-        return type(m)(**fields)
-
     layers = [
         LayerParams(
-            norm1=fn(l.norm1), mixer=map_mixer(l.mixer), norm2=fn(l.norm2),
+            norm1=fn(l.norm1), mixer=map_mixer(l.mixer, fn), norm2=fn(l.norm2),
             mlp_gate=fn(l.mlp_gate), mlp_up=fn(l.mlp_up), mlp_down=fn(l.mlp_down),
         )
         for l in model.layers
@@ -373,7 +362,7 @@ def assemble(
         pick = mla_model.layers[i]  # shared params always from the MLA source
         layers.append(LayerParams(
             norm1=Tensor(pick.norm1.data.copy()),
-            mixer=_copy_mixer(src.mixer),
+            mixer=map_mixer(src.mixer, lambda t: Tensor(t.data.copy())),
             norm2=Tensor(pick.norm2.data.copy()),
             mlp_gate=Tensor(pick.mlp_gate.data.copy()),
             mlp_up=Tensor(pick.mlp_up.data.copy()),
@@ -389,13 +378,6 @@ def assemble(
         final_norm=Tensor(mla_model.final_norm.data.copy()),
         head=Tensor(mla_model.head.data.copy()),
     )
-
-
-def _copy_mixer(m: MixerWeights) -> MixerWeights:
-    fields = {name: Tensor(t.data.copy()) for name, t in m.items()}
-    if isinstance(m, Mamba2Weights):
-        return Mamba2Weights(n_h=m.n_h, n_kv=m.n_kv, d_h=m.d_h, k=m.k, **fields)
-    return type(m)(**fields)
 
 
 # ---------------------------------------------------------------------------

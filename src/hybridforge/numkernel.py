@@ -2,8 +2,9 @@
 
 Everything downstream (attention, SSM, distillation losses) is built from the
 small set of primitives here: matmul, elementwise arithmetic, softmax family,
-RMS normalization, causal depthwise 1-d convolution, rotary rotation, and
-shape surgery (slice / reshape / transpose / concat / repeat / gather).
+RMS normalization, causal depthwise 1-d convolution, rotary rotation, the
+gated state-space recurrence, and shape surgery (slice / reshape / transpose /
+concat / repeat / gather).
 Each primitive records its inputs and a vector-Jacobian closure so that
 ``backward`` can return exact gradients, which are in turn checked against
 ``finite_diff_grad`` in the test suite.
@@ -82,11 +83,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, op: str = "tensor"):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        _check_finite(arr, "tensor")
+        _check_finite(arr, op)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -172,9 +173,13 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _recording(parents: tuple[Tensor, ...]) -> bool:
+    return _grad_state.enabled and any(p.requires_grad or p._parents for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    out = Tensor(_check_finite(data, op))
-    if _grad_state.enabled and any(p.requires_grad or p._parents for p in parents):
+    out = Tensor(data, op=op)
+    if _recording(parents):
         out._parents = parents
         out._vjp = vjp
     return out
@@ -411,6 +416,56 @@ def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
         return (gx,)
 
     return _make(out, (x,), vjp, "rope")
+
+
+def ssm_scan(
+    x: Tensor, b: Tensor, c: Tensor, a: Tensor, D: Tensor, h0: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
+    """Gated linear recurrence over per-head (d_h x d_h) state matrices.
+
+    ``x``, ``b`` and ``c`` have shape (batch, t, heads, d_h), ``a`` has shape
+    (batch, t, heads) and ``D`` shape (heads,); ``h0`` broadcasts to
+    (batch, heads, d_h, d_h) and defaults to zeros. Step i computes
+
+        h_i = a_i * h_{i-1} + outer(b_i, x_i),    y_i = c_i . h_i + D * x_i
+
+    and the result is (y, h_t), with the final state as a plain array. The
+    states are kept for the vjp only while the graph records; the vjp is one
+    reverse-time loop over them. ``h0`` is a constant of the graph.
+    """
+    xd, bd, cd, ad, Dd = x.data, b.data, c.data, a.data, D.data
+    n, t, heads, d_h = xd.shape
+    h = np.zeros((n, heads, d_h, d_h), dtype=xd.dtype)
+    if h0 is not None:
+        h[:] = h0
+    hs = None
+    if _recording((x, b, c, a, D)):
+        hs = np.empty((t + 1,) + h.shape, dtype=h.dtype)
+        hs[0] = h
+    y = np.empty_like(xd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(t):
+            h *= ad[:, i, :, None, None]
+            h += bd[:, i, :, :, None] * xd[:, i, :, None, :]
+            y[:, i] = np.einsum("bhi,bhij->bhj", cd[:, i], h) + Dd[:, None] * xd[:, i]
+            if hs is not None:
+                hs[i + 1] = h
+
+    def vjp(g):
+        gx, gb, gc, ga = (np.empty_like(v) for v in (xd, bd, cd, ad))
+        gh = np.zeros_like(h)  # dL/dh_i, carried backwards in time
+        for i in range(t - 1, -1, -1):
+            g_i = g[:, i]
+            gh += cd[:, i, :, :, None] * g_i[:, :, None, :]
+            gc[:, i] = np.einsum("bhij,bhj->bhi", hs[i + 1], g_i)
+            gb[:, i] = np.einsum("bhij,bhj->bhi", gh, xd[:, i])
+            gx[:, i] = Dd[:, None] * g_i + np.einsum("bhij,bhi->bhj", gh, bd[:, i])
+            ga[:, i] = np.einsum("bhij,bhij->bh", gh, hs[i])
+            gh *= ad[:, i, :, None, None]
+        gD = np.einsum("bthj,bthj->h", g, xd)
+        return gx, gb, gc, ga, gD
+
+    return _make(y, (x, b, c, a, D), vjp, "ssm_scan"), h
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import numkernel as nk
+from .attention import map_mixer
 from .distill import Batch, kd_loss
-from .ssm import Mamba2Weights
 
 __all__ = [
     "SensitivityProfile",
@@ -190,17 +190,10 @@ def smart_select(profile, N: int) -> HybridLayout:
 # sensitivity measurement
 
 
-def _copy_mixer(m):
-    fields = {name: nk.Tensor(t.data.copy()) for name, t in m.items()}
-    if isinstance(m, Mamba2Weights):
-        return Mamba2Weights(n_h=m.n_h, n_kv=m.n_kv, d_h=m.d_h, k=m.k, **fields)
-    return type(m)(**fields)
-
-
 def _swap_layer(base, donor, i: int):
     """Clone of base with layer i's mixer (and kind) taken from donor."""
     variant = base.clone()
-    variant.layers[i].mixer = _copy_mixer(donor.layers[i].mixer)
+    variant.layers[i].mixer = map_mixer(donor.layers[i].mixer, lambda t: nk.Tensor(t.data.copy()))
     variant.cfg.layer_kinds[i] = donor.cfg.layer_kinds[i]
     if variant.mcfg is None:
         variant.mcfg = donor.mcfg

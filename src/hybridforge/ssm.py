@@ -8,9 +8,11 @@ matrices: every step decays the hidden matrix by an input-dependent factor in
 hidden matrices plus the last k-1 raw inputs of each convolution, regardless
 of how many tokens came before.
 
-Two computation routes share the semantics: a step-by-step recurrence (graph
-recording, usable for training and streaming decode) and a chunked scan that
-materializes intra-chunk decay products as matrices for throughput.
+The recurrence itself is one kernel primitive, ``numkernel.ssm_scan``: a
+step loop with a hand-written reverse-time vjp, so training, prefill and
+streaming decode all run the same arithmetic and a recorded pass adds one
+graph node per layer. A chunked scan that materializes intra-chunk decay
+products as matrices is kept as an inference-only second route.
 """
 
 from __future__ import annotations
@@ -170,12 +172,7 @@ def mamba2_forward_seq(
     abar = nk.texp(decay)                          # (b, t, n_h) in (0, 1)
     bbar = nk.mul(Bp, nk.reshape(dt, (b, t, w.n_h, 1)))
 
-    if nk.grad_enabled():
-        out, h_last = _recur_graph(x, bbar, Cp, abar, w, b, t, state)
-    else:
-        out, h_last = _recur_np(x.data, bbar.data, Cp.data, abar.data, w, state)
-        out = Tensor(out)
-
+    out, h_last = nk.ssm_scan(x, bbar, Cp, abar, w.D, state.h if state else None)
     out = nk.matmul(nk.reshape(out, (b, t, w.n_h * w.d_h)), w.W_out)
     if squeeze:
         out = nk.reshape(out, out.shape[1:])
@@ -190,47 +187,12 @@ def mamba2_forward_seq(
             padded = np.concatenate([np.zeros((keep, raw.shape[1]), raw.dtype), raw], axis=0)
             return padded[-keep:].copy()
         new_state = SsmState(
-            h=h_last,
+            h=h_last[0],
             tail_x=tail_of(x_pre, state.tail_x if state else None),
             tail_B=tail_of(B_pre, state.tail_B if state else None),
             tail_C=tail_of(C_pre, state.tail_C if state else None),
         )
     return out, new_state
-
-
-def _recur_graph(x, bbar, Cp, abar, w, b, t, state):
-    """Recorded per-step recurrence (differentiable)."""
-    if state is not None:
-        h = Tensor(state.h[None].astype(x.dtype))
-    else:
-        h = Tensor(np.zeros((b, w.n_h, w.d_h, w.d_h), dtype=x.dtype))
-    ys = []
-    for i in range(t):
-        a_i = nk.reshape(nk.getitem(abar, (slice(None), i)), (b, w.n_h, 1, 1))
-        b_i = nk.reshape(nk.getitem(bbar, (slice(None), i)), (b, w.n_h, w.d_h, 1))
-        x_i = nk.getitem(x, (slice(None), i))                       # (b, n_h, d_h)
-        c_i = nk.reshape(nk.getitem(Cp, (slice(None), i)), (b, w.n_h, 1, w.d_h))
-        h = nk.add(nk.mul(a_i, h), nk.mul(b_i, nk.reshape(x_i, (b, w.n_h, 1, w.d_h))))
-        read = nk.reshape(nk.matmul(c_i, h), (b, w.n_h, w.d_h))     # C_t . h_t
-        y_i = nk.add(read, nk.mul(x_i, nk.reshape(w.D, (w.n_h, 1))))
-        ys.append(nk.reshape(y_i, (b, 1, w.n_h, w.d_h)))
-    out = nk.concat(ys, axis=1)                                     # (b, t, n_h, d_h)
-    return out, h.data[0].copy() if b == 1 else h.data.copy()
-
-
-def _recur_np(x, bbar, Cp, abar, w, state):
-    """Same recurrence without graph recording (decode fast path)."""
-    b, t = x.shape[0], x.shape[1]
-    h = np.zeros((b, w.n_h, w.d_h, w.d_h), dtype=x.dtype)
-    if state is not None:
-        h[:] = state.h[None]
-    out = np.empty((b, t, w.n_h, w.d_h), dtype=x.dtype)
-    D = w.D.data
-    for i in range(t):
-        h *= abar[:, i, :, None, None]
-        h += bbar[:, i, :, :, None] * x[:, i, :, None, :]
-        out[:, i] = np.einsum("bhi,bhij->bhj", Cp[:, i], h) + D[:, None] * x[:, i]
-    return out, h[0].copy() if b == 1 else h.copy()
 
 
 def mamba2_forward_chunked(H: Tensor, w: Mamba2Weights, chunk: int) -> Tensor:

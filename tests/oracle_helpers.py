@@ -74,3 +74,24 @@ def reference_select(scores, N) -> list[int]:
     if best is None:
         raise ValueError("no candidate satisfies the gap rule")
     return list(best)
+
+
+def reference_ssm_scan(x, b, c, a, D, h0=None):
+    """Straight-line SSM recurrence, one batch row, head and step at a time.
+
+    Per (row, head): h <- a_t h + outer(b_t, x_t), y_t = c_t @ h + D x_t, from
+    h0 (zeros when None). Returns (y, final h) as float64 arrays.
+    """
+    n, t, heads, d_h = x.shape
+    y = np.zeros((n, t, heads, d_h))
+    h_last = np.zeros((n, heads, d_h, d_h))
+    for r in range(n):
+        for k in range(heads):
+            h = np.zeros((d_h, d_h))
+            if h0 is not None:
+                h = h + np.broadcast_to(h0, h_last.shape)[r, k]
+            for i in range(t):
+                h = a[r, i, k] * h + np.outer(b[r, i, k], x[r, i, k])
+                y[r, i, k] = c[r, i, k] @ h + D[k] * x[r, i, k]
+            h_last[r, k] = h
+    return y, h_last

@@ -10,7 +10,6 @@ from hybridforge.attention import (
     KIND_MLA,
     KIND_MAMBA2,
     AttentionWeights,
-    EmptyCache,
     FullKV,
     LatentKV,
     MLAConfig,
@@ -371,7 +370,6 @@ def test_cache_objects_report_bytes():
     assert full.byte_size() == 0 and full.t == 0
     full = full.appended(np.ones((3, 2, 4)), np.ones((3, 2, 4)))
     assert full.byte_size() == 2 * 2 * 4 * 3 * 8
-    assert EmptyCache().byte_size() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hybridforge.numkernel import (
     svd_truncated,
     tensor,
 )
+from oracle_helpers import reference_ssm_scan
 
 
 def rel_err(a, b):
@@ -51,8 +52,12 @@ def test_tensor_rejects_non_finite():
 
 def test_op_rejects_non_finite_result():
     big = tensor(np.array([800.0]), dtype=np.float64)
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="exp"):
         nk.texp(big)  # exp(800) overflows float64
+    x = tensor(np.full((1, 2, 1, 2), 1e200), dtype=np.float64)
+    a = tensor(np.full((1, 2, 1), 0.5), dtype=np.float64)
+    with pytest.raises(KernelError, match="ssm_scan"):
+        nk.ssm_scan(x, x, x, a, tensor([1.0], dtype=np.float64))  # 1e400 overflows
 
 
 def test_integer_input_promoted_to_float():
@@ -279,6 +284,40 @@ def test_grad_embedding_and_take():
         e = nk.embedding(table, ids)
         picked = nk.take_last_axis(e, labels)
         return nk.tsum(nk.mul(picked, picked))
+
+    check_grads(f, store)
+
+
+def scan_inputs(rng, n=2, t=5, heads=3, d_h=2):
+    def r(*shape):
+        return tensor(rng.standard_normal(shape), dtype=np.float64)
+
+    a = tensor(rng.uniform(0.2, 0.95, (n, t, heads)), dtype=np.float64)
+    return r(n, t, heads, d_h), r(n, t, heads, d_h), r(n, t, heads, d_h), a, r(heads)
+
+
+def test_ssm_scan_matches_plain_loop():
+    rng = np.random.default_rng(20)
+    x, b, c, a, D = scan_inputs(rng)
+    for h0 in (None, rng.standard_normal((3, 2, 2)), rng.standard_normal((2, 3, 2, 2))):
+        with no_grad():
+            y, h_last = nk.ssm_scan(x, b, c, a, D, h0)
+        ref_y, ref_h = reference_ssm_scan(x.data, b.data, c.data, a.data, D.data, h0)
+        assert np.abs(y.data - ref_y).max() <= 1e-12
+        assert np.abs(h_last - ref_h).max() <= 1e-12
+
+
+def test_grad_ssm_scan():
+    rng = np.random.default_rng(21)
+    store = ParamStore()
+    names = ("x", "b", "c", "a", "D")
+    ins = [store.add(n, t) for n, t in zip(names, scan_inputs(rng))]
+    h0 = rng.standard_normal((2, 3, 2, 2))
+    w = rng.standard_normal(ins[0].shape)
+
+    def f(p):
+        y, _ = nk.ssm_scan(*ins, h0)
+        return nk.tsum(nk.mul(nk.mul(y, y), w))
 
     check_grads(f, store)
 
