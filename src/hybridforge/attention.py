@@ -166,58 +166,104 @@ def map_mixer(m, fn):
 # decode caches
 
 
-@dataclass
+class _RowBuffer:
+    """Append-only rows shared by the caches grown from one another.
+
+    A cache is the first ``t`` rows of a buffer. Rows below ``filled`` are
+    never rewritten, so every cache that shares the buffer keeps its rows.
+    """
+
+    __slots__ = ("data", "filled")
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.filled = 0
+
+    @classmethod
+    def empty(cls, row_shape: tuple[int, ...], dtype) -> "_RowBuffer":
+        return cls(np.empty((0,) + row_shape, dtype=dtype))
+
+    def claim(self, t: int, n: int) -> "_RowBuffer":
+        """A buffer holding this one's first t rows, with rows t..t+n-1 free to write.
+
+        That is this buffer when row t is its first unwritten row and fits;
+        otherwise a copy, doubled in capacity when it must grow.
+        """
+        end = t + n
+        buf = self
+        if t != self.filled or end > len(self.data):
+            cap = len(self.data)
+            if end > cap:
+                cap = max(end, 2 * cap)
+            buf = _RowBuffer(np.empty((cap,) + self.data.shape[1:], dtype=self.data.dtype))
+            buf.data[:t] = self.data[:t]
+        buf.filled = end
+        return buf
+
+
+@dataclass(frozen=True)
 class FullKV:
     """Per-head key/value rows for already-seen tokens: (t, n_kv, d_h) each."""
 
-    k: np.ndarray
-    v: np.ndarray
+    buf: _RowBuffer  # rows (2, n_kv, d_h): key, value
+    t: int
 
     @classmethod
     def empty(cls, n_kv: int, d_h: int, dtype=np.float32) -> "FullKV":
-        z = np.zeros((0, n_kv, d_h), dtype=dtype)
-        return cls(k=z, v=z.copy())
+        return cls(_RowBuffer.empty((2, n_kv, d_h), dtype), 0)
 
     @property
-    def t(self) -> int:
-        return self.k.shape[0]
+    def k(self) -> np.ndarray:
+        return self.buf.data[: self.t, 0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.buf.data[: self.t, 1]
 
     def byte_size(self) -> int:
         return self.k.nbytes + self.v.nbytes
 
     def appended(self, k_new: np.ndarray, v_new: np.ndarray) -> "FullKV":
-        return FullKV(
-            k=np.concatenate([self.k, k_new], axis=0),
-            v=np.concatenate([self.v, v_new], axis=0),
-        )
+        n = k_new.shape[0]
+        buf = self.buf.claim(self.t, n)
+        buf.data[self.t : self.t + n, 0] = k_new
+        buf.data[self.t : self.t + n, 1] = v_new
+        return FullKV(buf, self.t + n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentKV:
-    """Compressed cache: latent rows (t, r_kv) and rotated key rows (t, d_r)."""
+    """Compressed cache: rows [c_kv | k_r] of latent (r_kv) and rotated key (d_r) parts."""
 
-    c_kv: np.ndarray
-    k_r: np.ndarray
+    buf: _RowBuffer  # rows (r_kv + d_r,)
+    t: int
+    r_kv: int
 
     @classmethod
     def empty(cls, r_kv: int, d_r: int, dtype=np.float32) -> "LatentKV":
-        return cls(
-            c_kv=np.zeros((0, r_kv), dtype=dtype),
-            k_r=np.zeros((0, d_r), dtype=dtype),
-        )
+        return cls(_RowBuffer.empty((r_kv + d_r,), dtype), 0, r_kv)
 
     @property
-    def t(self) -> int:
-        return self.c_kv.shape[0]
+    def rows(self) -> np.ndarray:
+        return self.buf.data[: self.t]
+
+    @property
+    def c_kv(self) -> np.ndarray:
+        return self.rows[:, : self.r_kv]
+
+    @property
+    def k_r(self) -> np.ndarray:
+        return self.rows[:, self.r_kv :]
 
     def byte_size(self) -> int:
-        return self.c_kv.nbytes + self.k_r.nbytes
+        return self.rows.nbytes
 
     def appended(self, c_new: np.ndarray, kr_new: np.ndarray) -> "LatentKV":
-        return LatentKV(
-            c_kv=np.concatenate([self.c_kv, c_new], axis=0),
-            k_r=np.concatenate([self.k_r, kr_new], axis=0),
-        )
+        n = c_new.shape[0]
+        buf = self.buf.claim(self.t, n)
+        buf.data[self.t : self.t + n, : self.r_kv] = c_new
+        buf.data[self.t : self.t + n, self.r_kv :] = kr_new
+        return LatentKV(buf, self.t + n, self.r_kv)
 
 
 def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
@@ -315,11 +361,13 @@ def mla_forward(
     mcfg: MLAConfig,
     cache: Optional[LatentKV] = None,
 ) -> tuple[Tensor, Optional[LatentKV]]:
-    """Latent attention: cache holds compressed rows, keys/values rebuilt on read.
+    """Latent attention: scores and values are read from the cached latent rows.
 
-    Queries and keys carry a position-free part (rebuilt from latents) plus a
-    d_r-dim rotary part; the rotary key is shared across heads. Scores scale by
-    1 / sqrt(d_qk + d_r).
+    Queries and keys carry a position-free part plus a d_r-dim rotary part;
+    the rotary key is shared across heads. Keys and values are never built:
+    W_UK is folded into each head's query, which then scores the cached
+    [c_kv | k_r] rows directly, and W_UV maps each head's attention-weighted
+    latent (attn @ c_kv) before W_O. Scores scale by 1 / sqrt(d_qk + d_r).
     """
     w.validate(cfg, mcfg)
     if cache is not None and H.ndim != 2:
@@ -327,44 +375,42 @@ def mla_forward(
     Hb, squeeze = _as_batched(H)
     b, t = Hb.shape[0], Hb.shape[1]
     t_prev = cache.t if cache is not None else 0
-    positions = np.arange(t_prev, t_prev + t)
-    group = cfg.n_h // cfg.n_kv
+    t_total = t_prev + t
+    positions = np.arange(t_prev, t_total)
+    n_kv, g = cfg.n_kv, cfg.n_h // cfg.n_kv
+    r_kv, width = mcfg.r_kv, mcfg.r_kv + mcfg.d_r
+
+    # per kv head: W_UK as (n_kv, d_qk, r_kv) and W_UV as (n_kv, r_kv, d_v)
+    w_uk = nk.transpose(nk.reshape(w.W_UK, (r_kv, n_kv, mcfg.d_qk)), (1, 2, 0))
+    w_uv = nk.transpose(nk.reshape(w.W_UV, (r_kv, n_kv, mcfg.d_v)), (1, 0, 2))
 
     c_q = nk.matmul(Hb, w.W_DQ)                              # (b, t, r_q)
-    q_c = nk.reshape(nk.matmul(c_q, w.W_UQ), (b, t, cfg.n_h, mcfg.d_qk))
+    q_c = _split_heads(nk.matmul(c_q, w.W_UQ), cfg.n_h, mcfg.d_qk)
+    # a kv head's g query heads are adjacent, so (n_h, t) regroups as (n_kv, g*t)
+    q_c = nk.reshape(q_c, (b, n_kv, g * t, mcfg.d_qk))
+    q_lat = nk.reshape(nk.matmul(q_c, w_uk), (b, cfg.n_h, t, r_kv))
     q_r = nk.reshape(nk.matmul(c_q, w.W_QR), (b, t, cfg.n_h, mcfg.d_r))
-    q_r = rope_apply(q_r, positions, cfg.rope_base)
+    q_r = nk.transpose(rope_apply(q_r, positions, cfg.rope_base), (0, 2, 1, 3))
+    q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
 
     c_kv = nk.matmul(Hb, w.W_DKV)                            # (b, t, r_kv)
     k_r = nk.reshape(nk.matmul(Hb, w.W_KR), (b, t, 1, mcfg.d_r))
     k_r = rope_apply(k_r, positions, cfg.rope_base)          # rotated before caching
+    new_rows = nk.concat([c_kv, nk.reshape(k_r, (b, t, mcfg.d_r))], axis=-1)
 
     new_cache = None
+    past = np.zeros((b, 0, width), dtype=new_rows.dtype)
     if cache is not None:
+        past = cache.rows[None]
         new_cache = cache.appended(c_kv.data[0], k_r.data[0, :, 0])
-        if t_prev:
-            c_kv = nk.concat([Tensor(cache.c_kv[None]), c_kv], axis=1)
-            k_r = nk.concat([Tensor(cache.k_r[None, :, None, :]), k_r], axis=1)
-    t_total = t_prev + t
+    rows = nk.reshape(nk.concat([Tensor(past), new_rows], axis=1), (b, 1, t_total, width))
 
-    k_c = nk.reshape(nk.matmul(c_kv, w.W_UK), (b, t_total, cfg.n_kv, mcfg.d_qk))
-    val = nk.reshape(nk.matmul(c_kv, w.W_UV), (b, t_total, cfg.n_kv, mcfg.d_v))
-
-    qh = nk.concat([q_c, q_r], axis=-1)                      # (b, t, n_h, d_qk+d_r)
-    qh = nk.transpose(qh, (0, 2, 1, 3))
-    k_ch = nk.transpose(k_c, (0, 2, 1, 3))                   # (b, n_kv, T, d_qk)
-    vh = nk.transpose(val, (0, 2, 1, 3))
-    if group > 1:
-        k_ch = nk.repeat(k_ch, group, axis=1)
-        vh = nk.repeat(vh, group, axis=1)
-    k_rh = nk.repeat(nk.transpose(k_r, (0, 2, 1, 3)), cfg.n_h, axis=1)
-    kh = nk.concat([k_ch, k_rh], axis=-1)                    # (b, n_h, T, d_qk+d_r)
-
-    scores = nk.matmul(qh, nk.transpose(kh, (0, 1, 3, 2)))
-    scores = nk.mul(scores, 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
+    scores = nk.matmul(q, nk.transpose(rows, (0, 1, 3, 2)))  # (b, n_h, t, T)
     scores = nk.add(scores, Tensor(_causal_mask(t, t_total, scores.dtype)))
     attn = nk.softmax(scores, axis=-1)
-    ctx = _merge_heads(nk.matmul(attn, vh))                  # (b, t, n_h*d_v)
+    ctx = nk.matmul(attn, nk.getitem(rows, (..., slice(0, r_kv))))  # (b, n_h, t, r_kv)
+    ctx = nk.matmul(nk.reshape(ctx, (b, n_kv, g * t, r_kv)), w_uv)
+    ctx = _merge_heads(nk.reshape(ctx, (b, cfg.n_h, t, mcfg.d_v)))  # (b, t, n_h*d_v)
     out = nk.matmul(ctx, w.W_O)
     if squeeze:
         out = nk.reshape(out, out.shape[1:])

@@ -73,7 +73,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise KernelError(f"{op} produced non-finite values")
     return arr
 
@@ -497,10 +497,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     out = np.ascontiguousarray(a.data.transpose(axes))
-    inv = tuple(np.argsort(axes))
 
     def vjp(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(out, (a,), vjp, "transpose")
 
@@ -508,10 +507,9 @@ def transpose(a: Tensor, axes) -> Tensor:
 def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     parts = tuple(parts)
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
     return _make(out, parts, vjp, "concat")

@@ -95,3 +95,51 @@ def reference_ssm_scan(x, b, c, a, D, h0=None):
                 y[r, i, k] = c[r, i, k] @ h + D[k] * x[r, i, k]
             h_last[r, k] = h
     return y, h_last
+
+
+def _reference_rope(x, positions, base):
+    """Rotate adjacent pairs of x's last axis by pos * base**(-2i/d), row by row."""
+    d = x.shape[-1]
+    out = np.empty_like(x)
+    for row, pos in enumerate(positions):
+        for i in range(d // 2):
+            ang = pos * base ** (-2.0 * i / d)
+            c, s = np.cos(ang), np.sin(ang)
+            e, o = x[row, 2 * i], x[row, 2 * i + 1]
+            out[row, 2 * i] = e * c - o * s
+            out[row, 2 * i + 1] = e * s + o * c
+    return out
+
+
+def reference_mla(h, w, cfg, mcfg):
+    """Straight-line causal latent attention over one (t, d) sequence.
+
+    Rebuilds every head's keys and values from the latent rows instead of
+    scoring the latents directly: per query head h of kv group g = h // (n_h
+    / n_kv), keys are [c_kv @ W_UK_g | rope(H @ W_KR)] and values c_kv @
+    W_UV_g. Returns the (t, d) float64 output.
+    """
+    t = h.shape[0]
+    pos = np.arange(t)
+    group = cfg.n_h // cfg.n_kv
+    d_qk, d_r, d_v = mcfg.d_qk, mcfg.d_r, mcfg.d_v
+    W = {name: np.asarray(tns.data, dtype=np.float64) for name, tns in w.items()}
+    c_q = h @ W["W_DQ"]
+    c_kv = h @ W["W_DKV"]
+    k_r = _reference_rope(h @ W["W_KR"], pos, cfg.rope_base)
+    heads = []
+    for k in range(cfg.n_h):
+        g = k // group
+        q = np.concatenate([
+            c_q @ W["W_UQ"][:, k * d_qk:(k + 1) * d_qk],
+            _reference_rope(c_q @ W["W_QR"][:, k * d_r:(k + 1) * d_r], pos, cfg.rope_base),
+        ], axis=1)
+        key = np.concatenate([c_kv @ W["W_UK"][:, g * d_qk:(g + 1) * d_qk], k_r], axis=1)
+        val = c_kv @ W["W_UV"][:, g * d_v:(g + 1) * d_v]
+        ctx = np.zeros((t, d_v))
+        for i in range(t):
+            s = key[: i + 1] @ q[i] / np.sqrt(d_qk + d_r)
+            a = np.exp(s - s.max())
+            ctx[i] = (a / a.sum()) @ val[: i + 1]
+        heads.append(ctx)
+    return np.concatenate(heads, axis=1) @ W["W_O"]

@@ -20,6 +20,7 @@ from hybridforge.attention import (
     mla_forward,
     rope_apply,
 )
+from oracle_helpers import reference_mla
 
 TOY = dict(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)
 
@@ -324,6 +325,120 @@ def test_mla_latent_gauge_invariance():
     o1, _ = mla_forward(h, w, cfg, mcfg)
     o2, _ = mla_forward(h, w2, cfg, mcfg)
     assert np.abs(o1.data - o2.data).max() <= 1e-5
+
+
+@pytest.mark.parametrize("n_kv", [4, 2, 1])
+def test_mla_matches_reference_oracle(n_kv):
+    # batched without a cache, and random prefill/decode splits with one
+    cfg = toy_cfg(n_kv=n_kv)
+    mcfg = toy_mla_cfg(cfg)
+    rng = np.random.default_rng(40 + n_kv)
+    w = rand_mla(cfg, mcfg, rng)
+    hb = rng.standard_normal((3, 9, cfg.d))
+    want = np.stack([reference_mla(x, w, cfg, mcfg) for x in hb])
+    out, cache = mla_forward(tensor(hb, dtype=np.float64), w, cfg, mcfg)
+    assert cache is None
+    assert np.abs(out.data - want).max() <= 1e-12
+    for _ in range(6):
+        cuts = np.sort(rng.choice(np.arange(1, 9), size=3, replace=False))
+        cache = LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64)
+        outs = []
+        for lo, hi in zip((0, *cuts), (*cuts, 9)):
+            o, cache = mla_forward(tensor(hb[0, lo:hi], dtype=np.float64), w, cfg, mcfg, cache)
+            outs.append(o.data)
+        assert cache.t == 9
+        assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
+
+
+def test_caches_append_twice_from_one_cache():
+    # a saved cache may be grown more than once. Two appends leave spare
+    # capacity (3 rows, then doubled to 6), so the first branch is written in
+    # place and the second must copy rather than overwrite it
+    rng = np.random.default_rng(41)
+    base = LatentKV.empty(3, 2, dtype=np.float64).appended(
+        rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
+    base = base.appended(rng.standard_normal((1, 3)), rng.standard_normal((1, 2)))
+    c1, r1 = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
+    c2, r2 = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
+    first = base.appended(c1, r1)
+    second = base.appended(c2, r2)
+    assert first.buf is base.buf
+    assert np.array_equal(first.c_kv, np.concatenate([base.c_kv, c1]))
+    assert np.array_equal(first.k_r, np.concatenate([base.k_r, r1]))
+    assert np.array_equal(second.c_kv, np.concatenate([base.c_kv, c2]))
+    assert np.array_equal(second.k_r, np.concatenate([base.k_r, r2]))
+    assert base.t == 4 and first.t == 5 and second.t == 6
+
+    full = FullKV.empty(2, 3, dtype=np.float64)
+    for n in (3, 1):
+        full = full.appended(rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 2, 3)))
+    k1, v1 = rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3))
+    k2, v2 = rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3))
+    f1 = full.appended(k1, v1)
+    f2 = full.appended(k2, v2)
+    assert f1.buf is full.buf
+    assert np.array_equal(f1.k, np.concatenate([full.k, k1]))
+    assert np.array_equal(f1.v, np.concatenate([full.v, v1]))
+    assert np.array_equal(f2.k, np.concatenate([full.k, k2]))
+    assert np.array_equal(f2.v, np.concatenate([full.v, v2]))
+
+
+def test_caches_grow_past_capacity():
+    cfg = toy_cfg()
+    mcfg = toy_mla_cfg(cfg)
+    rng = np.random.default_rng(42)
+    latent = LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64)
+    full = FullKV.empty(cfg.n_kv, cfg.d_h, dtype=np.float64)
+    cs, rs, ks, vs = [], [], [], []
+    for step in range(40):
+        n = 1 if step % 3 else 2
+        cs.append(rng.standard_normal((n, mcfg.r_kv)))
+        rs.append(rng.standard_normal((n, mcfg.d_r)))
+        ks.append(rng.standard_normal((n, cfg.n_kv, cfg.d_h)))
+        vs.append(rng.standard_normal((n, cfg.n_kv, cfg.d_h)))
+        latent = latent.appended(cs[-1], rs[-1])
+        full = full.appended(ks[-1], vs[-1])
+        t = latent.t
+        assert full.t == t == sum(len(c) for c in cs)
+        assert latent.byte_size() == kv_bytes(KIND_MLA, cfg, mcfg, t, 8)
+        assert full.byte_size() == kv_bytes(KIND_MHA, cfg, None, t, 8)
+    assert len(latent.buf.data) > latent.t  # capacity is not logical rows
+    assert np.array_equal(latent.c_kv, np.concatenate(cs))
+    assert np.array_equal(latent.k_r, np.concatenate(rs))
+    assert np.array_equal(full.k, np.concatenate(ks))
+    assert np.array_equal(full.v, np.concatenate(vs))
+
+
+def test_mla_grad_through_cached_call():
+    # the new tokens' latent rows are read back through the cache, yet their
+    # gradient must still reach W_DKV and W_KR
+    cfg = toy_cfg()
+    mcfg = toy_mla_cfg(cfg)
+    rng = np.random.default_rng(43)
+    store = nk.ParamStore()
+    w = rand_mla(cfg, mcfg, rng)
+    for name, t in w.items():
+        store.add(name, t)
+    h = rng.standard_normal((5, cfg.d))
+    with nk.no_grad():
+        _, cache = mla_forward(tensor(h[:3], dtype=np.float64), w, cfg, mcfg,
+                               LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64))
+    new = tensor(h[3:], dtype=np.float64)
+    target = rng.standard_normal((2, cfg.d))
+
+    def f(p):
+        out, grown = mla_forward(new, w, cfg, mcfg, cache)
+        assert grown.t == 5
+        diff = nk.add(out, nk.neg(Tensor(target)))
+        return nk.tsum(nk.mul(diff, diff))
+
+    analytic = nk.backward(f(store), store)
+    numeric = nk.finite_diff_grad(lambda p: f(p).item(), store, eps=1e-5)
+    for path in analytic:
+        scale = np.maximum(np.abs(numeric[path]), 1.0)
+        worst = (np.abs(analytic[path] - numeric[path]) / scale).max()
+        assert worst <= 1e-4, f"{path}: {worst:.3e}"
+    assert np.abs(analytic["W_DKV"]).max() > 1e-3
 
 
 def test_mla_cache_byte_example():

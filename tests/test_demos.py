@@ -1,0 +1,27 @@
+"""Demo smoke tests: the cache demos run to completion against this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hybridforge
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", [
+    "02_cached_decode_equivalence.py",
+    "03_constant_state_streaming.py",
+])
+def test_demo_runs(demo, tmp_path):
+    # the child imports the package this session imported, from any cwd
+    pkg_root = str(Path(hybridforge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
