@@ -1,10 +1,14 @@
 """Attention token mixers: MHA/GQA and latent-compressed (MLA) variants.
 
-Both mixers support two calling modes: a whole-sequence pass used in training
-(optionally batched), and incremental cached decode where the cache carries
-either full per-head keys/values or the compressed latent + rotary-key rows.
-Byte accounting for every cache variant lives here as well, since cache size
-is the quantity the rest of the toolkit budgets against.
+Both mixers are one computation: causal softmax attention over per-token
+cache rows, where a group of query heads shares one set of keys and values.
+They differ only in what a row holds. An MHA row holds each kv head's
+[key | value]; an MLA row holds the compressed latent and the shared rotary
+key, [c_kv | k_r], which the queries score directly. Each mixer runs a
+whole-sequence pass used in training (optionally batched) and incremental
+cached decode over a ``RowCache``. Byte accounting for every layer kind
+lives here as well (``row_width``, ``kv_bytes``), since cache size is the
+quantity the rest of the toolkit budgets against.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ __all__ = [
     "MLAConfig",
     "MLAWeights",
     "map_mixer",
-    "FullKV",
-    "LatentKV",
+    "RowCache",
+    "row_width",
     "rope_apply",
     "mha_forward",
     "mla_forward",
@@ -202,68 +206,45 @@ class _RowBuffer:
 
 
 @dataclass(frozen=True)
-class FullKV:
-    """Per-head key/value rows for already-seen tokens: (t, n_kv, d_h) each."""
+class RowCache:
+    """One attention layer's decode cache: a (t, width) row per seen token.
 
-    buf: _RowBuffer  # rows (2, n_kv, d_h): key, value
+    MHA rows hold each kv head's [key | value]; MLA rows hold [c_kv | k_r]
+    (see ``row_width``).
+    """
+
+    buf: _RowBuffer
     t: int
 
     @classmethod
-    def empty(cls, n_kv: int, d_h: int, dtype=np.float32) -> "FullKV":
-        return cls(_RowBuffer.empty((2, n_kv, d_h), dtype), 0)
-
-    @property
-    def k(self) -> np.ndarray:
-        return self.buf.data[: self.t, 0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.buf.data[: self.t, 1]
-
-    def byte_size(self) -> int:
-        return self.k.nbytes + self.v.nbytes
-
-    def appended(self, k_new: np.ndarray, v_new: np.ndarray) -> "FullKV":
-        n = k_new.shape[0]
-        buf = self.buf.claim(self.t, n)
-        buf.data[self.t : self.t + n, 0] = k_new
-        buf.data[self.t : self.t + n, 1] = v_new
-        return FullKV(buf, self.t + n)
-
-
-@dataclass(frozen=True)
-class LatentKV:
-    """Compressed cache: rows [c_kv | k_r] of latent (r_kv) and rotated key (d_r) parts."""
-
-    buf: _RowBuffer  # rows (r_kv + d_r,)
-    t: int
-    r_kv: int
-
-    @classmethod
-    def empty(cls, r_kv: int, d_r: int, dtype=np.float32) -> "LatentKV":
-        return cls(_RowBuffer.empty((r_kv + d_r,), dtype), 0, r_kv)
+    def empty(cls, width: int, dtype=np.float32) -> "RowCache":
+        return cls(_RowBuffer.empty((width,), dtype), 0)
 
     @property
     def rows(self) -> np.ndarray:
         return self.buf.data[: self.t]
 
-    @property
-    def c_kv(self) -> np.ndarray:
-        return self.rows[:, : self.r_kv]
-
-    @property
-    def k_r(self) -> np.ndarray:
-        return self.rows[:, self.r_kv :]
-
     def byte_size(self) -> int:
         return self.rows.nbytes
 
-    def appended(self, c_new: np.ndarray, kr_new: np.ndarray) -> "LatentKV":
-        n = c_new.shape[0]
+    def appended(self, new_rows: np.ndarray) -> "RowCache":
+        n = new_rows.shape[0]
         buf = self.buf.claim(self.t, n)
-        buf.data[self.t : self.t + n, : self.r_kv] = c_new
-        buf.data[self.t : self.t + n, self.r_kv :] = kr_new
-        return LatentKV(buf, self.t + n, self.r_kv)
+        buf.data[self.t : self.t + n] = new_rows
+        return RowCache(buf, self.t + n)
+
+
+def row_width(kind: str, cfg: ModelConfig, mcfg: Optional[MLAConfig]) -> int:
+    """Elements one token adds to a layer's decode cache (0 for an SSM layer)."""
+    if kind == KIND_MHA:
+        return 2 * cfg.n_kv * cfg.d_h
+    if kind == KIND_MLA:
+        if mcfg is None:
+            raise ValueError("MLA byte accounting needs an MLAConfig")
+        return mcfg.r_kv + mcfg.d_r
+    if kind == KIND_MAMBA2:
+        return 0
+    raise ValueError(f"unknown layer kind {kind!r}")
 
 
 def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
@@ -279,79 +260,101 @@ def _causal_mask(t_new: int, t_total: int, dtype) -> np.ndarray:
     offset = t_total - t_new
     rows = np.arange(t_new)[:, None] + offset
     cols = np.arange(t_total)[None, :]
-    return np.where(cols > rows, nk.NEG_MASK, 0.0).astype(dtype)
-
-
-def _split_heads(x: Tensor, heads: int, dim: int) -> Tensor:
-    # (b, t, heads*dim) -> (b, heads, t, dim)
-    b, t = x.shape[0], x.shape[1]
-    return nk.transpose(nk.reshape(x, (b, t, heads, dim)), (0, 2, 1, 3))
+    return np.where(cols > rows, np.array(nk.NEG_MASK, dtype), np.array(0, dtype))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    # (b, heads, t, dim) -> (b, t, heads*dim)
-    b, h, t, dim = x.shape
-    return nk.reshape(nk.transpose(x, (0, 2, 1, 3)), (b, t, h * dim))
+    # (b, heads..., t, dim) -> (b, t, heads*dim)
+    n = x.ndim
+    x = nk.transpose(x, (0, n - 2) + tuple(range(1, n - 2)) + (n - 1,))
+    return nk.reshape(x, x.shape[:2] + (-1,))
 
 
-def _as_batched(H: Tensor) -> tuple[Tensor, bool]:
-    if H.ndim == 2:
-        return nk.reshape(H, (1,) + H.shape), True
-    if H.ndim == 3:
-        return H, False
-    raise ValueError("H must be (t, d) or (batch, t, d)")
+def _start(H: Tensor, cache: Optional[RowCache]) -> tuple[Tensor, np.ndarray]:
+    """H as (b, t, d), and the absolute positions of its tokens."""
+    if H.ndim not in (2, 3):
+        raise ValueError("H must be (t, d) or (batch, t, d)")
+    if cache is not None and H.ndim != 2:
+        raise ValueError("cached decode takes a single unbatched sequence")
+    Hb = nk.reshape(H, (1,) + H.shape) if H.ndim == 2 else H
+    t_prev = cache.t if cache is not None else 0
+    return Hb, np.arange(t_prev, t_prev + Hb.shape[1])
+
+
+def _finish(ctx: Tensor, W_O: Tensor, H: Tensor) -> Tensor:
+    # (b, heads..., t, dim) context, query heads in order -> output shaped like H
+    out = nk.matmul(_merge_heads(ctx), W_O)
+    return nk.reshape(out, out.shape[1:]) if H.ndim == 2 else out
+
+
+def _rows_so_far(
+    new_rows: Tensor, cache: Optional[RowCache]
+) -> tuple[Tensor, Optional[RowCache]]:
+    """Rows of every position seen so far, (b, T, ...), and the grown cache.
+
+    new_rows is (b, t, ...), one cache row per token. The new rows join the
+    cached ones through a recorded concat rather than being read back from
+    the cache, so their gradient reaches the projections.
+    """
+    if cache is None:
+        return new_rows, None
+    grown = cache.appended(new_rows.data[0].reshape(new_rows.shape[1], -1))
+    if not cache.t:
+        return new_rows, grown
+    past = cache.rows.reshape((1, cache.t) + new_rows.shape[2:])
+    return nk.concat([Tensor(past), new_rows], axis=1), grown
+
+
+def _attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
+    """Causal softmax attention of grouped queries over shared keys and values.
+
+    q is (b, heads..., t, dk), already scaled. keys (b, heads..., T, dk) and
+    values (b, heads..., T, dv) have size 1 on the head axes along which
+    query heads share them: MHA passes (b, n_kv, g, t, d_h) queries against
+    (b, n_kv, 1, T, d_h) keys, MLA (b, n_h, t, dk) queries against one
+    (b, 1, T, dk) set of rows. The t queries are the last t of the T
+    positions. Returns the (b, heads..., t, dv) context.
+    """
+    t, T, n = q.shape[-2], keys.shape[-2], keys.ndim
+    scores = nk.matmul(q, nk.transpose(keys, tuple(range(n - 2)) + (n - 1, n - 2)))
+    if t > 1:  # a single query is the newest position and sees every key
+        scores = nk.add(scores, Tensor(_causal_mask(t, T, scores.dtype)))
+    attn = nk.softmax(scores, axis=-1)
+    return nk.matmul(attn, values)
 
 
 def mha_forward(
     H: Tensor,
     w: AttentionWeights,
     cfg: ModelConfig,
-    cache: Optional[FullKV] = None,
-) -> tuple[Tensor, Optional[FullKV]]:
+    cache: Optional[RowCache] = None,
+) -> tuple[Tensor, Optional[RowCache]]:
     """Causal grouped-query attention; returns output and the grown cache.
 
     With a cache, H holds the new tokens only and must be unbatched (t, d);
-    positions continue from cache.t. Batched input runs cache-free.
+    positions continue from cache.t. Batched input runs cache-free. Each
+    kv head's keys and values are shared by its n_h / n_kv adjacent query
+    heads without being copied per head.
     """
     w.validate(cfg)
-    if cache is not None and H.ndim != 2:
-        raise ValueError("cached decode takes a single unbatched sequence")
-    Hb, squeeze = _as_batched(H)
+    Hb, positions = _start(H, cache)
     b, t = Hb.shape[0], Hb.shape[1]
-    t_prev = cache.t if cache is not None else 0
-    positions = np.arange(t_prev, t_prev + t)
-    group = cfg.n_h // cfg.n_kv
+    n_kv, g, d_h = cfg.n_kv, cfg.n_h // cfg.n_kv, cfg.d_h
 
-    q = nk.reshape(nk.matmul(Hb, w.W_Q), (b, t, cfg.n_h, cfg.d_h))
-    k = nk.reshape(nk.matmul(Hb, w.W_K), (b, t, cfg.n_kv, cfg.d_h))
-    v = nk.reshape(nk.matmul(Hb, w.W_V), (b, t, cfg.n_kv, cfg.d_h))
-    q = rope_apply(q, positions, cfg.rope_base)
+    q = nk.reshape(nk.matmul(Hb, w.W_Q), (b, t, cfg.n_h, d_h))
+    k = nk.reshape(nk.matmul(Hb, w.W_K), (b, t, n_kv, d_h))
+    v = nk.reshape(nk.matmul(Hb, w.W_V), (b, t, n_kv, d_h))
+    q = nk.mul(rope_apply(q, positions, cfg.rope_base), 1.0 / np.sqrt(d_h))
+    # a kv head's g query heads are adjacent: one group per kv head
+    q = nk.transpose(nk.reshape(q, (b, t, n_kv, g, d_h)), (0, 2, 3, 1, 4))
     k = rope_apply(k, positions, cfg.rope_base)
+    # one cache row per token: each kv head's [key | value]
+    new_rows = nk.reshape(nk.concat([k, v], axis=-1), (b, t, n_kv, 1, 2 * d_h))
 
-    new_cache = None
-    if cache is not None:
-        new_cache = cache.appended(k.data[0], v.data[0])
-        if t_prev:
-            k = nk.concat([Tensor(cache.k[None]), k], axis=1)
-            v = nk.concat([Tensor(cache.v[None]), v], axis=1)
-    t_total = t_prev + t
-
-    qh = nk.transpose(q, (0, 2, 1, 3))                      # (b, n_h, t, d_h)
-    kh = nk.transpose(k, (0, 2, 1, 3))                      # (b, n_kv, T, d_h)
-    vh = nk.transpose(v, (0, 2, 1, 3))
-    if group > 1:
-        kh = nk.repeat(kh, group, axis=1)
-        vh = nk.repeat(vh, group, axis=1)
-
-    scores = nk.matmul(qh, nk.transpose(kh, (0, 1, 3, 2)))  # (b, n_h, t, T)
-    scores = nk.mul(scores, 1.0 / np.sqrt(cfg.d_h))
-    scores = nk.add(scores, Tensor(_causal_mask(t, t_total, scores.dtype)))
-    attn = nk.softmax(scores, axis=-1)
-    ctx = _merge_heads(nk.matmul(attn, vh))                 # (b, t, n_h*d_h)
-    out = nk.matmul(ctx, w.W_O)
-    if squeeze:
-        out = nk.reshape(out, out.shape[1:])
-    return out, new_cache
+    rows, new_cache = _rows_so_far(new_rows, cache)
+    kv = nk.transpose(rows, (0, 2, 3, 1, 4))                 # (b, n_kv, 1, T, 2*d_h)
+    ctx = _attend(q, nk.getitem(kv, (..., slice(0, d_h))), nk.getitem(kv, (..., slice(d_h, None))))
+    return _finish(ctx, w.W_O, H), new_cache
 
 
 def mla_forward(
@@ -359,8 +362,8 @@ def mla_forward(
     w: MLAWeights,
     cfg: ModelConfig,
     mcfg: MLAConfig,
-    cache: Optional[LatentKV] = None,
-) -> tuple[Tensor, Optional[LatentKV]]:
+    cache: Optional[RowCache] = None,
+) -> tuple[Tensor, Optional[RowCache]]:
     """Latent attention: scores and values are read from the cached latent rows.
 
     Queries and keys carry a position-free part plus a d_r-dim rotary part;
@@ -370,13 +373,8 @@ def mla_forward(
     latent (attn @ c_kv) before W_O. Scores scale by 1 / sqrt(d_qk + d_r).
     """
     w.validate(cfg, mcfg)
-    if cache is not None and H.ndim != 2:
-        raise ValueError("cached decode takes a single unbatched sequence")
-    Hb, squeeze = _as_batched(H)
+    Hb, positions = _start(H, cache)
     b, t = Hb.shape[0], Hb.shape[1]
-    t_prev = cache.t if cache is not None else 0
-    t_total = t_prev + t
-    positions = np.arange(t_prev, t_total)
     n_kv, g = cfg.n_kv, cfg.n_h // cfg.n_kv
     r_kv, width = mcfg.r_kv, mcfg.r_kv + mcfg.d_r
 
@@ -385,9 +383,9 @@ def mla_forward(
     w_uv = nk.transpose(nk.reshape(w.W_UV, (r_kv, n_kv, mcfg.d_v)), (1, 0, 2))
 
     c_q = nk.matmul(Hb, w.W_DQ)                              # (b, t, r_q)
-    q_c = _split_heads(nk.matmul(c_q, w.W_UQ), cfg.n_h, mcfg.d_qk)
+    q_c = nk.reshape(nk.matmul(c_q, w.W_UQ), (b, t, cfg.n_h, mcfg.d_qk))
     # a kv head's g query heads are adjacent, so (n_h, t) regroups as (n_kv, g*t)
-    q_c = nk.reshape(q_c, (b, n_kv, g * t, mcfg.d_qk))
+    q_c = nk.reshape(nk.transpose(q_c, (0, 2, 1, 3)), (b, n_kv, g * t, mcfg.d_qk))
     q_lat = nk.reshape(nk.matmul(q_c, w_uk), (b, cfg.n_h, t, r_kv))
     q_r = nk.reshape(nk.matmul(c_q, w.W_QR), (b, t, cfg.n_h, mcfg.d_r))
     q_r = nk.transpose(rope_apply(q_r, positions, cfg.rope_base), (0, 2, 1, 3))
@@ -398,23 +396,11 @@ def mla_forward(
     k_r = rope_apply(k_r, positions, cfg.rope_base)          # rotated before caching
     new_rows = nk.concat([c_kv, nk.reshape(k_r, (b, t, mcfg.d_r))], axis=-1)
 
-    new_cache = None
-    past = np.zeros((b, 0, width), dtype=new_rows.dtype)
-    if cache is not None:
-        past = cache.rows[None]
-        new_cache = cache.appended(c_kv.data[0], k_r.data[0, :, 0])
-    rows = nk.reshape(nk.concat([Tensor(past), new_rows], axis=1), (b, 1, t_total, width))
-
-    scores = nk.matmul(q, nk.transpose(rows, (0, 1, 3, 2)))  # (b, n_h, t, T)
-    scores = nk.add(scores, Tensor(_causal_mask(t, t_total, scores.dtype)))
-    attn = nk.softmax(scores, axis=-1)
-    ctx = nk.matmul(attn, nk.getitem(rows, (..., slice(0, r_kv))))  # (b, n_h, t, r_kv)
+    rows, new_cache = _rows_so_far(new_rows, cache)
+    rows = nk.reshape(rows, (b, 1, rows.shape[1], width))   # shared by all n_h heads
+    ctx = _attend(q, rows, nk.getitem(rows, (..., slice(0, r_kv))))  # (b, n_h, t, r_kv)
     ctx = nk.matmul(nk.reshape(ctx, (b, n_kv, g * t, r_kv)), w_uv)
-    ctx = _merge_heads(nk.reshape(ctx, (b, cfg.n_h, t, mcfg.d_v)))  # (b, t, n_h*d_v)
-    out = nk.matmul(ctx, w.W_O)
-    if squeeze:
-        out = nk.reshape(out, out.shape[1:])
-    return out, new_cache
+    return _finish(nk.reshape(ctx, (b, cfg.n_h, t, mcfg.d_v)), w.W_O, H), new_cache
 
 
 def kv_bytes(
@@ -427,12 +413,4 @@ def kv_bytes(
     """Decode-cache bytes one layer of the given kind holds after t tokens."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if kind == KIND_MHA:
-        return 2 * cfg.n_kv * cfg.d_h * t * elem_bytes
-    if kind == KIND_MLA:
-        if mcfg is None:
-            raise ValueError("MLA byte accounting needs an MLAConfig")
-        return (mcfg.r_kv + mcfg.d_r) * t * elem_bytes
-    if kind == KIND_MAMBA2:
-        return 0
-    raise ValueError(f"unknown layer kind {kind!r}")
+    return row_width(kind, cfg, mcfg) * t * elem_bytes

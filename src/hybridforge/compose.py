@@ -29,15 +29,15 @@ from .attention import (
     KIND_MLA,
     KIND_MAMBA2,
     AttentionWeights,
-    FullKV,
-    LatentKV,
     MLAConfig,
     MLAWeights,
     ModelConfig,
+    RowCache,
     kv_bytes,
     map_mixer,
     mha_forward,
     mla_forward,
+    row_width,
 )
 from .numkernel import ParamStore, Tensor
 from .smart import HybridLayout
@@ -179,12 +179,10 @@ class HybridModel:
     def init_caches(self, dtype=np.float32) -> list:
         caches = []
         for kind, layer in zip(self.cfg.layer_kinds, self.layers):
-            if kind == KIND_MHA:
-                caches.append(FullKV.empty(self.cfg.n_kv, self.cfg.d_h, dtype))
-            elif kind == KIND_MLA:
-                caches.append(LatentKV.empty(self.mcfg.r_kv, self.mcfg.d_r, dtype))
-            else:
+            if kind == KIND_MAMBA2:
                 caches.append(SsmState.empty(layer.mixer, dtype))
+            else:
+                caches.append(RowCache.empty(row_width(kind, self.cfg, self.mcfg), dtype))
         return caches
 
     def forward_cached(self, ids: np.ndarray, caches: list):
@@ -197,7 +195,7 @@ class HybridModel:
 
     def cache_bytes(self, caches: list) -> tuple[int, int]:
         """(attention-style cache bytes, SSM state bytes) for a cache list."""
-        kv = sum(c.byte_size() for c in caches if isinstance(c, (FullKV, LatentKV)))
+        kv = sum(c.byte_size() for c in caches if isinstance(c, RowCache))
         ssm = sum(c.byte_size() for c in caches if isinstance(c, SsmState))
         return kv, ssm
 

@@ -317,9 +317,9 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -143,3 +143,30 @@ def reference_mla(h, w, cfg, mcfg):
             ctx[i] = (a / a.sum()) @ val[: i + 1]
         heads.append(ctx)
     return np.concatenate(heads, axis=1) @ W["W_O"]
+
+
+def reference_mha(h, w, cfg):
+    """Straight-line causal grouped-query attention over one (t, d) sequence.
+
+    Per query head k of kv group g = k // (n_h / n_kv): rotary query and key
+    slices of H @ W_Q and H @ W_K, values H @ W_V, and a softmax over keys
+    0..i for query i. Returns the (t, d) float64 output.
+    """
+    t = h.shape[0]
+    pos = np.arange(t)
+    group = cfg.n_h // cfg.n_kv
+    d_h = cfg.d_h
+    W = {name: np.asarray(tns.data, dtype=np.float64) for name, tns in w.items()}
+    heads = []
+    for k in range(cfg.n_h):
+        g = k // group
+        q = _reference_rope(h @ W["W_Q"][:, k * d_h:(k + 1) * d_h], pos, cfg.rope_base)
+        key = _reference_rope(h @ W["W_K"][:, g * d_h:(g + 1) * d_h], pos, cfg.rope_base)
+        val = h @ W["W_V"][:, g * d_h:(g + 1) * d_h]
+        ctx = np.zeros((t, d_h))
+        for i in range(t):
+            s = key[: i + 1] @ q[i] / np.sqrt(d_h)
+            a = np.exp(s - s.max())
+            ctx[i] = (a / a.sum()) @ val[: i + 1]
+        heads.append(ctx)
+    return np.concatenate(heads, axis=1) @ W["W_O"]

@@ -10,17 +10,17 @@ from hybridforge.attention import (
     KIND_MLA,
     KIND_MAMBA2,
     AttentionWeights,
-    FullKV,
-    LatentKV,
     MLAConfig,
     MLAWeights,
     ModelConfig,
+    RowCache,
     kv_bytes,
     mha_forward,
     mla_forward,
     rope_apply,
+    row_width,
 )
-from oracle_helpers import reference_mla
+from oracle_helpers import reference_mha, reference_mla
 
 TOY = dict(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)
 
@@ -61,6 +61,10 @@ def rand_mla(cfg, mcfg, rng, scale=0.2):
         W_KR=w(cfg.d, mcfg.d_r),
         W_O=w(cfg.n_h * mcfg.d_v, cfg.d),
     )
+
+
+def empty_cache(kind, cfg, mcfg=None):
+    return RowCache.empty(row_width(kind, cfg, mcfg), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +162,7 @@ def test_mha_cached_decode_matches_full_forward():
     h = tensor(rng.standard_normal((6, cfg.d)), dtype=np.float64)
     full, _ = mha_forward(h, w, cfg)
 
-    cache = FullKV.empty(cfg.n_kv, cfg.d_h, dtype=np.float64)
+    cache = empty_cache(KIND_MHA, cfg)
     outs = []
     for i in range(6):
         step = nk.getitem(h, (slice(i, i + 1), slice(None)))
@@ -177,7 +181,7 @@ def test_mha_random_prefill_decode_splits():
     full, _ = mha_forward(h, w, cfg)
     for _ in range(8):
         split = int(rng.integers(1, 10))
-        cache = FullKV.empty(cfg.n_kv, cfg.d_h, dtype=np.float64)
+        cache = empty_cache(KIND_MHA, cfg)
         o1, cache = mha_forward(h[:split], w, cfg, cache)
         o2, cache = mha_forward(h[split:], w, cfg, cache)
         merged = np.concatenate([o1.data, o2.data], axis=0)
@@ -217,6 +221,28 @@ def test_mha_gqa_matches_duplicated_head_mha():
     og, _ = mha_forward(h, w, cfg_g)
     of, _ = mha_forward(h, w_full, cfg_f)
     assert np.abs(og.data - of.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_kv", [4, 2, 1])
+def test_mha_matches_reference_oracle(n_kv):
+    # batched without a cache, and random prefill/decode splits with one
+    cfg = toy_cfg(n_kv=n_kv)
+    rng = np.random.default_rng(30 + n_kv)
+    w = rand_attn(cfg, rng)
+    hb = rng.standard_normal((3, 9, cfg.d))
+    want = np.stack([reference_mha(x, w, cfg) for x in hb])
+    out, cache = mha_forward(tensor(hb, dtype=np.float64), w, cfg)
+    assert cache is None
+    assert np.abs(out.data - want).max() <= 1e-12
+    for _ in range(6):
+        cuts = np.sort(rng.choice(np.arange(1, 9), size=3, replace=False))
+        cache = empty_cache(KIND_MHA, cfg)
+        outs = []
+        for lo, hi in zip((0, *cuts), (*cuts, 9)):
+            o, cache = mha_forward(tensor(hb[0, lo:hi], dtype=np.float64), w, cfg, cache)
+            outs.append(o.data)
+        assert cache.t == 9
+        assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
 
 
 def test_mha_attention_rows_normalized():
@@ -267,7 +293,7 @@ def test_mla_cached_decode_matches_full_forward():
     w = rand_mla(cfg, mcfg, rng)
     h = tensor(rng.standard_normal((7, cfg.d)), dtype=np.float64)
     full, _ = mla_forward(h, w, cfg, mcfg)
-    cache = LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64)
+    cache = empty_cache(KIND_MLA, cfg, mcfg)
     outs = []
     for i in range(7):
         o, cache = mla_forward(h[i : i + 1], w, cfg, mcfg, cache)
@@ -286,7 +312,7 @@ def test_mla_random_prefill_decode_splits():
     full, _ = mla_forward(h, w, cfg, mcfg)
     for _ in range(8):
         split = int(rng.integers(1, 9))
-        cache = LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64)
+        cache = empty_cache(KIND_MLA, cfg, mcfg)
         o1, cache = mla_forward(h[:split], w, cfg, mcfg, cache)
         o2, cache = mla_forward(h[split:], w, cfg, mcfg, cache)
         merged = np.concatenate([o1.data, o2.data], axis=0)
@@ -341,7 +367,7 @@ def test_mla_matches_reference_oracle(n_kv):
     assert np.abs(out.data - want).max() <= 1e-12
     for _ in range(6):
         cuts = np.sort(rng.choice(np.arange(1, 9), size=3, replace=False))
-        cache = LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64)
+        cache = empty_cache(KIND_MLA, cfg, mcfg)
         outs = []
         for lo, hi in zip((0, *cuts), (*cuts, 9)):
             o, cache = mla_forward(tensor(hb[0, lo:hi], dtype=np.float64), w, cfg, mcfg, cache)
@@ -354,80 +380,90 @@ def test_caches_append_twice_from_one_cache():
     # a saved cache may be grown more than once. Two appends leave spare
     # capacity (3 rows, then doubled to 6), so the first branch is written in
     # place and the second must copy rather than overwrite it
+    cfg = toy_cfg()
+    mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(41)
-    base = LatentKV.empty(3, 2, dtype=np.float64).appended(
-        rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
-    base = base.appended(rng.standard_normal((1, 3)), rng.standard_normal((1, 2)))
-    c1, r1 = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
-    c2, r2 = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
-    first = base.appended(c1, r1)
-    second = base.appended(c2, r2)
-    assert first.buf is base.buf
-    assert np.array_equal(first.c_kv, np.concatenate([base.c_kv, c1]))
-    assert np.array_equal(first.k_r, np.concatenate([base.k_r, r1]))
-    assert np.array_equal(second.c_kv, np.concatenate([base.c_kv, c2]))
-    assert np.array_equal(second.k_r, np.concatenate([base.k_r, r2]))
-    assert base.t == 4 and first.t == 5 and second.t == 6
-
-    full = FullKV.empty(2, 3, dtype=np.float64)
-    for n in (3, 1):
-        full = full.appended(rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 2, 3)))
-    k1, v1 = rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3))
-    k2, v2 = rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3))
-    f1 = full.appended(k1, v1)
-    f2 = full.appended(k2, v2)
-    assert f1.buf is full.buf
-    assert np.array_equal(f1.k, np.concatenate([full.k, k1]))
-    assert np.array_equal(f1.v, np.concatenate([full.v, v1]))
-    assert np.array_equal(f2.k, np.concatenate([full.k, k2]))
-    assert np.array_equal(f2.v, np.concatenate([full.v, v2]))
+    for kind in (KIND_MLA, KIND_MHA):
+        width = row_width(kind, cfg, mcfg)
+        base = empty_cache(kind, cfg, mcfg)
+        for n in (3, 1):
+            base = base.appended(rng.standard_normal((n, width)))
+        new1, new2 = rng.standard_normal((1, width)), rng.standard_normal((2, width))
+        first = base.appended(new1)
+        second = base.appended(new2)
+        assert first.buf is base.buf and second.buf is not base.buf
+        assert np.array_equal(first.rows, np.concatenate([base.rows, new1]))
+        assert np.array_equal(second.rows, np.concatenate([base.rows, new2]))
+        assert base.t == 4 and first.t == 5 and second.t == 6
 
 
 def test_caches_grow_past_capacity():
     cfg = toy_cfg()
     mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(42)
-    latent = LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64)
-    full = FullKV.empty(cfg.n_kv, cfg.d_h, dtype=np.float64)
-    cs, rs, ks, vs = [], [], [], []
-    for step in range(40):
-        n = 1 if step % 3 else 2
-        cs.append(rng.standard_normal((n, mcfg.r_kv)))
-        rs.append(rng.standard_normal((n, mcfg.d_r)))
-        ks.append(rng.standard_normal((n, cfg.n_kv, cfg.d_h)))
-        vs.append(rng.standard_normal((n, cfg.n_kv, cfg.d_h)))
-        latent = latent.appended(cs[-1], rs[-1])
-        full = full.appended(ks[-1], vs[-1])
-        t = latent.t
-        assert full.t == t == sum(len(c) for c in cs)
-        assert latent.byte_size() == kv_bytes(KIND_MLA, cfg, mcfg, t, 8)
-        assert full.byte_size() == kv_bytes(KIND_MHA, cfg, None, t, 8)
-    assert len(latent.buf.data) > latent.t  # capacity is not logical rows
-    assert np.array_equal(latent.c_kv, np.concatenate(cs))
-    assert np.array_equal(latent.k_r, np.concatenate(rs))
-    assert np.array_equal(full.k, np.concatenate(ks))
-    assert np.array_equal(full.v, np.concatenate(vs))
+    for kind in (KIND_MLA, KIND_MHA):
+        width = row_width(kind, cfg, mcfg)
+        cache = empty_cache(kind, cfg, mcfg)
+        added = []
+        for step in range(40):
+            added.append(rng.standard_normal((1 if step % 3 else 2, width)))
+            cache = cache.appended(added[-1])
+            t = cache.t
+            assert t == sum(len(a) for a in added)
+            assert cache.byte_size() == kv_bytes(kind, cfg, mcfg, t, 8)
+        assert len(cache.buf.data) > cache.t  # capacity is not logical rows
+        assert np.array_equal(cache.rows, np.concatenate(added))
 
 
-def test_mla_grad_through_cached_call():
-    # the new tokens' latent rows are read back through the cache, yet their
-    # gradient must still reach W_DKV and W_KR
+def test_cache_rows_hold_documented_layout():
+    # MHA rows are each kv head's [rotated key | value]; MLA rows are
+    # [c_kv | rotated k_r]. Values and latents carry no rotation.
+    cfg = toy_cfg()
+    mcfg = toy_mla_cfg(cfg)
+    rng = np.random.default_rng(44)
+    h = rng.standard_normal((5, cfg.d))
+    pos = np.arange(5)
+    aw = rand_attn(cfg, rng)
+    _, cache = mha_forward(tensor(h, dtype=np.float64), aw, cfg, empty_cache(KIND_MHA, cfg))
+    rows = cache.rows.reshape(5, cfg.n_kv, 2, cfg.d_h)
+    key = rope_apply(tensor((h @ aw.W_K.data).reshape(5, cfg.n_kv, cfg.d_h), dtype=np.float64),
+                     pos, cfg.rope_base)
+    assert np.array_equal(rows[:, :, 0], key.data)
+    assert np.array_equal(rows[:, :, 1], (h @ aw.W_V.data).reshape(5, cfg.n_kv, cfg.d_h))
+    mw = rand_mla(cfg, mcfg, rng)
+    _, cache = mla_forward(tensor(h, dtype=np.float64), mw, cfg, mcfg,
+                           empty_cache(KIND_MLA, cfg, mcfg))
+    k_r = rope_apply(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), pos, cfg.rope_base)
+    assert np.array_equal(cache.rows[:, : mcfg.r_kv], h @ mw.W_DKV.data)
+    assert np.array_equal(cache.rows[:, mcfg.r_kv :], k_r.data[:, 0])
+
+
+@pytest.mark.parametrize("kind", [KIND_MHA, KIND_MLA])
+def test_grad_through_cached_call(kind):
+    # the new tokens' rows join the cached rows through a recorded concat, so
+    # their gradient still reaches the projections that write the rows
     cfg = toy_cfg()
     mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(43)
     store = nk.ParamStore()
-    w = rand_mla(cfg, mcfg, rng)
+    if kind == KIND_MHA:
+        w = rand_attn(cfg, rng)
+        mixer = lambda x, c: mha_forward(x, w, cfg, c)
+        row_weights = ("W_K", "W_V")
+    else:
+        w = rand_mla(cfg, mcfg, rng)
+        mixer = lambda x, c: mla_forward(x, w, cfg, mcfg, c)
+        row_weights = ("W_DKV", "W_KR")
     for name, t in w.items():
         store.add(name, t)
     h = rng.standard_normal((5, cfg.d))
     with nk.no_grad():
-        _, cache = mla_forward(tensor(h[:3], dtype=np.float64), w, cfg, mcfg,
-                               LatentKV.empty(mcfg.r_kv, mcfg.d_r, dtype=np.float64))
+        _, cache = mixer(tensor(h[:3], dtype=np.float64), empty_cache(kind, cfg, mcfg))
     new = tensor(h[3:], dtype=np.float64)
     target = rng.standard_normal((2, cfg.d))
 
     def f(p):
-        out, grown = mla_forward(new, w, cfg, mcfg, cache)
+        out, grown = mixer(new, cache)
         assert grown.t == 5
         diff = nk.add(out, nk.neg(Tensor(target)))
         return nk.tsum(nk.mul(diff, diff))
@@ -438,15 +474,8 @@ def test_mla_grad_through_cached_call():
         scale = np.maximum(np.abs(numeric[path]), 1.0)
         worst = (np.abs(analytic[path] - numeric[path]) / scale).max()
         assert worst <= 1e-4, f"{path}: {worst:.3e}"
-    assert np.abs(analytic["W_DKV"]).max() > 1e-3
-
-
-def test_mla_cache_byte_example():
-    cache = LatentKV.empty(128, 32, dtype=np.float32)
-    cache = cache.appended(
-        np.zeros((100, 128), dtype=np.float32), np.zeros((100, 32), dtype=np.float32)
-    )
-    assert cache.byte_size() == (128 + 32) * 100 * 4 == 64000
+    for name in row_weights:
+        assert np.abs(analytic[name]).max() > 1e-3, name
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +510,17 @@ def test_kv_bytes_compression_wins_when_ranks_small():
 
 
 def test_cache_objects_report_bytes():
-    full = FullKV.empty(2, 4, dtype=np.float64)
+    # logical rows x width x element size, for both row layouts; the MLA case
+    # is the base layer's (128 + 32)-element row over 100 tokens
+    full = empty_cache(KIND_MHA, toy_cfg())  # n_kv=2, d_h=4
     assert full.byte_size() == 0 and full.t == 0
-    full = full.appended(np.ones((3, 2, 4)), np.ones((3, 2, 4)))
+    full = full.appended(np.ones((3, 2 * 2 * 4)))
     assert full.byte_size() == 2 * 2 * 4 * 3 * 8
+    cfg = ModelConfig(L=16, d=2048, n_h=32, n_kv=8, d_h=64, vocab=128256)
+    mcfg = MLAConfig(r_q=1344, r_kv=128, d_qk=32, d_v=64, d_r=32)
+    latent = RowCache.empty(row_width(KIND_MLA, cfg, mcfg), dtype=np.float32)
+    latent = latent.appended(np.zeros((100, 128 + 32), dtype=np.float32))
+    assert latent.byte_size() == (128 + 32) * 100 * 4 == 64000
 
 
 # ---------------------------------------------------------------------------

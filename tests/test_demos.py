@@ -1,4 +1,4 @@
-"""Demo smoke tests: the cache demos run to completion against this checkout."""
+"""Demo smoke tests: the cache and cache-budget demos run to completion against this checkout."""
 
 import os
 import subprocess
@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "02_cached_decode_equivalence.py",
     "03_constant_state_streaming.py",
+    "05_cache_budget_reports.py",
+    "07_throughput_bench.py",
 ])
 def test_demo_runs(demo, tmp_path):
     # the child imports the package this session imported, from any cwd
