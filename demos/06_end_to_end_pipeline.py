@@ -6,9 +6,10 @@ Every stage of the toolkit is a CLI subcommand, and a manifest chains them:
 generate data, train a small teacher, factorize it into all-attention and
 all-SSM students, align both to the teacher, score per-layer sensitivity,
 pick a layout, compose the hybrid, distill it, and evaluate.  This demo
-writes the configs and manifest into a scratch directory, runs the manifest
-through the normal CLI dispatch, and reads back the results.  Training steps
-are kept tiny; the point is the plumbing, not the loss curve.
+writes the configs and manifest into a temporary directory, runs the
+manifest through the normal CLI dispatch, reads back the results, and
+removes the directory.  Training steps are kept tiny; the point is the
+plumbing, not the loss curve.
 """
 
 import json
@@ -17,7 +18,9 @@ import tempfile
 
 from hybridforge.cli import load_manifest, run_manifest
 
-scratch = pathlib.Path(tempfile.mkdtemp(prefix="hybridforge_demo_"))
+# removed by cleanup() at the end, or at interpreter exit if a stage raises
+workspace = tempfile.TemporaryDirectory(prefix="hybridforge_demo_")
+scratch = pathlib.Path(workspace.name)
 cfg_dir = scratch / "configs"
 cfg_dir.mkdir()
 
@@ -86,6 +89,8 @@ manifest.write_text(json.dumps({"stages": stages}, indent=2) + "\n")
 # picker also echoes its choice to stdout, which is the line printed below).
 rc = run_manifest(str(manifest))
 print(f"\npipeline exit code: {rc}")
+if rc != 0:
+    raise SystemExit(rc)
 
 # The manifest knows which declared outputs now exist.
 for stage, done in load_manifest(str(manifest)).status():
@@ -100,4 +105,5 @@ print(f"chosen attention layers: {layout}")
 print(f"hybrid vs teacher after distillation: "
       f"perplexity {report['perplexity']:.2f}, "
       f"mean KL {report['mean_kl_to_teacher']:.4f}")
-print(f"\nartifacts under {out}")
+print(f"\n{len(list(out.iterdir()))} artifacts written; removing the workspace")
+workspace.cleanup()

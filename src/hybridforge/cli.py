@@ -614,7 +614,7 @@ def build_parser() -> _Parser:
                            help="sequence length for the byte accounting")
         if name == "sensitivity":
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel variant evaluations")
+                           help="eval batches scored in parallel")
         p.set_defaults(func=fn)
     return parser
 

@@ -165,16 +165,28 @@ class HybridModel:
         """Logits, new caches and mixer outputs; a None cache runs its layer stateless."""
         x = nk.embedding(self.embed, np.asarray(ids))
         new_caches, mixer_outs = [], []
-        for i, layer in enumerate(self.layers):
-            mixed, c = self._mix(nk.rms_norm(x, layer.norm1), i, caches[i])
+        for i in range(len(self.layers)):
+            x, c, mixed = self.block(x, i, caches[i])
             new_caches.append(c)
             mixer_outs.append(mixed)
-            x = nk.add(x, mixed)
-            z = nk.rms_norm(x, layer.norm2)
-            gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
-            x = nk.add(x, nk.matmul(gated, layer.mlp_down))
-        logits = nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
-        return logits, new_caches, mixer_outs
+        return self.logits(x), new_caches, mixer_outs
+
+    def block(self, x: Tensor, i: int, cache=None, mixer_from: Optional[HybridModel] = None):
+        """Residual block i over the stream x: (new stream, new cache, mixer output).
+
+        With ``mixer_from``, the block runs that model's layer-i mixer (its
+        kind, weights and MLA config) between this model's norms and MLP.
+        """
+        layer = self.layers[i]
+        mixed, c = (mixer_from or self)._mix(nk.rms_norm(x, layer.norm1), i, cache)
+        x = nk.add(x, mixed)
+        z = nk.rms_norm(x, layer.norm2)
+        gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
+        return nk.add(x, nk.matmul(gated, layer.mlp_down)), c, mixed
+
+    def logits(self, x: Tensor) -> Tensor:
+        """Final norm and output head over the stream leaving the last block."""
+        return nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
 
     def init_caches(self, dtype=np.float32) -> list:
         caches = []

@@ -2,7 +2,10 @@
 
 Which layers should stay attention-like? Each candidate layer gets a score:
 how much the KL gap to the teacher shrinks when that single layer of the
-all-SSM student is swapped for its latent-attention counterpart. Placement
+all-SSM student is swapped for its latent-attention counterpart. One
+no-grad pass per evaluation batch scores the all-SSM student and all L swaps
+at once: the variants ride on the batch axis and share the SSM layers below
+their swap, and the teacher runs once. Batches fan out over threads. Placement
 then keeps one endpoint in the first and one in the last L/N-sized stretch
 of the stack, constrains consecutive picks to near-uniform gaps, and takes
 the candidate set with the largest cumulative score. Ties break toward the
@@ -19,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import numkernel as nk
-from .attention import map_mixer
 from .distill import Batch, kd_loss
 
 __all__ = [
@@ -190,25 +192,26 @@ def smart_select(profile, N: int) -> HybridLayout:
 # sensitivity measurement
 
 
-def _swap_layer(base, donor, i: int):
-    """Clone of base with layer i's mixer (and kind) taken from donor."""
-    variant = base.clone()
-    variant.layers[i].mixer = map_mixer(donor.layers[i].mixer, lambda t: nk.Tensor(t.data.copy()))
-    variant.cfg.layer_kinds[i] = donor.cfg.layer_kinds[i]
-    if variant.mcfg is None:
-        variant.mcfg = donor.mcfg
-    return variant
+def _batch_kls(teacher, base, donor, inputs: np.ndarray) -> list[float]:
+    """KL to the teacher of the all-SSM base and of each single-layer swap.
 
-
-def _mean_kl(teacher, model, data: Sequence[Batch]) -> float:
-    """Average over batches of the position-summed KL to the teacher."""
-    total = 0.0
-    with nk.no_grad():
-        for batch in data:
-            t_logits = teacher.forward(batch.inputs)
-            s_logits = model.forward(batch.inputs)
-            total += kd_loss(t_logits, s_logits).item()
-    return total / len(data)
+    One stacked pass over the batch: the streams ride on the batch axis as
+    [base, swap 0, swap 1, ...]. At layer j every stream so far runs base
+    block j, and the base rows alone run block j with the donor's mixer to
+    become swap j's stream. Layers below i are the same in the base and in
+    swap i, so they run once. Returns L+1 values, the base first.
+    """
+    with nk.no_grad():  # grad mode is per thread; a pool worker sets its own
+        t_logits = teacher.forward(inputs)
+        x = nk.embedding(base.embed, inputs)
+        b = x.shape[0]
+        for j in range(base.cfg.L):
+            swapped, _, _ = base.block(nk.getitem(x, slice(0, b)), j, mixer_from=donor)
+            x, _, _ = base.block(x, j)
+            x = nk.concat([x, swapped], axis=0)
+        logits = base.logits(x)
+        return [kd_loss(t_logits, nk.getitem(logits, slice(k * b, (k + 1) * b))).item()
+                for k in range(base.cfg.L + 1)]
 
 
 def score_sensitivity(
@@ -223,8 +226,11 @@ def score_sensitivity(
 
     s_i = KL(teacher || all-SSM student) - KL(teacher || student with layer i
     swapped), both teacher-forced over the same batches. Larger means the
-    swap at i recovers more of the teacher. The L variant evaluations are
-    independent and fan out across threads when jobs > 1.
+    swap at i recovers more of the teacher. The swap takes only layer i's
+    mixer (and kind) from full_mla; norms, MLPs, embedding and head stay
+    full_mamba's. Each batch is one stacked pass that yields all L+1 KLs;
+    with jobs > 1 the batches fan out across threads, and the KLs are summed
+    in batch order, so the scores do not depend on jobs.
     """
     for f in ("L", "d", "vocab"):
         if not (getattr(teacher.cfg, f) == getattr(full_mamba.cfg, f) == getattr(full_mla.cfg, f)):
@@ -233,16 +239,20 @@ def score_sensitivity(
     if not data:
         raise ValueError("need at least one evaluation batch")
     L = teacher.cfg.L
-    base = _mean_kl(teacher, full_mamba, data)
 
-    def one(i: int) -> float:
-        return base - _mean_kl(teacher, _swap_layer(full_mamba, full_mla, i), data)
+    def one(batch: Batch) -> list[float]:
+        return _batch_kls(teacher, full_mamba, full_mla, batch.inputs)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(one, range(L)))
+            per_batch = list(pool.map(one, data))
     else:
-        scores = [one(i) for i in range(L)]
+        per_batch = [one(batch) for batch in data]
+    totals = [0.0] * (L + 1)
+    for kls in per_batch:  # batch order, so the sums do not depend on jobs
+        totals = [t + kl for t, kl in zip(totals, kls)]
+    base, *swaps = (t / len(data) for t in totals)
+    scores = [base - kl for kl in swaps]
     prov = {"sample_count": len(data), "decode_steps": int(data[0].inputs.shape[1])}
     if provenance:
         prov.update(provenance)

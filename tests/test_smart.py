@@ -1,13 +1,15 @@
 """Placement tests: reference score replays, gap rules, brute-force sweeps."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import hybridforge.numkernel as nk
 import hybridforge.smart as smart
 from hybridforge.attention import KIND_MHA, KIND_MLA, KIND_MAMBA2, MLAConfig, ModelConfig
-from hybridforge.compose import build_model, convert_model
+from hybridforge.compose import HybridModel, build_model, convert_model
 from hybridforge.distill import Batch
 from hybridforge.smart import (
     HybridLayout,
@@ -237,17 +239,68 @@ def test_profile_rejects_bad_scores():
 # -- sensitivity measurement ---------------------------------------------------
 
 
-def family():
-    cfg = ModelConfig(L=3, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)
+def family(L=3, dtype=np.float64, batches=2):
+    cfg = ModelConfig(L=L, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)
     mcfg = MLAConfig(r_q=8, r_kv=6, d_qk=2, d_v=4, d_r=2)
-    teacher = build_model(cfg, seed=3, dtype=np.float64)
+    teacher = build_model(cfg, seed=3, dtype=dtype)
     # give the teacher a non-flat output head so KL gaps are informative
     rng = np.random.default_rng(9)
     teacher.head.data[...] = rng.normal(size=teacher.head.shape) * 0.3
     mla = convert_model(teacher, KIND_MLA, mcfg)
     mamba = convert_model(teacher, KIND_MAMBA2)
-    data = [Batch(rng.integers(0, 32, size=(2, 9))) for _ in range(2)]
+    data = [Batch(rng.integers(0, 32, size=(2, 9))) for _ in range(batches)]
     return teacher, mamba, mla, data
+
+
+def drifted_family():
+    """Float64 family whose donor's shared weights differ from the base's.
+
+    Conversion copies norms and MLPs, so the plain family cannot tell a
+    mixer-only swap from a whole-block swap. After layer alignment the two
+    students' shared weights drift apart; this family has that drift.
+    """
+    teacher, mamba, mla, data = family(L=4)
+    rng = np.random.default_rng(21)
+    for layer in mla.layers:
+        for t in (layer.norm1, layer.norm2, layer.mlp_gate, layer.mlp_up, layer.mlp_down):
+            t.data[...] += rng.normal(size=t.shape) * 0.2
+    for t in (mla.embed, mla.final_norm, mla.head):
+        t.data[...] += rng.normal(size=t.shape) * 0.2
+    return teacher, mamba, mla, data
+
+
+def straight_line_scores(teacher, base, donor, data, whole_block=False):
+    """s_i from full forwards of hand-built variants and plain-numpy KL.
+
+    Variant i is the base with layer i's mixer and kind taken from the donor
+    (or, with whole_block, the donor's entire layer i).
+    """
+    def mean_kl(model):
+        per_batch = []
+        for b in data:
+            with nk.no_grad():
+                t = teacher.forward(b.inputs).data
+                s = model.forward(b.inputs).data
+            t_log = t - t.max(-1, keepdims=True)
+            t_log = t_log - np.log(np.exp(t_log).sum(-1, keepdims=True))
+            s_log = s - s.max(-1, keepdims=True)
+            s_log = s_log - np.log(np.exp(s_log).sum(-1, keepdims=True))
+            per_batch.append((np.exp(t_log) * (t_log - s_log)).sum(-1).sum(-1).mean())
+        return float(np.mean(per_batch))
+
+    base_kl = mean_kl(base)
+    scores = []
+    for i in range(base.cfg.L):
+        layers = list(base.layers)
+        layers[i] = (donor.layers[i] if whole_block
+                     else dataclasses.replace(base.layers[i], mixer=donor.layers[i].mixer))
+        kinds = list(base.cfg.layer_kinds)
+        kinds[i] = donor.cfg.layer_kinds[i]
+        variant = HybridModel(
+            cfg=dataclasses.replace(base.cfg, layer_kinds=kinds), mcfg=donor.mcfg,
+            embed=base.embed, layers=layers, final_norm=base.final_norm, head=base.head)
+        scores.append(base_kl - mean_kl(variant))
+    return np.asarray(scores)
 
 
 def test_sensitivity_shape_and_provenance():
@@ -271,8 +324,6 @@ def test_sensitivity_single_layer_oracle():
     # recompute s_0 with plain loops and no shared helpers
     teacher, mamba, mla, data = family()
     prof = score_sensitivity(teacher, mamba, mla, data)
-
-    import hybridforge.numkernel as nk
 
     def mean_kl(model):
         vals = []
@@ -299,6 +350,48 @@ def test_sensitivity_threaded_matches_serial():
     serial = score_sensitivity(teacher, mamba, mla, data, jobs=1)
     threaded = score_sensitivity(teacher, mamba, mla, data, jobs=4)
     assert np.array_equal(serial.scores, threaded.scores)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sensitivity_swaps_only_the_mixer(jobs):
+    teacher, mamba, mla, data = drifted_family()
+    prof = score_sensitivity(teacher, mamba, mla, data, jobs=jobs)
+    want = straight_line_scores(teacher, mamba, mla, data)
+    assert np.abs(prof.scores - want).max() <= 1e-12
+    # the drift is large enough that a whole-block swap scores differently
+    whole = straight_line_scores(teacher, mamba, mla, data, whole_block=True)
+    assert np.abs(whole - want).min() > 1e-6
+
+
+def test_sensitivity_records_no_graph(monkeypatch):
+    # trainable weights with grad mode on: any op outside no_grad records,
+    # on the calling thread or on a pool worker
+    teacher, mamba, mla, data = family()
+    for model in (teacher, mamba, mla):
+        for _, t in model.named_tensors():
+            t.requires_grad = True
+    recording = nk._recording
+
+    def refuse(parents):
+        if recording(parents):
+            raise AssertionError("an op recorded a graph")
+        return False
+
+    monkeypatch.setattr(nk, "_recording", refuse)
+    assert nk.grad_enabled()
+    score_sensitivity(teacher, mamba, mla, data, jobs=2)
+    with pytest.raises(AssertionError, match="recorded"):
+        nk.add(teacher.head, teacher.head)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sensitivity_jobs_uneven_split_byte_equal(dtype):
+    # 5 batches over 2 or 3 workers: some worker scores more than one batch.
+    # float32 KLs add exactly in float64 whatever the order; float64 ones do not.
+    teacher, mamba, mla, data = family(L=16, dtype=dtype, batches=5)
+    runs = [score_sensitivity(teacher, mamba, mla, data, jobs=j).scores.tobytes()
+            for j in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_sensitivity_bad_inputs():
