@@ -23,6 +23,7 @@ from .attention import KIND_MAMBA2, KIND_MLA, MLAConfig, ModelConfig
 from .compose import (
     CheckpointError,
     assemble,
+    atomic_open,
     convert_model,
     kv_report,
     load_checkpoint,
@@ -193,7 +194,7 @@ def _out_dir(args, stage: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     log(f"wrote {path}")
 
@@ -204,7 +205,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _save_split(out: str, name: str, arr: np.ndarray) -> str:
     path = os.path.join(out, f"{name}.npy")
-    np.save(path, arr)
+    with atomic_open(path) as fh:
+        np.save(fh, arr)
     log(f"wrote {path} shape {arr.shape}")
     return path
 

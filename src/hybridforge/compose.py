@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import warnings
 import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -51,13 +53,14 @@ __all__ = [
     "convert_model",
     "assemble",
     "kv_report",
+    "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
     "read_checkpoint_header",
 ]
 
 MAGIC = b"HFRG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _ALIGN = 64
 
 MixerWeights = Union[AttentionWeights, MLAWeights, Mamba2Weights]
@@ -176,13 +179,21 @@ class HybridModel:
 
         With ``mixer_from``, the block runs that model's layer-i mixer (its
         kind, weights and MLA config) between this model's norms and MLP.
+        A ``KernelError`` is re-raised behind its sublayer's path:
+        ``layers.{i}.mixer`` for the mixer, ``layers.{i}.mlp`` for norms and MLP.
         """
-        layer = self.layers[i]
-        mixed, c = (mixer_from or self)._mix(nk.rms_norm(x, layer.norm1), i, cache)
-        x = nk.add(x, mixed)
-        z = nk.rms_norm(x, layer.norm2)
-        gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
-        return nk.add(x, nk.matmul(gated, layer.mlp_down)), c, mixed
+        layer, part = self.layers[i], "mlp"
+        try:
+            z = nk.rms_norm(x, layer.norm1)
+            part = "mixer"
+            mixed, c = (mixer_from or self)._mix(z, i, cache)
+            part = "mlp"
+            x = nk.add(x, mixed)
+            z = nk.rms_norm(x, layer.norm2)
+            gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
+            return nk.add(x, nk.matmul(gated, layer.mlp_down)), c, mixed
+        except nk.KernelError as exc:
+            raise type(exc)(f"layers.{i}.{part}: {exc}") from exc
 
     def logits(self, x: Tensor) -> Tensor:
         """Final norm and output head over the stream leaving the last block."""
@@ -457,6 +468,23 @@ def _header_blob(model: HybridModel, directory: list[dict]) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """A temp file beside ``path`` that replaces ``path`` once the block completes.
+
+    If the block raises, the temp file is removed and any earlier ``path`` is
+    left as it was, so an interrupted write never leaves a partial artifact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_checkpoint(model: HybridModel, path: str) -> None:
     """Write the model to one self-describing binary file."""
     named = model.named_tensors()
@@ -483,7 +511,7 @@ def save_checkpoint(model: HybridModel, path: str) -> None:
     payload = bytearray(offset)
     for off, raw in blobs:
         payload[off : off + len(raw)] = raw
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(MAGIC)
         f.write(np.array([FORMAT_VERSION], dtype="<u4").tobytes())
         f.write(np.array([len(header)], dtype="<u8").tobytes())
@@ -598,8 +626,6 @@ def _mixer_from(tensors, prefix, kind, cfg, k) -> MixerWeights:
         )
     return Mamba2Weights(
         n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h, k=k,
-        W_x=g("W_x"), W_B=g("W_B"), W_C=g("W_C"),
-        conv_x=g("conv_x"), conv_B=g("conv_B"), conv_C=g("conv_C"),
-        a_log=g("a_log"), delta_w=g("delta_w"), delta_b=g("delta_b"),
+        W_in=g("W_in"), conv=g("conv"), a_log=g("a_log"), delta_b=g("delta_b"),
         D=g("D"), W_out=g("W_out"),
     )

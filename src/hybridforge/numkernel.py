@@ -358,18 +358,23 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return _make(out, (x, gain), vjp, "rms_norm")
 
 
-def conv1d_depthwise(x: Tensor, w: Tensor) -> Tensor:
+def conv1d_depthwise(x: Tensor, w: Tensor, tail: np.ndarray | None = None) -> Tensor:
     """Causal depthwise temporal convolution.
 
     ``x`` has shape (..., t, channels), ``w`` has shape (channels, k).  Output
-    position t mixes inputs t-k+1 .. t, with implicit zero left-padding, so a
-    kernel whose last tap is 1 (and the rest 0) is the identity.
+    position t mixes inputs t-k+1 .. t. The k-1 rows before the first input
+    are ``tail``, a constant (k-1, channels) array shared across leading axes,
+    or zeros when None, so a kernel whose last tap is 1 (and the rest 0) is
+    the identity.
     """
     k = w.shape[1]
     xd, wd = x.data, w.data
-    t = xd.shape[-2]
-    pad = [(0, 0)] * (xd.ndim - 2) + [(k - 1, 0), (0, 0)]
-    xp = np.pad(xd, pad)
+    t, ch = xd.shape[-2], xd.shape[-1]
+    if tail is not None and tail.shape != (k - 1, ch):
+        raise KernelError(f"conv tail shape {tail.shape} != {(k - 1, ch)}")
+    xp = np.empty(xd.shape[:-2] + (t + k - 1, ch), dtype=xd.dtype)
+    xp[..., : k - 1, :] = 0.0 if tail is None else tail
+    xp[..., k - 1 :, :] = xd
     out = np.zeros_like(xd)
     for j in range(k):
         out += wd[:, j] * xp[..., j : j + t, :]
@@ -379,9 +384,8 @@ def conv1d_depthwise(x: Tensor, w: Tensor) -> Tensor:
         gw = np.zeros_like(wd)
         for j in range(k):
             gxp[..., j : j + t, :] += wd[:, j] * g
-            gw[:, j] = (g * xp[..., j : j + t, :]).reshape(-1, xd.shape[-1]).sum(axis=0)
-        gx = gxp[..., k - 1 :, :]
-        return gx, gw
+            gw[:, j] = (g * xp[..., j : j + t, :]).reshape(-1, ch).sum(axis=0)
+        return gxp[..., k - 1 :, :], gw
 
     return _make(out, (x, w), vjp, "conv1d_depthwise")
 

@@ -1,12 +1,13 @@
 """Selective state-space token mixer with constant-size decode state.
 
-The mixer projects the hidden stream into a value path, an input-gate path,
-and an output-read path, temporally fuses each with a short causal depthwise
-convolution, then runs a per-head gated recurrence over (d_h x d_h) hidden
-matrices: every step decays the hidden matrix by an input-dependent factor in
-(0, 1) and writes a rank-1 outer product. Decode therefore needs only the
-hidden matrices plus the last k-1 raw inputs of each convolution, regardless
-of how many tokens came before.
+The mixer follows the Mamba-2 block layout (Dao & Gu 2024, arXiv 2405.21060,
+section 7): one in-projection writes a value path x, an input-gate path B,
+an output-read path C and a per-head step size; one short causal depthwise
+convolution temporally fuses the concatenated ``xBC`` channels. A per-head
+gated recurrence then runs over (d_h x d_h) hidden matrices: every step
+decays the hidden matrix by an input-dependent factor in (0, 1) and writes a
+rank-1 outer product. Decode therefore needs only the hidden matrices plus
+the last k-1 raw ``xBC`` rows, regardless of how many tokens came before.
 
 The recurrence itself is one kernel primitive, ``numkernel.ssm_scan``: a
 step loop with a hand-written reverse-time vjp, so training, prefill and
@@ -30,20 +31,22 @@ __all__ = ["Mamba2Weights", "SsmState", "mamba2_forward_seq", "mamba2_forward_ch
 
 @dataclass
 class Mamba2Weights:
-    """Projection, convolution, and gating parameters for one SSM layer."""
+    """In-projection, convolution, and gating parameters for one SSM layer.
+
+    ``W_in`` has the column blocks ``[x | B | C | dt]`` of widths n_kv*d_h,
+    n_kv*d_h, n_h*d_h and n_h: the value path, the input-gate path, the
+    output-read path and the step-size projection. ``conv`` holds one
+    depthwise kernel per channel of the first three blocks (``xBC``); the
+    ``dt`` columns skip the convolution.
+    """
 
     n_h: int
     n_kv: int
     d_h: int
     k: int
-    W_x: Tensor       # d x (n_kv * d_h), value path
-    W_B: Tensor       # d x (n_kv * d_h), input-gate path
-    W_C: Tensor       # d x (n_h * d_h), output-read path
-    conv_x: Tensor    # (n_kv * d_h) x k depthwise kernels
-    conv_B: Tensor    # (n_kv * d_h) x k
-    conv_C: Tensor    # (n_h * d_h) x k
+    W_in: Tensor      # d x (2 * n_kv * d_h + n_h * d_h + n_h), blocks [x | B | C | dt]
+    conv: Tensor      # (2 * n_kv * d_h + n_h * d_h) x k depthwise kernels over xBC
     a_log: Tensor     # n_h log-magnitudes; decay exponent a = -exp(a_log) < 0
-    delta_w: Tensor   # d x n_h step-size projection
     delta_b: Tensor   # n_h step-size bias
     D: Tensor         # n_h skip coefficients
     W_out: Tensor     # (n_h * d_h) x d
@@ -56,26 +59,25 @@ class Mamba2Weights:
 
     @property
     def d(self) -> int:
-        return self.W_x.shape[0]
+        return self.W_in.shape[0]
 
     @property
     def group(self) -> int:
         return self.n_h // self.n_kv
 
+    @property
+    def xbc_width(self) -> int:
+        """Channels of the convolved ``[x | B | C]`` blocks."""
+        return (2 * self.n_kv + self.n_h) * self.d_h
+
     def validate(self) -> None:
-        d, kv_ch, h_ch = self.d, self.n_kv * self.d_h, self.n_h * self.d_h
         want = {
-            "W_x": (d, kv_ch),
-            "W_B": (d, kv_ch),
-            "W_C": (d, h_ch),
-            "conv_x": (kv_ch, self.k),
-            "conv_B": (kv_ch, self.k),
-            "conv_C": (h_ch, self.k),
+            "W_in": (self.d, self.xbc_width + self.n_h),
+            "conv": (self.xbc_width, self.k),
             "a_log": (self.n_h,),
-            "delta_w": (d, self.n_h),
             "delta_b": (self.n_h,),
             "D": (self.n_h,),
-            "W_out": (h_ch, d),
+            "W_out": (self.n_h * self.d_h, self.d),
         }
         for name, shape in want.items():
             got = getattr(self, name).shape
@@ -83,8 +85,7 @@ class Mamba2Weights:
                 raise ValueError(f"{name} shape {got} != expected {shape}")
 
     def items(self):
-        names = ("W_x", "W_B", "W_C", "conv_x", "conv_B", "conv_C",
-                 "a_log", "delta_w", "delta_b", "D", "W_out")
+        names = ("W_in", "conv", "a_log", "delta_b", "D", "W_out")
         return [(n, getattr(self, n)) for n in names]
 
     def decay(self) -> np.ndarray:
@@ -94,54 +95,38 @@ class Mamba2Weights:
 
 @dataclass
 class SsmState:
-    """Decode carry: per-head hidden matrices + raw conv history per path."""
+    """Decode carry: per-head hidden matrices + the raw ``xBC`` conv history."""
 
-    h: np.ndarray        # (n_h, d_h, d_h)
-    tail_x: np.ndarray   # (k-1, n_kv * d_h) raw pre-conv inputs
-    tail_B: np.ndarray   # (k-1, n_kv * d_h)
-    tail_C: np.ndarray   # (k-1, n_h * d_h)
+    h: np.ndarray      # (n_h, d_h, d_h)
+    tail: np.ndarray   # (k-1, xbc_width) last pre-conv rows
 
     @classmethod
     def empty(cls, w: Mamba2Weights, dtype=np.float32) -> "SsmState":
-        kv_ch, h_ch = w.n_kv * w.d_h, w.n_h * w.d_h
-        return cls(
-            h=np.zeros((w.n_h, w.d_h, w.d_h), dtype=dtype),
-            tail_x=np.zeros((w.k - 1, kv_ch), dtype=dtype),
-            tail_B=np.zeros((w.k - 1, kv_ch), dtype=dtype),
-            tail_C=np.zeros((w.k - 1, h_ch), dtype=dtype),
-        )
+        return cls(h=np.zeros((w.n_h, w.d_h, w.d_h), dtype=dtype),
+                   tail=np.zeros((w.k - 1, w.xbc_width), dtype=dtype))
 
     def byte_size(self) -> int:
-        return self.h.nbytes + self.tail_x.nbytes + self.tail_B.nbytes + self.tail_C.nbytes
+        return self.h.nbytes + self.tail.nbytes
 
 
-def _conv_with_tail(pre: Tensor, kernel: Tensor, tail: Optional[np.ndarray]) -> Tensor:
-    """Causal depthwise conv; an explicit tail replaces the zero left-padding."""
-    if tail is None or tail.shape[0] == 0:
-        return nk.conv1d_depthwise(pre, kernel)
-    joined = nk.concat([Tensor(tail[None]), pre], axis=1)
-    full = nk.conv1d_depthwise(joined, kernel)
-    return nk.getitem(full, (slice(None), slice(tail.shape[0], None), slice(None)))
-
-
-def _paths(H: Tensor, w: Mamba2Weights, state: Optional[SsmState]):
-    """Shared front end: projections, convolutions, replication, step sizes."""
+def _paths(H: Tensor, w: Mamba2Weights, tail: Optional[np.ndarray]):
+    """Shared front end: one in-projection, one conv, head slices, step sizes."""
     b, t = H.shape[0], H.shape[1]
-    x_pre = nk.matmul(H, w.W_x)
-    B_pre = nk.matmul(H, w.W_B)
-    C_pre = nk.matmul(H, w.W_C)
-    x = _conv_with_tail(x_pre, w.conv_x, state.tail_x if state else None)
-    Bp = _conv_with_tail(B_pre, w.conv_B, state.tail_B if state else None)
-    Cp = _conv_with_tail(C_pre, w.conv_C, state.tail_C if state else None)
-    x = nk.reshape(x, (b, t, w.n_kv, w.d_h))
-    Bp = nk.reshape(Bp, (b, t, w.n_kv, w.d_h))
-    Cp = nk.reshape(Cp, (b, t, w.n_h, w.d_h))
+    xbc, kv = w.xbc_width, w.n_kv
+    proj = nk.matmul(H, w.W_in)
+    xbc_pre = nk.getitem(proj, (..., slice(None, xbc)))
+    heads = nk.reshape(nk.conv1d_depthwise(xbc_pre, w.conv, tail),
+                       (b, t, 2 * kv + w.n_h, w.d_h))
+    x = nk.getitem(heads, (..., slice(None, kv), slice(None)))
+    Bp = nk.getitem(heads, (..., slice(kv, 2 * kv), slice(None)))
+    Cp = nk.getitem(heads, (..., slice(2 * kv, None), slice(None)))
     if w.group > 1:  # shared kv-group paths fan out only after the conv
         x = nk.repeat(x, w.group, axis=2)
         Bp = nk.repeat(Bp, w.group, axis=2)
-    dt = nk.softplus(nk.add(nk.matmul(H, w.delta_w), w.delta_b))  # (b, t, n_h) > 0
-    decay = nk.mul(dt, nk.neg(nk.texp(w.a_log)))                   # (b, t, n_h) < 0
-    return x, Bp, Cp, dt, decay, x_pre, B_pre, C_pre
+    dt = nk.softplus(nk.add(nk.getitem(proj, (..., slice(xbc, None))), w.delta_b))
+    decay = nk.mul(dt, nk.neg(nk.texp(w.a_log)))  # (b, t, n_h): dt > 0, decay < 0
+    bbar = nk.mul(Bp, nk.reshape(dt, (b, t, w.n_h, 1)))
+    return x, bbar, Cp, decay, xbc_pre
 
 
 def mamba2_forward_seq(
@@ -168,31 +153,17 @@ def mamba2_forward_seq(
         raise ValueError(f"hidden dim {H.shape[-1]} != weight dim {w.d}")
     b, t = Hb.shape[0], Hb.shape[1]
 
-    x, Bp, Cp, dt, decay, x_pre, B_pre, C_pre = _paths(Hb, w, state)
+    x, bbar, Cp, decay, xbc_pre = _paths(Hb, w, state.tail if state else None)
     abar = nk.texp(decay)                          # (b, t, n_h) in (0, 1)
-    bbar = nk.mul(Bp, nk.reshape(dt, (b, t, w.n_h, 1)))
-
     out, h_last = nk.ssm_scan(x, bbar, Cp, abar, w.D, state.h if state else None)
-    out = nk.matmul(nk.reshape(out, (b, t, w.n_h * w.d_h)), w.W_out)
-    if squeeze:
-        out = nk.reshape(out, out.shape[1:])
+    flat = (t, w.n_h * w.d_h) if squeeze else (b, t, w.n_h * w.d_h)
+    out = nk.matmul(nk.reshape(out, flat), w.W_out)
+    if not squeeze:
+        return out, None
 
-    new_state = None
-    if squeeze:
-        keep = w.k - 1
-        def tail_of(pre, old_tail):
-            raw = np.concatenate([old_tail, pre.data[0]], axis=0) if state else pre.data[0]
-            if keep == 0:
-                return raw[:0]
-            padded = np.concatenate([np.zeros((keep, raw.shape[1]), raw.dtype), raw], axis=0)
-            return padded[-keep:].copy()
-        new_state = SsmState(
-            h=h_last[0],
-            tail_x=tail_of(x_pre, state.tail_x if state else None),
-            tail_B=tail_of(B_pre, state.tail_B if state else None),
-            tail_C=tail_of(C_pre, state.tail_C if state else None),
-        )
-    return out, new_state
+    old = state.tail if state else np.zeros((w.k - 1, w.xbc_width), xbc_pre.dtype)
+    joined = np.concatenate([old, xbc_pre.data[0]], axis=0)
+    return out, SsmState(h=h_last[0], tail=joined[t:].copy())
 
 
 def mamba2_forward_chunked(H: Tensor, w: Mamba2Weights, chunk: int) -> Tensor:
@@ -209,12 +180,10 @@ def mamba2_forward_chunked(H: Tensor, w: Mamba2Weights, chunk: int) -> Tensor:
     if H.ndim != 2:
         raise ValueError("chunked forward takes a single (t, d) sequence")
     with nk.no_grad():
-        Hb = nk.reshape(H, (1,) + H.shape)
-        b, t = 1, H.shape[0]
-        x, Bp, Cp, dt, decay, *_ = _paths(Hb, w, None)
-        x, Bp, Cp = x.data[0], Bp.data[0], Cp.data[0]      # (t, n_h, d_h)
+        t = H.shape[0]
+        x, bbar, Cp, decay, _ = _paths(nk.reshape(H, (1,) + H.shape), w, None)
+        x, bbar, Cp = x.data[0], bbar.data[0], Cp.data[0]  # (t, n_h, d_h)
         decay = decay.data[0]                              # (t, n_h) < 0
-        bbar = Bp * dt.data[0][:, :, None]
         D = w.D.data
 
         h = np.zeros((w.n_h, w.d_h, w.d_h), dtype=x.dtype)

@@ -111,23 +111,21 @@ def init_mamba2_from_attention(
 ) -> Mamba2Weights:
     """Reuse attention projections as state-space paths, conv set to identity.
 
-    The value/key/query/output projections are copied bitwise; decay, step
-    size, and skip parameters take the standard defaults. With the identity
-    convolutions the converted layer's first step reads exactly the projected
-    source activations.
+    The value/key/query projections are copied bitwise into the ``[x | B |
+    C]`` column blocks of ``W_in`` (MambaInLlama: W_V -> x, W_K -> B, W_Q ->
+    C), the step-size block is zero, and the output projection is copied
+    bitwise; decay, step size, and skip parameters take the standard
+    defaults. With the identity convolution the converted layer's first step
+    reads exactly the projected source activations.
     """
     w.validate(cfg)
     dtype = w.W_Q.dtype
+    dt_cols = np.zeros((cfg.d, cfg.n_h), dtype=dtype)
     out = Mamba2Weights(
         n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h, k=k,
-        W_x=Tensor(w.W_V.data.copy()),
-        W_B=Tensor(w.W_K.data.copy()),
-        W_C=Tensor(w.W_Q.data.copy()),
-        conv_x=Tensor(identity_conv(cfg.n_kv * cfg.d_h, k, dtype)),
-        conv_B=Tensor(identity_conv(cfg.n_kv * cfg.d_h, k, dtype)),
-        conv_C=Tensor(identity_conv(cfg.n_h * cfg.d_h, k, dtype)),
+        W_in=Tensor(np.concatenate([w.W_V.data, w.W_K.data, w.W_Q.data, dt_cols], axis=1)),
+        conv=Tensor(identity_conv((2 * cfg.n_kv + cfg.n_h) * cfg.d_h, k, dtype)),
         a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
-        delta_w=Tensor(np.zeros((cfg.d, cfg.n_h), dtype=dtype)),
         delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
         D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
         W_out=Tensor(w.W_O.data.copy()),
@@ -178,16 +176,15 @@ def init_random(
         return out
 
     if kind == KIND_MAMBA2:
+        # draw x, B, C, then their kernels, each block on its own
+        widths = (cfg.n_kv * cfg.d_h, cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h)
+        proj = [gauss(cfg.d, cfg.d, n).data for n in widths]
+        kernels = [gauss(k, n, k).data for n in widths]
         out = Mamba2Weights(
             n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h, k=k,
-            W_x=gauss(cfg.d, cfg.d, cfg.n_kv * cfg.d_h),
-            W_B=gauss(cfg.d, cfg.d, cfg.n_kv * cfg.d_h),
-            W_C=gauss(cfg.d, cfg.d, cfg.n_h * cfg.d_h),
-            conv_x=gauss(k, cfg.n_kv * cfg.d_h, k),
-            conv_B=gauss(k, cfg.n_kv * cfg.d_h, k),
-            conv_C=gauss(k, cfg.n_h * cfg.d_h, k),
+            W_in=Tensor(np.concatenate(proj + [np.zeros((cfg.d, cfg.n_h), dtype)], axis=1)),
+            conv=Tensor(np.concatenate(kernels, axis=0)),
             a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
-            delta_w=Tensor(np.zeros((cfg.d, cfg.n_h), dtype=dtype)),
             delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
             D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
             W_out=gauss(cfg.n_h * cfg.d_h, cfg.n_h * cfg.d_h, cfg.d),

@@ -170,3 +170,40 @@ def reference_mha(h, w, cfg):
             ctx[i] = (a / a.sum()) @ val[: i + 1]
         heads.append(ctx)
     return np.concatenate(heads, axis=1) @ W["W_O"]
+
+
+def reference_mamba2(h, w):
+    """Straight-line SSM mixer over one (t, d) sequence, in float64.
+
+    Slices the x, B, C and dt column blocks out of W_in, convolves each
+    channel tap by tap over zero left-padding, and runs the recurrence head
+    by head, with query head k reading kv head k // (n_h / n_kv). Returns
+    the (t, d) output.
+    """
+    t = h.shape[0]
+    n_h, n_kv, d_h, k = w.n_h, w.n_kv, w.d_h, w.k
+    group = n_h // n_kv
+    W = {name: np.asarray(tns.data, dtype=np.float64) for name, tns in w.items()}
+    kv, q = n_kv * d_h, n_h * d_h
+    pre = h @ W["W_in"]
+    xbc = np.zeros((t, 2 * kv + q))
+    for c in range(2 * kv + q):
+        for i in range(t):
+            for j in range(k):
+                src = i - (k - 1) + j
+                if src >= 0:
+                    xbc[i, c] += W["conv"][c, j] * pre[src, c]
+    x = xbc[:, :kv].reshape(t, n_kv, d_h)
+    B = xbc[:, kv:2 * kv].reshape(t, n_kv, d_h)
+    C = xbc[:, 2 * kv:].reshape(t, n_h, d_h)
+    dt = np.log1p(np.exp(pre[:, 2 * kv + q:] + W["delta_b"]))
+    a = -np.exp(W["a_log"])
+    y = np.zeros((t, n_h, d_h))
+    for head in range(n_h):
+        g = head // group
+        state = np.zeros((d_h, d_h))
+        for i in range(t):
+            state = np.exp(dt[i, head] * a[head]) * state
+            state = state + dt[i, head] * np.outer(B[i, g], x[i, g])
+            y[i, head] = C[i, head] @ state + W["D"][head] * x[i, g]
+    return y.reshape(t, q) @ W["W_out"]

@@ -442,3 +442,48 @@ def test_upcycle_random_arm_differs_from_structured(tmp_path, capsys):
                  "--out", str(out_s)]) == 0
     assert (out_r / "student_mla.hfrg").read_bytes() != \
         (out_s / "student_mla.hfrg").read_bytes()
+
+
+class _TornFile:
+    """A real file whose first write stops halfway with a disk error."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_interrupted_writes_keep_earlier_artifacts(tmp_path, monkeypatch):
+    # a write that fails midway leaves the earlier target intact and no temp file
+    from hybridforge import cli, compose
+    from hybridforge.attention import ModelConfig
+
+    model = compose.build_model(ModelConfig(L=1, d=8, n_h=2, n_kv=1, d_h=4, vocab=16))
+    out = str(tmp_path)
+    writers = {
+        "meta.json": lambda text: cli._write_text(os.path.join(out, "meta.json"), text),
+        "kd.npy": lambda text: cli._save_split(out, "kd", np.full(4, len(text))),
+        "model.hfrg": lambda text: compose.save_checkpoint(
+            model if text == "old" else model.astype(np.float64),
+            os.path.join(out, "model.hfrg")),
+    }
+    for write in writers.values():
+        write("old")
+    before = {name: open(os.path.join(out, name), "rb").read() for name in writers}
+
+    monkeypatch.setattr(compose, "open", lambda *a, **kw: _TornFile(open(*a, **kw)),
+                        raising=False)
+    for name, write in writers.items():
+        with pytest.raises(OSError, match="disk full"):
+            write("newer")
+    assert sorted(os.listdir(out)) == sorted(writers)
+    for name in writers:
+        assert open(os.path.join(out, name), "rb").read() == before[name], name

@@ -156,7 +156,7 @@ def test_assemble_partial_layout_kind_pattern():
     hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
     assert hybrid.cfg.layer_kinds == [KIND_MLA, KIND_MAMBA2, KIND_MLA, KIND_MAMBA2]
     assert np.array_equal(hybrid.layers[0].mixer.W_DQ.data, mla.layers[0].mixer.W_DQ.data)
-    assert np.array_equal(hybrid.layers[1].mixer.W_x.data, mamba.layers[1].mixer.W_x.data)
+    assert np.array_equal(hybrid.layers[1].mixer.W_in.data, mamba.layers[1].mixer.W_in.data)
 
 
 def test_assemble_warns_on_shared_divergence():
@@ -194,6 +194,23 @@ def test_assembled_hybrid_cached_decode_matches_full():
         step, caches = hybrid.forward_cached(ids[t : t + 1], caches)
         parts.append(step.data)
     assert np.abs(np.concatenate(parts) - full).max() < 1e-5
+
+
+def test_kernel_error_names_its_layer():
+    # an overflowing decay exponent in SSM layer 1 is reported with that layer's path
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    hybrid.layers[1].mixer.a_log.data[:] = 1000.0
+    ids = np.arange(6) % 32
+    with pytest.raises(nk.KernelError, match=r"^layers\.1\.mixer: exp produced") as info:
+        hybrid.forward(ids)
+    assert isinstance(info.value.__cause__, nk.KernelError)
+    with pytest.raises(nk.KernelError, match=r"^layers\.1\.mixer: exp produced"):
+        hybrid.forward_cached(ids, hybrid.init_caches(np.float64))
+    hybrid.layers[1].mixer.a_log.data[:] = 0.0
+    hybrid.layers[3].norm2.data[:] = np.inf
+    with pytest.raises(nk.KernelError, match=r"^layers\.3\.mlp: rms_norm produced"):
+        hybrid.forward(ids)
 
 
 # -- cache budget report ----------------------------------------------------------
@@ -349,13 +366,17 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
+    # 1 is the format before the fused SSM in-projection
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(hybrid_model(), path)
-    blob = bytearray(open(path, "rb").read())
-    blob[4:8] = np.array([99], dtype="<u4").tobytes()
-    open(path, "wb").write(bytes(blob))
-    with pytest.raises(CheckpointError):
-        read_checkpoint_header(path)
+    for version in (99, 1):
+        blob = bytearray(open(path, "rb").read())
+        blob[4:8] = np.array([version], dtype="<u4").tobytes()
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"format version {version} unsupported"):
+            read_checkpoint_header(path)
+        with pytest.raises(CheckpointError, match=f"format version {version} unsupported"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):

@@ -191,10 +191,26 @@ def test_grad_conv1d_depthwise():
     x = make_param(store, "x", (2, 6, 3), rng)  # (batch, time, channels)
     w = make_param(store, "w", (3, 4), rng)
 
-    def f(p):
-        return nk.tsum(nk.mul(nk.conv1d_depthwise(x, w), x))
+    for tail in (None, rng.standard_normal((3, 3))):  # zero padding, then carried rows
+        def f(p):
+            return nk.tsum(nk.mul(nk.conv1d_depthwise(x, w, tail), x))
 
-    check_grads(f, store)
+        check_grads(f, store)
+
+
+def test_conv1d_tail_continues_the_sequence():
+    # with a tail, the conv equals the zero-padded conv of [tail; x], first k-1 rows dropped
+    rng = np.random.default_rng(28)
+    for k in (1, 2, 4):
+        tail = rng.standard_normal((k - 1, 3))
+        x = rng.standard_normal((2, 5, 3))
+        w = tensor(rng.standard_normal((3, k)), dtype=np.float64)
+        got = nk.conv1d_depthwise(tensor(x, dtype=np.float64), w, tail).data
+        joined = np.concatenate([np.broadcast_to(tail, (2, k - 1, 3)), x], axis=1)
+        want = nk.conv1d_depthwise(tensor(joined, dtype=np.float64), w).data[:, k - 1:]
+        assert np.abs(got - want).max() <= 1e-15
+    with pytest.raises(KernelError):
+        nk.conv1d_depthwise(tensor(x, dtype=np.float64), w, np.zeros((k, 3)))
 
 
 def test_conv1d_identity_kernel():

@@ -6,41 +6,57 @@ import pytest
 import hybridforge.numkernel as nk
 from hybridforge.numkernel import Tensor, tensor
 from hybridforge.ssm import Mamba2Weights, SsmState, mamba2_forward_chunked, mamba2_forward_seq
+from oracle_helpers import reference_mamba2
 
 D, N_H, N_KV, D_H, K = 12, 4, 2, 3, 4
 
 
 def rand_weights(rng, d=D, n_h=N_H, n_kv=N_KV, d_h=D_H, k=K, scale=0.3):
     def w(*shape):
-        return tensor(rng.standard_normal(shape) * scale, dtype=np.float64)
+        return rng.standard_normal(shape) * scale
 
+    # draw x, B, C (projections then kernels) as separate blocks, then fuse them
+    widths = (n_kv * d_h, n_kv * d_h, n_h * d_h)
+    proj = [w(d, n) for n in widths]
+    kernels = [w(n, k) for n in widths]
+    a_log = rng.uniform(-1.5, 0.5, n_h)
+    dt_cols = w(d, n_h)
     return Mamba2Weights(
         n_h=n_h, n_kv=n_kv, d_h=d_h, k=k,
-        W_x=w(d, n_kv * d_h),
-        W_B=w(d, n_kv * d_h),
-        W_C=w(d, n_h * d_h),
-        conv_x=w(n_kv * d_h, k),
-        conv_B=w(n_kv * d_h, k),
-        conv_C=w(n_h * d_h, k),
-        a_log=tensor(rng.uniform(-1.5, 0.5, n_h), dtype=np.float64),
-        delta_w=w(d, n_h),
+        W_in=tensor(np.concatenate(proj + [dt_cols], axis=1), dtype=np.float64),
+        conv=tensor(np.concatenate(kernels, axis=0), dtype=np.float64),
+        a_log=tensor(a_log, dtype=np.float64),
         delta_b=tensor(rng.uniform(-1.0, 1.0, n_h), dtype=np.float64),
         D=tensor(rng.standard_normal(n_h), dtype=np.float64),
-        W_out=w(n_h * d_h, d),
+        W_out=tensor(w(n_h * d_h, d), dtype=np.float64),
     )
+
+
+def blocks(w):
+    """Column slices of W_in and row slices of conv for x, B, C, plus the dt columns."""
+    kv, h = w.n_kv * w.d_h, w.n_h * w.d_h
+    cuts = [(0, kv), (kv, 2 * kv), (2 * kv, 2 * kv + h)]
+    proj = [w.W_in.data[:, lo:hi] for lo, hi in cuts]
+    kernels = [w.conv.data[lo:hi] for lo, hi in cuts]
+    return proj, kernels, w.W_in.data[:, 2 * kv + h:]
 
 
 def test_weight_validation():
     rng = np.random.default_rng(0)
     w = rand_weights(rng)
     w.validate()
-    w.W_C = tensor(np.zeros((D, 5)), dtype=np.float64)
+    assert len(w.items()) == 6
+    good = w.W_in
+    w.W_in = tensor(np.zeros((D, good.shape[1] - 1)), dtype=np.float64)
+    with pytest.raises(ValueError):
+        w.validate()
+    w.W_in = good
+    w.conv = tensor(np.zeros((w.conv.shape[0], K + 1)), dtype=np.float64)
     with pytest.raises(ValueError):
         w.validate()
     with pytest.raises(ValueError):
-        Mamba2Weights(n_h=3, n_kv=2, d_h=4, k=4, **{n: w.W_x for n in
-                      ("W_x", "W_B", "W_C", "conv_x", "conv_B", "conv_C",
-                       "a_log", "delta_w", "delta_b", "D", "W_out")})
+        Mamba2Weights(n_h=3, n_kv=2, d_h=4, k=4, **{n: w.W_in for n in
+                      ("W_in", "conv", "a_log", "delta_b", "D", "W_out")})
 
 
 def test_decay_strictly_negative():
@@ -52,8 +68,9 @@ def test_decay_strictly_negative():
 def test_zero_projections_zero_output():
     rng = np.random.default_rng(2)
     w = rand_weights(rng)
-    for name in ("W_x", "W_B", "W_C"):
-        setattr(w, name, tensor(np.zeros(getattr(w, name).shape), dtype=np.float64))
+    W_in = w.W_in.data.copy()
+    W_in[:, : w.xbc_width] = 0.0  # x, B and C blocks; the dt columns stay
+    w.W_in = tensor(W_in, dtype=np.float64)
     h = tensor(rng.standard_normal((5, D)), dtype=np.float64)
     out, state = mamba2_forward_seq(h, w)
     assert np.all(out.data == 0)
@@ -64,7 +81,7 @@ def test_decay_factor_in_unit_interval():
     rng = np.random.default_rng(3)
     w = rand_weights(rng)
     h = rng.standard_normal((20, D)) * 5
-    dt = np.log1p(np.exp(h @ w.delta_w.data + w.delta_b.data))
+    dt = np.log1p(np.exp(h @ blocks(w)[2] + w.delta_b.data))
     abar = np.exp(dt * w.decay())
     assert np.all(abar > 0) and np.all(abar < 1)
 
@@ -78,12 +95,14 @@ def test_infinite_decay_is_memoryless():
     out, _ = mamba2_forward_seq(h, w)
 
     # direct per-step formula, no recurrence: y_t = C_t . (dt_t * B_t x_t^T) + D x_t
+    proj, kernels, dt_cols = blocks(w)
     with nk.no_grad():
         Hb = nk.reshape(h, (1, 6, D))
-        x = nk.conv1d_depthwise(nk.matmul(Hb, w.W_x), w.conv_x).data[0].reshape(6, 1, w.d_h)
-        B = nk.conv1d_depthwise(nk.matmul(Hb, w.W_B), w.conv_B).data[0].reshape(6, 1, w.d_h)
-        C = nk.conv1d_depthwise(nk.matmul(Hb, w.W_C), w.conv_C).data[0].reshape(6, 1, w.d_h)
-    dt = np.log1p(np.exp(h.data @ w.delta_w.data + w.delta_b.data))
+        x, B, C = (
+            nk.conv1d_depthwise(nk.matmul(Hb, Tensor(p)), Tensor(c)).data[0].reshape(6, 1, w.d_h)
+            for p, c in zip(proj, kernels)
+        )
+    dt = np.log1p(np.exp(h.data @ dt_cols + w.delta_b.data))
     y = np.einsum("thi,th,thi,thj->thj", C, dt, B, x) + w.D.data[:, None] * x
     direct = y.reshape(6, -1) @ w.W_out.data
     assert np.abs(out.data - direct).max() <= 1e-10
@@ -235,3 +254,49 @@ def test_grad_check_small():
         scale = np.maximum(np.abs(numeric[path]), 1.0)
         worst = (np.abs(analytic[path] - numeric[path]) / scale).max()
         assert worst <= 1e-4, f"{path}: {worst:.3e}"
+
+
+@pytest.mark.parametrize("n_kv", [4, 2, 1])
+def test_mamba2_matches_reference_oracle(n_kv):
+    # batched without a state, and random prefill/decode splits with one
+    rng = np.random.default_rng(50 + n_kv)
+    w = rand_weights(rng, d=16, n_h=4, n_kv=n_kv, d_h=3, k=4)
+    hb = rng.standard_normal((3, 9, 16))
+    want = np.stack([reference_mamba2(x, w) for x in hb])
+    out, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w)
+    assert state is None
+    assert np.abs(out.data - want).max() <= 1e-12
+    for _ in range(6):
+        cuts = np.sort(rng.choice(np.arange(1, 9), size=3, replace=False))
+        state = SsmState.empty(w, dtype=np.float64)
+        outs = []
+        for lo, hi in zip((0, *cuts), (*cuts, 9)):
+            o, state = mamba2_forward_seq(tensor(hb[0, lo:hi], dtype=np.float64), w, state)
+            outs.append(o.data)
+        assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
+
+
+def test_decode_step_op_count(monkeypatch):
+    # one single-token decode step of the toy layer: one conv, no concat
+    from hybridforge.attention import KIND_MAMBA2, ModelConfig
+    from hybridforge.upcycle import init_random
+
+    cfg = ModelConfig(L=1, d=64, n_h=4, n_kv=2, d_h=16, vocab=32)
+    w = init_random(KIND_MAMBA2, cfg, seed=0, k=4)
+    rng = np.random.default_rng(16)
+    state = SsmState.empty(w)
+    with nk.no_grad():
+        _, state = mamba2_forward_seq(tensor(rng.standard_normal((5, 64))), w, state)
+    ops = []
+    make = nk._make
+
+    def counting(data, parents, vjp, op):
+        ops.append(op)
+        return make(data, parents, vjp, op)
+
+    monkeypatch.setattr(nk, "_make", counting)
+    with nk.no_grad():
+        mamba2_forward_seq(tensor(rng.standard_normal((1, 64))), w, state)
+    assert len(ops) <= 23, ops
+    assert ops.count("conv1d_depthwise") == 1
+    assert "concat" not in ops

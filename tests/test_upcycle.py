@@ -157,9 +157,11 @@ def test_mamba_init_copies_projections_bitwise():
     rng = np.random.default_rng(8)
     w = rand_attn(cfg, rng)
     m = init_mamba2_from_attention(w, cfg, k=4)
-    assert np.array_equal(m.W_x.data, w.W_V.data)
-    assert np.array_equal(m.W_B.data, w.W_K.data)
-    assert np.array_equal(m.W_C.data, w.W_Q.data)
+    kv, q = cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h
+    assert m.W_in.shape == (cfg.d, 2 * kv + q + cfg.n_h)
+    assert np.array_equal(m.W_in.data[:, :kv], w.W_V.data)             # x
+    assert np.array_equal(m.W_in.data[:, kv:2 * kv], w.W_K.data)       # B
+    assert np.array_equal(m.W_in.data[:, 2 * kv:2 * kv + q], w.W_Q.data)  # C
     assert np.array_equal(m.W_out.data, w.W_O.data)
 
 
@@ -167,15 +169,15 @@ def test_mamba_init_identity_conv_and_defaults():
     cfg = toy_cfg()
     rng = np.random.default_rng(9)
     m = init_mamba2_from_attention(rand_attn(cfg, rng), cfg, k=4)
-    for kern in (m.conv_x, m.conv_B, m.conv_C):
-        assert np.all(kern.data[:, -1] == 1.0)
-        assert np.all(kern.data[:, :-1] == 0.0)
+    assert m.conv.shape == ((2 * cfg.n_kv + cfg.n_h) * cfg.d_h, 4)  # every x, B, C channel
+    assert np.all(m.conv.data[:, -1] == 1.0)
+    assert np.all(m.conv.data[:, :-1] == 0.0)
     decay_factor = np.exp(-np.exp(m.a_log.data))  # exp(a) at unit step
     assert decay_factor.min() >= 0.5 - 1e-6 and decay_factor.max() <= 0.999 + 1e-6
     dt0 = np.log1p(np.exp(m.delta_b.data))
     assert dt0.min() >= 0.001 - 1e-9 and dt0.max() <= 0.1 + 1e-9
     assert np.all(m.D.data == 1.0)
-    assert np.all(m.delta_w.data == 0.0)
+    assert np.all(m.W_in.data[:, m.xbc_width:] == 0.0)  # dt block
 
 
 def test_mamba_init_single_step_hand_oracle():
