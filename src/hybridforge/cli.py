@@ -367,7 +367,7 @@ def cmd_smart_select(args) -> int:
         raise UsageError("smart-select requires --n <N>")
     raw = _load_json(_need(args.scores, "sensitivity", "scores file"), "scores file")
     if isinstance(raw, list):
-        profile = np.asarray(raw, dtype=np.float64)
+        profile = SensitivityProfile(scores=raw)
     else:
         profile = SensitivityProfile.from_json(json.dumps(raw))
     layout = smart_select(profile, args.n)

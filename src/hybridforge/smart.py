@@ -7,8 +7,9 @@ no-grad pass per evaluation batch scores the all-SSM student and all L swaps
 at once: the variants ride on the batch axis and share the SSM layers below
 their swap, and the teacher runs once. Batches fan out over threads. Placement
 then keeps one endpoint in the first and one in the last L/N-sized stretch
-of the stack, constrains consecutive picks to near-uniform gaps, and takes
-the candidate set with the largest cumulative score. Ties break toward the
+of the stack, constrains consecutive picks to near-uniform gaps, and solves
+for the interior picks with the largest cumulative score by a dynamic
+program over the bounded gaps, in O(L*N). Ties break toward the
 lexicographically smallest index set so runs are reproducible.
 """
 
@@ -29,13 +30,9 @@ __all__ = [
     "HybridLayout",
     "LayoutError",
     "gap_bounds",
-    "enumerate_valid_configs",
     "smart_select",
     "score_sensitivity",
 ]
-
-_ENUM_GUARD = 10**6
-
 
 class LayoutError(ValueError):
     """No placement satisfies the spacing constraints for these inputs."""
@@ -66,6 +63,8 @@ class SensitivityProfile:
     @classmethod
     def from_json(cls, text: str) -> "SensitivityProfile":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or "scores" not in doc:
+            raise ValueError("a sensitivity profile is a JSON object with a 'scores' list")
         return cls(scores=np.asarray(doc["scores"]), provenance=doc.get("provenance", {}))
 
 
@@ -114,50 +113,43 @@ def gap_bounds(L1: int, LN: int, N: int) -> tuple[int, int]:
     return T // (N - 1), -(-T // (N - 1))
 
 
-def enumerate_valid_configs(L1: int, LN: int, N: int) -> list[tuple[int, ...]]:
-    """All (N-2)-tuples of intermediate indices with every gap in bounds.
+def _interior_picks(s: list[float], L1: int, LN: int, N: int) -> list[int]:
+    """The N-2 picks strictly between L1 and LN: gaps in bounds, largest sum.
 
-    Gaps count the layers strictly between consecutive picks, including the
-    runs to both endpoints. Results come out lexicographically sorted. An
-    infeasible instance yields an empty list; the caller decides what that
-    means.
+    A backward table gives best[k][i], the largest score sum of interior
+    picks k+1..N-2 given pick k at layer i (-inf when no in-bounds run from i
+    reaches LN). The forward pass from L1 then takes, at each pick, the
+    smallest index that attains the maximum, so among equal sums the
+    lexicographically smallest index set wins.
     """
-    if L1 >= LN:
-        raise ValueError("L1 must be below LN")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    try:
-        g_min, g_max = gap_bounds(L1, LN, N)
-    except LayoutError:
-        return []
-    if N == 2:
-        return [()] if g_min <= LN - L1 - 1 <= g_max else []
+    g_min, g_max = gap_bounds(L1, LN, N)
 
-    out: list[tuple[int, ...]] = []
-    picks = N - 2
+    def after(i: int) -> range:  # where the pick following one at layer i may sit
+        return range(i + g_min + 1, min(i + g_max + 2, LN))
 
-    def extend(prev: int, chosen: tuple[int, ...]) -> None:
-        if len(out) > _ENUM_GUARD:
-            raise LayoutError("candidate enumeration exceeded the guard")
-        if len(chosen) == picks:
-            if g_min <= LN - prev - 1 <= g_max:
-                out.append(chosen)
-            return
-        for nxt in range(prev + g_min + 1, min(prev + g_max + 1, LN - 1) + 1):
-            extend(nxt, chosen + (nxt,))
-
-    extend(L1, ())
-    return out
+    best = [[0.0 if g_min <= LN - i - 1 <= g_max else -np.inf for i in range(LN)]]
+    for _ in range(N - 2):
+        nxt = best[0]
+        best.insert(0, [max((s[j] + nxt[j] for j in after(i)), default=-np.inf) for i in range(LN)])
+    picks, i = [], L1
+    for nxt in best[1:]:  # max keeps the first, so the smallest, of equal sums
+        i = max(after(i), key=lambda j: s[j] + nxt[j])
+        picks.append(i)
+    return picks
 
 
 def smart_select(profile, N: int) -> HybridLayout:
     """Pick N layer indices: endpoint argmaxes, even gaps, best score sum.
 
-    The core algorithm covers 2 <= N <= L. Extensions: N=0 returns the empty
-    layout (all-SSM), N=1 the single global argmax. Raises LayoutError when
-    the chosen endpoints cannot fit N picks with any gap assignment.
+    profile is a SensitivityProfile or anything SensitivityProfile accepts as
+    scores; non-finite, empty or non-vector scores raise ValueError. The core
+    algorithm covers 2 <= N <= L. Extensions: N=0 returns the empty layout
+    (all-SSM), N=1 the single global argmax. Among the interior layouts with
+    the largest score sum the lexicographically smallest wins. A layout
+    always exists: with p = L//N, L1 < p and LN >= L-p give LN-L1 >= N-1,
+    and gaps of floor and ceiling of the even share always fill that span.
     """
-    scores = profile.scores if isinstance(profile, SensitivityProfile) else np.asarray(profile, dtype=np.float64)
+    scores = SensitivityProfile(scores=getattr(profile, "scores", profile)).scores
     L = int(scores.size)
     if not 0 <= N <= L:
         raise ValueError(f"N={N} out of range for L={L}")
@@ -169,21 +161,7 @@ def smart_select(profile, N: int) -> HybridLayout:
     p = L // N  # terminal partition width
     L1 = int(np.argmax(scores[:p]))
     LN = L - p + int(np.argmax(scores[L - p :]))
-    if LN - L1 < N - 1:
-        raise LayoutError(f"endpoints {L1}..{LN} cannot hold {N} picks")
-    if N == 2:
-        return HybridLayout(mla_indices=[L1, LN])
-
-    candidates = enumerate_valid_configs(L1, LN, N)
-    if not candidates:
-        raise LayoutError(f"no gap assignment fits {N} picks in {L1}..{LN}")
-    best = None
-    best_sum = -np.inf
-    for cand in candidates:  # lexicographic order; strict > keeps the smallest tie
-        s = float(scores[list(cand)].sum())
-        if s > best_sum:
-            best, best_sum = cand, s
-    layout = HybridLayout(mla_indices=[L1, *best, LN])
+    layout = HybridLayout(mla_indices=[L1, *_interior_picks(scores.tolist(), L1, LN, N), LN])
     layout.validate(L)
     return layout
 

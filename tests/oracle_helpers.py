@@ -11,6 +11,8 @@ nothing else.
 
 import numpy as np
 
+from hybridforge.smart import LayoutError, gap_bounds
+
 
 def reconstruct_query(mla_w, cfg, mcfg) -> np.ndarray:
     """Rebuild the query projection from the latent factors."""
@@ -40,7 +42,7 @@ def reference_select(scores, N) -> list[int]:
     """Straight-line layer placement, written independently of the library.
 
     Exhaustively scans every subset of intermediate indices with
-    itertools.combinations instead of the library's pruned search, applies
+    itertools.combinations instead of the library's dynamic program, applies
     the gap rule as a plain filter, and keeps the best-scoring candidate
     (first wins ties, which is the lexicographically smallest subset because
     combinations yields them in sorted order).
@@ -74,6 +76,40 @@ def reference_select(scores, N) -> list[int]:
     if best is None:
         raise ValueError("no candidate satisfies the gap rule")
     return list(best)
+
+
+def enumerate_valid_configs(L1: int, LN: int, N: int) -> list[tuple[int, ...]]:
+    """All (N-2)-tuples of intermediate indices with every gap in bounds.
+
+    Gaps count the layers strictly between consecutive picks, including the
+    runs to both endpoints. Results come out lexicographically sorted. An
+    infeasible instance yields an empty list; the caller decides what that
+    means. The count grows exponentially with N: keep N small.
+    """
+    if L1 >= LN:
+        raise ValueError("L1 must be below LN")
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    try:
+        g_min, g_max = gap_bounds(L1, LN, N)
+    except LayoutError:
+        return []
+    if N == 2:
+        return [()] if g_min <= LN - L1 - 1 <= g_max else []
+
+    out: list[tuple[int, ...]] = []
+    picks = N - 2
+
+    def extend(prev: int, chosen: tuple[int, ...]) -> None:
+        if len(chosen) == picks:
+            if g_min <= LN - prev - 1 <= g_max:
+                out.append(chosen)
+            return
+        for nxt in range(prev + g_min + 1, min(prev + g_max + 1, LN - 1) + 1):
+            extend(nxt, chosen + (nxt,))
+
+    extend(L1, ())
+    return out
 
 
 def reference_ssm_scan(x, b, c, a, D, h0=None):

@@ -37,7 +37,6 @@ from hybridforge.harness import SynthSpec, batches, bench, greedy_decode, train_
 from hybridforge.numkernel import Tensor, svd_truncated, tensor
 from hybridforge.smart import (
     HybridLayout,
-    enumerate_valid_configs,
     score_sensitivity,
     smart_select,
 )
@@ -45,7 +44,8 @@ from hybridforge.ssm import mamba2_forward_chunked, mamba2_forward_seq
 from hybridforge.upcycle import init_mla_from_attention, init_random
 from hybridforge.cli import load_manifest
 
-from oracle_helpers import reconstruct_kv, reconstruct_query, reference_select
+from oracle_helpers import (enumerate_valid_configs, reconstruct_kv, reconstruct_query,
+                            reference_select)
 from test_cli import pipeline_workspace
 from test_upcycle import full_rank_mcfg, rand_attn
 

@@ -256,6 +256,22 @@ def test_smart_select_requires_flags(capsys, tmp_path):
     assert main(["smart-select", "--scores", scores]) == 1
 
 
+def test_smart_select_rejects_non_finite_scores(tmp_path, capsys):
+    # Python's json reads NaN, so a raw list can carry one into the CLI
+    scores = write_json(tmp_path / "s.json", [1.0, float("nan"), *SCORES_16[2:]])
+    assert main(["smart-select", "--scores", scores, "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("doc", [{"provenance": {}}, 5])
+def test_smart_select_rejects_malformed_profile(tmp_path, capsys, doc):
+    scores = write_json(tmp_path / "s.json", doc)
+    assert main(["smart-select", "--scores", scores, "--n", "2"]) == 2
+    assert "'scores' list" in capsys.readouterr().err
+
+
 def test_kv_report_prints_published_percentage(tmp_path, capsys):
     cfg = write_json(tmp_path / "kv.json", {
         "model": {"L": 16, "d": 2048, "n_h": 32, "n_kv": 8, "d_h": 64,
