@@ -13,7 +13,6 @@ quantity the rest of the toolkit budgets against.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +29,6 @@ __all__ = [
     "AttentionWeights",
     "MLAConfig",
     "MLAWeights",
-    "map_mixer",
     "RowCache",
     "row_width",
     "rope_apply",
@@ -78,25 +76,28 @@ class ModelConfig:
 class AttentionWeights:
     """Plain MHA/GQA projections."""
 
+    NAMES = ("W_Q", "W_K", "W_V", "W_O")
+
     W_Q: Tensor  # d x (n_h * d_h)
     W_K: Tensor  # d x (n_kv * d_h)
     W_V: Tensor  # d x (n_kv * d_h)
     W_O: Tensor  # (n_h * d_h) x d
 
-    def validate(self, cfg: ModelConfig) -> None:
-        want = {
+    @staticmethod
+    def shapes(cfg: ModelConfig, mcfg=None, k=None) -> dict:
+        """Expected shape of each tensor; the MLA config and conv width go unused."""
+        return {
             "W_Q": (cfg.d, cfg.n_h * cfg.d_h),
             "W_K": (cfg.d, cfg.n_kv * cfg.d_h),
             "W_V": (cfg.d, cfg.n_kv * cfg.d_h),
             "W_O": (cfg.n_h * cfg.d_h, cfg.d),
         }
-        for name, shape in want.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} shape {got} != expected {shape}")
+
+    def validate(self, cfg: ModelConfig) -> None:
+        nk.check_shapes(vars(self), self.shapes(cfg))
 
     def items(self):
-        return [("W_Q", self.W_Q), ("W_K", self.W_K), ("W_V", self.W_V), ("W_O", self.W_O)]
+        return [(n, getattr(self, n)) for n in self.NAMES]
 
 
 @dataclass
@@ -126,6 +127,8 @@ class MLAConfig:
 class MLAWeights:
     """Latent attention parameters: down/up projections plus the rotary key path."""
 
+    NAMES = ("W_DQ", "W_UQ", "W_QR", "W_DKV", "W_UK", "W_UV", "W_KR", "W_O")
+
     W_DQ: Tensor   # d x r_q
     W_UQ: Tensor   # r_q x (n_h * d_qk)
     W_QR: Tensor   # r_q x (n_h * d_r)
@@ -135,8 +138,10 @@ class MLAWeights:
     W_KR: Tensor   # d x d_r
     W_O: Tensor    # (n_h * d_v) x d
 
-    def validate(self, cfg: ModelConfig, mcfg: MLAConfig) -> None:
-        want = {
+    @staticmethod
+    def shapes(cfg: ModelConfig, mcfg: MLAConfig, k=None) -> dict:
+        """Expected shape of each tensor; the conv width goes unused."""
+        return {
             "W_DQ": (cfg.d, mcfg.r_q),
             "W_UQ": (mcfg.r_q, cfg.n_h * mcfg.d_qk),
             "W_QR": (mcfg.r_q, cfg.n_h * mcfg.d_r),
@@ -146,24 +151,12 @@ class MLAWeights:
             "W_KR": (cfg.d, mcfg.d_r),
             "W_O": (cfg.n_h * mcfg.d_v, cfg.d),
         }
-        for name, shape in want.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} shape {got} != expected {shape}")
+
+    def validate(self, cfg: ModelConfig, mcfg: MLAConfig) -> None:
+        nk.check_shapes(vars(self), self.shapes(cfg, mcfg))
 
     def items(self):
-        return [(n, getattr(self, n)) for n in
-                ("W_DQ", "W_UQ", "W_QR", "W_DKV", "W_UK", "W_UV", "W_KR", "W_O")]
-
-
-def map_mixer(m, fn):
-    """Same-kind mixer weights with ``fn`` applied to every tensor of ``m``.
-
-    Serves every weight class with an ``items()`` listing of its tensor
-    fields (the two attention kinds here and the SSM kind); other fields,
-    such as the SSM head counts, carry over.
-    """
-    return dataclasses.replace(m, **{name: fn(t) for name, t in m.items()})
+        return [(n, getattr(self, n)) for n in self.NAMES]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .harness import (
     bench_rows,
     eval_model,
     sequences,
+    stream_splits,
     train_teacher,
     unigram_perplexity,
 )
@@ -243,10 +244,8 @@ def cmd_gen_data(args) -> int:
     spec = _synth_spec(cfg.get("spec", {}), "gen-data config: spec", args.seed)
     out = _out_dir(args, "gen-data")
 
-    n_ild = count // 5
-    _save_split(out, "ild", sequences(spec, 0, n_ild))
-    _save_split(out, "kd", sequences(spec, n_ild, count - n_ild))
-    _save_split(out, "eval", sequences(spec, count, max(count // 10, 1)))
+    for name, (start, n) in stream_splits(count).items():
+        _save_split(out, name, sequences(spec, start, n))
     meta = {"batch_size": bs, "count": count,
             "spec": {k: getattr(spec, k) for k in SPEC_KEYS}}
     _write_text(os.path.join(out, "meta.json"),

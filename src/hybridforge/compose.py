@@ -36,7 +36,6 @@ from .attention import (
     ModelConfig,
     RowCache,
     kv_bytes,
-    map_mixer,
     mha_forward,
     mla_forward,
     row_width,
@@ -49,6 +48,7 @@ __all__ = [
     "CheckpointError",
     "LayerParams",
     "HybridModel",
+    "from_tensors",
     "build_model",
     "convert_model",
     "assemble",
@@ -64,6 +64,7 @@ FORMAT_VERSION = 2
 _ALIGN = 64
 
 MixerWeights = Union[AttentionWeights, MLAWeights, Mamba2Weights]
+MIXERS = {KIND_MHA: AttentionWeights, KIND_MLA: MLAWeights, KIND_MAMBA2: Mamba2Weights}
 
 
 class CheckpointError(Exception):
@@ -102,9 +103,7 @@ class HybridModel:
         if len(self.layers) != self.cfg.L:
             raise ValueError("layer count does not match cfg.L")
         for i, (kind, layer) in enumerate(zip(self.cfg.layer_kinds, self.layers)):
-            want = {KIND_MHA: AttentionWeights, KIND_MLA: MLAWeights,
-                    KIND_MAMBA2: Mamba2Weights}[kind]
-            if not isinstance(layer.mixer, want):
+            if not isinstance(layer.mixer, MIXERS[kind]):
                 raise ValueError(f"layer {i}: kind {kind} vs mixer {type(layer.mixer).__name__}")
         if any(k == KIND_MLA for k in self.cfg.layer_kinds) and self.mcfg is None:
             raise ValueError("model with MLA layers needs an MLAConfig")
@@ -136,10 +135,14 @@ class HybridModel:
         return sum(t.data.size for _, t in self.named_tensors())
 
     def astype(self, dtype) -> "HybridModel":
-        return _map_tensors(self, lambda t: Tensor(t.data.astype(dtype)))
+        return self._map(lambda t: Tensor(t.data.astype(dtype)))
 
     def clone(self) -> "HybridModel":
-        return _map_tensors(self, lambda t: Tensor(t.data.copy()))
+        return self._map(lambda t: Tensor(t.data.copy()))
+
+    def _map(self, fn) -> "HybridModel":
+        cfg = dataclasses.replace(self.cfg, layer_kinds=list(self.cfg.layer_kinds))
+        return from_tensors(cfg, self.mcfg, {p: fn(t) for p, t in self.named_tensors()})
 
     # -- forward passes -------------------------------------------------------
 
@@ -223,26 +226,43 @@ class HybridModel:
         return kv, ssm
 
 
-def _map_tensors(model: HybridModel, fn) -> HybridModel:
-    layers = [
-        LayerParams(
-            norm1=fn(l.norm1), mixer=map_mixer(l.mixer, fn), norm2=fn(l.norm2),
-            mlp_gate=fn(l.mlp_gate), mlp_up=fn(l.mlp_up), mlp_down=fn(l.mlp_down),
-        )
-        for l in model.layers
-    ]
-    return HybridModel(
-        cfg=dataclasses.replace(model.cfg, layer_kinds=list(model.cfg.layer_kinds)),
-        mcfg=model.mcfg,
-        embed=fn(model.embed),
-        layers=layers,
-        final_norm=fn(model.final_norm),
-        head=fn(model.head),
-    )
-
-
 # ---------------------------------------------------------------------------
 # builders
+
+
+def from_tensors(
+    cfg: ModelConfig, mcfg: Optional[MLAConfig], tensors: dict[str, Tensor]
+) -> HybridModel:
+    """The model whose parameter at each ``named_tensors`` path is ``tensors[path]``.
+
+    Tensors are taken as they are, not copied; paths the configs do not name
+    are ignored. A missing path raises ``KeyError``. A tensor whose shape
+    contradicts ``cfg``/``mcfg`` raises ``ValueError`` naming its path. An SSM
+    layer's conv width, which no config carries, is read from its ``conv``.
+    """
+    if KIND_MLA in cfg.layer_kinds:
+        if mcfg is None:
+            raise ValueError("model with MLA layers needs an MLAConfig")
+        mcfg.validate(cfg)
+    d, d_ff = cfg.d, mlp_width(cfg.d)
+    top = {"embed": (cfg.vocab, d), "final_norm": (d,), "head": (d, cfg.vocab)}
+    block = {"norm1": (d,), "norm2": (d,), "mlp_gate": (d, d_ff), "mlp_up": (d, d_ff),
+             "mlp_down": (d_ff, d)}
+    nk.check_shapes(tensors, top)
+    layers = []
+    for i, kind in enumerate(cfg.layer_kinds):
+        p, cls, dims = f"layers.{i}.", MIXERS[kind], {}
+        if kind == KIND_MAMBA2:
+            conv_shape = tensors[p + "mixer.conv"].shape
+            dims = dict(n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h,
+                        k=conv_shape[-1] if conv_shape else 0)
+        want = {p + n: s for n, s in block.items()}
+        want.update((f"{p}mixer.{n}", s)
+                    for n, s in cls.shapes(cfg, mcfg, dims.get("k")).items())
+        nk.check_shapes(tensors, want)
+        mixer = cls(**dims, **{n: tensors[f"{p}mixer.{n}"] for n in cls.NAMES})
+        layers.append(LayerParams(mixer=mixer, **{n: tensors[p + n] for n in block}))
+    return HybridModel(cfg=cfg, mcfg=mcfg, layers=layers, **{n: tensors[n] for n in top})
 
 
 def build_model(
@@ -259,26 +279,23 @@ def build_model(
     def gauss(fan_in, *shape):
         return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype))
 
-    layers = []
+    def ones():
+        return Tensor(np.ones(cfg.d, dtype=dtype))
+
+    tensors = {}
     for i, kind in enumerate(cfg.layer_kinds):
+        p = f"layers.{i}."
         mixer = up.init_random(kind, cfg, mcfg, seed=int(rng.integers(2**31)),
                                k=conv_k, dtype=dtype)
-        layers.append(LayerParams(
-            norm1=Tensor(np.ones(cfg.d, dtype=dtype)),
-            mixer=mixer,
-            norm2=Tensor(np.ones(cfg.d, dtype=dtype)),
-            mlp_gate=gauss(cfg.d, cfg.d, d_ff),
-            mlp_up=gauss(cfg.d, cfg.d, d_ff),
-            mlp_down=gauss(d_ff, d_ff, cfg.d),
-        ))
-    return HybridModel(
-        cfg=cfg,
-        mcfg=mcfg,
-        embed=Tensor(rng.standard_normal((cfg.vocab, cfg.d)).astype(dtype)),
-        layers=layers,
-        final_norm=Tensor(np.ones(cfg.d, dtype=dtype)),
-        head=Tensor(np.zeros((cfg.d, cfg.vocab), dtype=dtype)),
-    )
+        tensors.update({f"{p}mixer.{n}": t for n, t in mixer.items()})
+        tensors.update({p + "norm1": ones(), p + "norm2": ones(),
+                        p + "mlp_gate": gauss(cfg.d, cfg.d, d_ff),
+                        p + "mlp_up": gauss(cfg.d, cfg.d, d_ff),
+                        p + "mlp_down": gauss(d_ff, d_ff, cfg.d)})
+    tensors["embed"] = Tensor(rng.standard_normal((cfg.vocab, cfg.d)).astype(dtype))
+    tensors["final_norm"] = ones()
+    tensors["head"] = Tensor(np.zeros((cfg.d, cfg.vocab), dtype=dtype))
+    return from_tensors(cfg, mcfg, tensors)
 
 
 def convert_model(
@@ -300,7 +317,8 @@ def convert_model(
     if kind == KIND_MLA and mcfg is None:
         raise ValueError("MLA conversion needs an MLAConfig")
 
-    layers = []
+    tensors = {p: Tensor(t.data.copy()) for p, t in teacher.named_tensors()
+               if ".mixer." not in p}
     for i, layer in enumerate(teacher.layers):
         if random_seed is not None:
             mixer = up.init_random(kind, teacher.cfg, mcfg,
@@ -310,36 +328,13 @@ def convert_model(
             mixer = up.init_mla_from_attention(layer.mixer, teacher.cfg, mcfg)
         else:
             mixer = up.init_mamba2_from_attention(layer.mixer, teacher.cfg, conv_k)
-        layers.append(LayerParams(
-            norm1=Tensor(layer.norm1.data.copy()),
-            mixer=mixer,
-            norm2=Tensor(layer.norm2.data.copy()),
-            mlp_gate=Tensor(layer.mlp_gate.data.copy()),
-            mlp_up=Tensor(layer.mlp_up.data.copy()),
-            mlp_down=Tensor(layer.mlp_down.data.copy()),
-        ))
+        tensors.update({f"layers.{i}.mixer.{n}": t for n, t in mixer.items()})
     cfg = dataclasses.replace(teacher.cfg, layer_kinds=[kind] * teacher.cfg.L)
-    return HybridModel(
-        cfg=cfg,
-        mcfg=mcfg,
-        embed=Tensor(teacher.embed.data.copy()),
-        layers=layers,
-        final_norm=Tensor(teacher.final_norm.data.copy()),
-        head=Tensor(teacher.head.data.copy()),
-    )
+    return from_tensors(cfg, mcfg, tensors)
 
 
 # ---------------------------------------------------------------------------
 # hybrid assembly
-
-
-def _shared_names(model: HybridModel) -> list[tuple[str, Tensor]]:
-    out = [("embed", model.embed), ("final_norm", model.final_norm), ("head", model.head)]
-    for i, l in enumerate(model.layers):
-        out += [(f"layers.{i}.norm1", l.norm1), (f"layers.{i}.norm2", l.norm2),
-                (f"layers.{i}.mlp_gate", l.mlp_gate), (f"layers.{i}.mlp_up", l.mlp_up),
-                (f"layers.{i}.mlp_down", l.mlp_down)]
-    return out
 
 
 def assemble(
@@ -350,9 +345,10 @@ def assemble(
 ) -> HybridModel:
     """Per-layer mixer pick by layout; shared parameters come from the MLA source.
 
-    The two sources train separately after conversion, so their shared
-    parameters may drift; drift beyond the tolerance is surfaced as a warning
-    and the MLA side's values win.
+    The shared parameters are the paths both sources have: all but the
+    mixers. The two sources train separately after conversion, so these may
+    drift; drift beyond the tolerance is surfaced as a warning and the MLA
+    side's values win. The hybrid shares no memory with either source.
     """
     a, b = mla_model.cfg, mamba_model.cfg
     skeleton = ("L", "d", "n_h", "n_kv", "d_h", "vocab", "rope_base")
@@ -365,8 +361,10 @@ def assemble(
     if any(k != KIND_MAMBA2 for k in b.layer_kinds):
         raise ValueError("second source must be all-Mamba2")
 
+    mla_paths, mamba_paths = dict(mla_model.named_tensors()), dict(mamba_model.named_tensors())
     worst = 0.0
-    for (name, ta), (_, tb) in zip(_shared_names(mla_model), _shared_names(mamba_model)):
+    for name in (p for p in mla_paths if p in mamba_paths):
+        ta, tb = mla_paths[name], mamba_paths[name]
         if ta.shape != tb.shape:
             raise ValueError(f"shared parameter {name} shape mismatch")
         worst = max(worst, float(np.abs(ta.data - tb.data).max()))
@@ -377,28 +375,9 @@ def assemble(
         )
 
     chosen = set(layout.mla_indices)
-    layers = []
-    for i in range(a.L):
-        src = mla_model.layers[i] if i in chosen else mamba_model.layers[i]
-        pick = mla_model.layers[i]  # shared params always from the MLA source
-        layers.append(LayerParams(
-            norm1=Tensor(pick.norm1.data.copy()),
-            mixer=map_mixer(src.mixer, lambda t: Tensor(t.data.copy())),
-            norm2=Tensor(pick.norm2.data.copy()),
-            mlp_gate=Tensor(pick.mlp_gate.data.copy()),
-            mlp_up=Tensor(pick.mlp_up.data.copy()),
-            mlp_down=Tensor(pick.mlp_down.data.copy()),
-        ))
     kinds = [KIND_MLA if i in chosen else KIND_MAMBA2 for i in range(a.L)]
     cfg = dataclasses.replace(a, layer_kinds=kinds)
-    return HybridModel(
-        cfg=cfg,
-        mcfg=mla_model.mcfg,
-        embed=Tensor(mla_model.embed.data.copy()),
-        layers=layers,
-        final_norm=Tensor(mla_model.final_norm.data.copy()),
-        head=Tensor(mla_model.head.data.copy()),
-    )
+    return from_tensors(cfg, mla_model.mcfg, {**mamba_paths, **mla_paths}).clone()
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +542,8 @@ def _validate_directory(header: dict) -> None:
 
 
 def load_checkpoint(path: str) -> HybridModel:
-    """Rebuild the model; every tensor is CRC-checked against the directory."""
+    """Rebuild the model; every tensor is CRC-checked against the directory
+    and shape-checked against the header's configs."""
     with open(path, "rb") as f:
         header = _read_preamble(f)
         payload = f.read()
@@ -583,49 +563,9 @@ def load_checkpoint(path: str) -> HybridModel:
 
     cfg = ModelConfig(**header["cfg"])
     mcfg = MLAConfig(**header["mcfg"]) if header["mcfg"] else None
-    conv_k = header.get("conv_k")
-    k = conv_k[0] if conv_k else 4
-
     try:
-        layers = []
-        for i, kind in enumerate(cfg.layer_kinds):
-            p = f"layers.{i}"
-            mixer = _mixer_from(tensors, p + ".mixer", kind, cfg, k)
-            layers.append(LayerParams(
-                norm1=tensors[f"{p}.norm1"],
-                mixer=mixer,
-                norm2=tensors[f"{p}.norm2"],
-                mlp_gate=tensors[f"{p}.mlp_gate"],
-                mlp_up=tensors[f"{p}.mlp_up"],
-                mlp_down=tensors[f"{p}.mlp_down"],
-            ))
-        return HybridModel(
-            cfg=cfg, mcfg=mcfg,
-            embed=tensors["embed"],
-            layers=layers,
-            final_norm=tensors["final_norm"],
-            head=tensors["head"],
-        )
+        return from_tensors(cfg, mcfg, tensors)
     except KeyError as exc:
         raise CheckpointError(f"missing tensor {exc}") from None
-
-
-def _mixer_from(tensors, prefix, kind, cfg, k) -> MixerWeights:
-    def g(name):
-        key = f"{prefix}.{name}"
-        if key not in tensors:
-            raise CheckpointError(f"missing tensor {key}")
-        return tensors[key]
-
-    if kind == KIND_MHA:
-        return AttentionWeights(W_Q=g("W_Q"), W_K=g("W_K"), W_V=g("W_V"), W_O=g("W_O"))
-    if kind == KIND_MLA:
-        return MLAWeights(
-            W_DQ=g("W_DQ"), W_UQ=g("W_UQ"), W_QR=g("W_QR"), W_DKV=g("W_DKV"),
-            W_UK=g("W_UK"), W_UV=g("W_UV"), W_KR=g("W_KR"), W_O=g("W_O"),
-        )
-    return Mamba2Weights(
-        n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h, k=k,
-        W_in=g("W_in"), conv=g("conv"), a_log=g("a_log"), delta_b=g("delta_b"),
-        D=g("D"), W_out=g("W_out"),
-    )
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None

@@ -37,7 +37,7 @@ __all__ = [
     "toy_mla_config",
     "sequences",
     "batches",
-    "split_stream",
+    "stream_splits",
     "is_copy_position",
     "gen_data",
     "cross_entropy",
@@ -161,22 +161,21 @@ def batches(spec: SynthSpec, start: int, count: int, batch_size: int) -> list[Ba
     return [Batch(tokens[i : i + batch_size]) for i in range(0, count, batch_size)]
 
 
-def split_stream(
-    spec: SynthSpec, count: int, batch_size: int
-) -> tuple[list[Batch], list[Batch]]:
-    """Leading fifth of the stream for layer alignment, the rest for KD."""
+def stream_splits(count: int) -> dict[str, tuple[int, int]]:
+    """(start, count) stream window of each split over ``count`` training sequences.
+
+    The leading fifth is for layer alignment ("ild"), the rest for KD ("kd");
+    the held-out window ("eval") starts right after them, disjoint from both.
+    """
     n_align = count // 5
-    return (
-        batches(spec, 0, n_align, batch_size),
-        batches(spec, n_align, count - n_align, batch_size),
-    )
+    return {"ild": (0, n_align), "kd": (n_align, count - n_align),
+            "eval": (count, max(count // 10, 1))}
 
 
 def gen_data(spec: SynthSpec, count: int, batch_size: int) -> dict:
-    """Materialize the training splits plus a disjoint held-out stream window."""
-    align, kd = split_stream(spec, count, batch_size)
-    held_out = batches(spec, count, max(count // 10, 1), batch_size)
-    return {"ild": align, "kd": kd, "eval": held_out}
+    """Materialize each split of ``stream_splits`` as batches."""
+    return {name: batches(spec, start, n, batch_size)
+            for name, (start, n) in stream_splits(count).items()}
 
 
 # ---------------------------------------------------------------------------

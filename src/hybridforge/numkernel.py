@@ -27,6 +27,7 @@ __all__ = [
     "SvdFactors",
     "no_grad",
     "tensor",
+    "check_shapes",
     "svd_truncated",
     "backward",
     "finite_diff_grad",
@@ -165,6 +166,14 @@ class Tensor:
 def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
     """Wrap array-like data as a Tensor of the given float dtype."""
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
+
+
+def check_shapes(tensors: Mapping[str, Tensor], want: Mapping[str, tuple]) -> None:
+    """Raise ``ValueError`` naming the first tensor whose shape differs from ``want``'s."""
+    for name, shape in want.items():
+        got = tensors[name].shape
+        if got != shape:
+            raise ValueError(f"{name} shape {got} != expected {shape}")
 
 
 def _wrap(x, dtype) -> Tensor:

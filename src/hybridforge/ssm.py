@@ -40,6 +40,8 @@ class Mamba2Weights:
     ``dt`` columns skip the convolution.
     """
 
+    NAMES = ("W_in", "conv", "a_log", "delta_b", "D", "W_out")
+
     n_h: int
     n_kv: int
     d_h: int
@@ -70,23 +72,28 @@ class Mamba2Weights:
         """Channels of the convolved ``[x | B | C]`` blocks."""
         return (2 * self.n_kv + self.n_h) * self.d_h
 
-    def validate(self) -> None:
-        want = {
-            "W_in": (self.d, self.xbc_width + self.n_h),
-            "conv": (self.xbc_width, self.k),
-            "a_log": (self.n_h,),
-            "delta_b": (self.n_h,),
-            "D": (self.n_h,),
-            "W_out": (self.n_h * self.d_h, self.d),
+    @staticmethod
+    def shapes(cfg, mcfg=None, k: int = 4) -> dict:
+        """Expected shape of each tensor for conv width k; the MLA config goes unused.
+
+        ``cfg`` is anything with the dims ``d``, ``n_h``, ``n_kv`` and ``d_h``:
+        a ``ModelConfig``, or the weights themselves.
+        """
+        xbc = (2 * cfg.n_kv + cfg.n_h) * cfg.d_h
+        return {
+            "W_in": (cfg.d, xbc + cfg.n_h),
+            "conv": (xbc, k),
+            "a_log": (cfg.n_h,),
+            "delta_b": (cfg.n_h,),
+            "D": (cfg.n_h,),
+            "W_out": (cfg.n_h * cfg.d_h, cfg.d),
         }
-        for name, shape in want.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} shape {got} != expected {shape}")
+
+    def validate(self) -> None:
+        nk.check_shapes(vars(self), self.shapes(self, k=self.k))
 
     def items(self):
-        names = ("W_in", "conv", "a_log", "delta_b", "D", "W_out")
-        return [(n, getattr(self, n)) for n in names]
+        return [(n, getattr(self, n)) for n in self.NAMES]
 
     def decay(self) -> np.ndarray:
         """Per-head decay exponents, strictly negative by construction."""

@@ -193,6 +193,21 @@ def test_missing_upstream_names_stage(capsys, tmp_path, args_cfg, stage_named):
     assert f"run '{stage_named}' first" in capsys.readouterr().err
 
 
+def test_mis_shaped_checkpoint_exits_2_naming_its_path(capsys, tmp_path):
+    from hybridforge import compose
+    from hybridforge.attention import ModelConfig
+    from hybridforge.numkernel import Tensor
+
+    teacher = compose.build_model(ModelConfig(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32))
+    teacher.layers[0].mlp_up = Tensor(np.zeros((16, 7), dtype=np.float32))
+    compose.save_checkpoint(teacher, str(tmp_path / "teacher.hfrg"))
+    cfg = write_json(tmp_path / "c.json", {"teacher": "teacher.hfrg"})
+    out = tmp_path / "o"
+    assert main(["upcycle", "--kind", "mamba2", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: layers.0.mlp_up shape (16, 7) != expected (16, 32)" in capsys.readouterr().err
+    assert not (out / "student_mamba2.hfrg").exists()
+
+
 def test_missing_scores_names_sensitivity(capsys, tmp_path):
     rc = main(["smart-select", "--scores", str(tmp_path / "none.json"), "--n", "2"])
     assert rc == 2

@@ -14,6 +14,7 @@ from hybridforge.attention import (
     ModelConfig,
 )
 from hybridforge.compose import (
+    FORMAT_VERSION,
     CheckpointError,
     HybridModel,
     assemble,
@@ -88,6 +89,26 @@ def test_clone_is_independent():
     twin = model.clone()
     twin.embed.data[0, 0] += 1.0
     assert model.embed.data[0, 0] != twin.embed.data[0, 0]
+
+
+def assert_independent(result, sources):
+    # no tensor of result aliases a source's, and writing all of result leaves them be
+    before = [[t.data.copy() for _, t in src.named_tensors()] for src in sources]
+    for path, t in result.named_tensors():
+        for src in sources:
+            assert not any(np.shares_memory(t.data, s.data) for _, s in src.named_tensors()), path
+        t.data += 1.0
+    for src, saved in zip(sources, before):
+        for (path, t), old in zip(src.named_tensors(), saved):
+            assert np.array_equal(t.data, old), path
+
+
+def test_convert_and_assemble_share_no_memory_with_sources():
+    teacher, mla, mamba = converted_pair()
+    assert_independent(assemble(mla, mamba, HybridLayout(mla_indices=[0, 2])), [mla, mamba])
+    assert_independent(mla, [teacher])
+    assert_independent(mamba, [teacher])
+    assert_independent(convert_model(teacher, KIND_MAMBA2, random_seed=1), [teacher])
 
 
 def test_astype_converts_every_tensor():
@@ -392,7 +413,7 @@ def write_fake(path, tensors):
     header = json.dumps({"tensors": tensors}, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(b"HFRG")
-        f.write(np.array([1], dtype="<u4").tobytes())
+        f.write(np.array([FORMAT_VERSION], dtype="<u4").tobytes())
         f.write(np.array([len(header)], dtype="<u8").tobytes())
         f.write(header)
 
@@ -401,17 +422,17 @@ def test_directory_validation(tmp_path):
     path = str(tmp_path / "fake.hfrg")
     write_fake(path, [{"name": "a", "dtype": "int8", "shape": [2],
                        "offset": 0, "nbytes": 2, "crc32": 0}])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="unknown dtype int8"):
         read_checkpoint_header(path)
     write_fake(path, [{"name": "a", "dtype": "float32", "shape": [2],
                        "offset": 0, "nbytes": 4, "crc32": 0}])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="a: shape/nbytes mismatch"):
         read_checkpoint_header(path)
     write_fake(path, [
         {"name": "a", "dtype": "float32", "shape": [4], "offset": 0, "nbytes": 16, "crc32": 0},
         {"name": "b", "dtype": "float32", "shape": [4], "offset": 8, "nbytes": 16, "crc32": 0},
     ])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="overlapping tensors a and b"):
         read_checkpoint_header(path)
 
 
@@ -435,3 +456,24 @@ def test_checkpoint_missing_tensor(tmp_path):
         f.write(payload)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_mis_shaped_tensors(tmp_path):
+    # save writes whatever the model holds; load checks every shape against the header
+    path = str(tmp_path / "model.hfrg")
+    model = build_model(toy_cfg(), seed=0)
+    model.layers[0].mlp_up = nk.Tensor(np.zeros((16, 7), dtype=np.float32))
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=r"^layers\.0\.mlp_up shape \(16, 7\) != expected"):
+        load_checkpoint(path)
+    model = hybrid_model()
+    model.layers[1].mixer.W_in = nk.Tensor(model.layers[1].mixer.W_in.data[:, :-1])
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=r"^layers\.1\.mixer\.W_in shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_round_trips_conv_width(tmp_path):
+    path = str(tmp_path / "model.hfrg")
+    save_checkpoint(build_model(toy_cfg(layer_kinds=[KIND_MAMBA2] * 4), conv_k=3), path)
+    assert [layer.mixer.k for layer in load_checkpoint(path).layers] == [3] * 4

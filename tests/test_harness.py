@@ -19,7 +19,6 @@ from hybridforge.harness import (
     greedy_decode,
     is_copy_position,
     sequences,
-    split_stream,
     toy_mla_config,
     toy_model_config,
     train_teacher,
@@ -102,9 +101,9 @@ def test_batches_and_split():
     spec = small_spec()
     parts = batches(spec, 0, 10, 4)
     assert [b.x.shape[0] for b in parts] == [4, 4, 2]
-    ild, kd = split_stream(spec, 50, 5)
-    ild_tokens = np.concatenate([b.x for b in ild])
-    kd_tokens = np.concatenate([b.x for b in kd])
+    splits = gen_data(spec, 50, 5)
+    ild_tokens = np.concatenate([b.x for b in splits["ild"]])
+    kd_tokens = np.concatenate([b.x for b in splits["kd"]])
     assert ild_tokens.shape[0] == 10  # leading 20% of the stream
     assert kd_tokens.shape[0] == 40
     assert np.array_equal(ild_tokens, sequences(spec, 0, 10))
