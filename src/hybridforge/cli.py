@@ -379,8 +379,7 @@ def cmd_smart_select(args) -> int:
 
 def cmd_compose(args) -> int:
     cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("mla", "mamba", "layout"), ("divergence_tol",), "compose config")
-    tol = _num(cfg, "divergence_tol", "compose config") if "divergence_tol" in cfg else 1e-6
+    _check_keys(cfg, ("mla", "mamba", "layout"), (), "compose config")
     paths = {k: _resolve(args.config, _str(cfg, k, "compose config"))
              for k in ("mla", "mamba", "layout")}
     out = _out_dir(args, "compose")
@@ -390,7 +389,7 @@ def cmd_compose(args) -> int:
     layout_text = open(_need(paths["layout"], "smart-select", "layout file"),
                        encoding="utf-8").read()
     layout = HybridLayout.from_json(layout_text)
-    hybrid = assemble(mla_model, mamba_model, layout, divergence_tol=tol)
+    hybrid = assemble(mla_model, mamba_model, layout)
     path = os.path.join(out, "hybrid.hfrg")
     save_checkpoint(hybrid, path)
     log(f"wrote {path}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ __all__ = [
 ]
 
 MAGIC = b"HFRG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _ALIGN = 64
 
 MixerWeights = Union[AttentionWeights, MLAWeights, Mamba2Weights]
@@ -341,14 +340,14 @@ def assemble(
     mla_model: HybridModel,
     mamba_model: HybridModel,
     layout: HybridLayout,
-    divergence_tol: float = 1e-6,
 ) -> HybridModel:
-    """Per-layer mixer pick by layout; shared parameters come from the MLA source.
+    """Per-layer mixer pick by layout; every shared path comes from the SSM source.
 
-    The shared parameters are the paths both sources have: all but the
-    mixers. The two sources train separately after conversion, so these may
-    drift; drift beyond the tolerance is surfaced as a warning and the MLA
-    side's values win. The hybrid shares no memory with either source.
+    The all-SSM student supplies the embedding, each layer's norms and MLP,
+    the final norm and the head; the all-MLA student supplies only the mixers
+    at ``layout.mla_indices``. ``smart.score_sensitivity`` follows the same
+    rule, so each score describes a hybrid this function builds. The hybrid
+    shares no memory with either source.
     """
     a, b = mla_model.cfg, mamba_model.cfg
     skeleton = ("L", "d", "n_h", "n_kv", "d_h", "vocab", "rope_base")
@@ -361,23 +360,12 @@ def assemble(
     if any(k != KIND_MAMBA2 for k in b.layer_kinds):
         raise ValueError("second source must be all-Mamba2")
 
-    mla_paths, mamba_paths = dict(mla_model.named_tensors()), dict(mamba_model.named_tensors())
-    worst = 0.0
-    for name in (p for p in mla_paths if p in mamba_paths):
-        ta, tb = mla_paths[name], mamba_paths[name]
-        if ta.shape != tb.shape:
-            raise ValueError(f"shared parameter {name} shape mismatch")
-        worst = max(worst, float(np.abs(ta.data - tb.data).max()))
-    if worst > divergence_tol:
-        warnings.warn(
-            f"shared parameters diverge up to {worst:.3e}; keeping the MLA source's",
-            RuntimeWarning,
-        )
-
     chosen = set(layout.mla_indices)
     kinds = [KIND_MLA if i in chosen else KIND_MAMBA2 for i in range(a.L)]
     cfg = dataclasses.replace(a, layer_kinds=kinds)
-    return from_tensors(cfg, mla_model.mcfg, {**mamba_paths, **mla_paths}).clone()
+    mla_paths, mamba_paths = dict(mla_model.named_tensors()), dict(mamba_model.named_tensors())
+    # the mixer kinds share no tensor names, so the SSM side wins exactly the shared paths
+    return from_tensors(cfg, mla_model.mcfg, {**mla_paths, **mamba_paths}).clone()
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +428,6 @@ def _header_blob(model: HybridModel, directory: list[dict]) -> bytes:
         "format_version": FORMAT_VERSION,
         "cfg": dataclasses.asdict(model.cfg),
         "mcfg": dataclasses.asdict(model.mcfg) if model.mcfg else None,
-        "conv_k": [l.mixer.k for l in model.layers
-                   if isinstance(l.mixer, Mamba2Weights)][:1] or None,
         "tensors": directory,
     }
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -541,6 +527,17 @@ def _validate_directory(header: dict) -> None:
             raise CheckpointError(f"overlapping tensors {n1} and {n2}")
 
 
+def _header_config(header: dict, key: str, cls):
+    """The ``cls`` config in ``header[key]``; a malformed one is refused by field."""
+    raw = header.get(key)
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"header {key}: expected an object")
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:  # an unknown or missing field is named
+        raise CheckpointError(f"header {key}: {exc}") from None
+
+
 def load_checkpoint(path: str) -> HybridModel:
     """Rebuild the model; every tensor is CRC-checked against the directory
     and shape-checked against the header's configs."""
@@ -561,8 +558,8 @@ def load_checkpoint(path: str) -> HybridModel:
         arr = arr.reshape(entry["shape"]).astype(entry["dtype"], copy=True)
         tensors[entry["name"]] = Tensor(arr)
 
-    cfg = ModelConfig(**header["cfg"])
-    mcfg = MLAConfig(**header["mcfg"]) if header["mcfg"] else None
+    cfg = _header_config(header, "cfg", ModelConfig)
+    mcfg = None if header.get("mcfg") is None else _header_config(header, "mcfg", MLAConfig)
     try:
         return from_tensors(cfg, mcfg, tensors)
     except KeyError as exc:

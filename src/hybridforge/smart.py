@@ -206,9 +206,11 @@ def score_sensitivity(
     swapped), both teacher-forced over the same batches. Larger means the
     swap at i recovers more of the teacher. The swap takes only layer i's
     mixer (and kind) from full_mla; norms, MLPs, embedding and head stay
-    full_mamba's. Each batch is one stacked pass that yields all L+1 KLs;
-    with jobs > 1 the batches fan out across threads, and the KLs are summed
-    in batch order, so the scores do not depend on jobs.
+    full_mamba's. ``compose.assemble`` follows the same rule, so s_i scores
+    the hybrid it builds for the layout [i]. Each batch is one stacked pass
+    that yields all L+1 KLs; with jobs > 1 the batches fan out across
+    threads, and the KLs are summed in batch order, so the scores do not
+    depend on jobs.
     """
     for f in ("L", "d", "vocab"):
         if not (getattr(teacher.cfg, f) == getattr(full_mamba.cfg, f) == getattr(full_mla.cfg, f)):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -147,9 +148,14 @@ def test_config_bad_json_exits_2(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_config_unknown_field_exits_2(capsys, tmp_path):
-    cfg = write_json(tmp_path / "c.json", {"count": 20, "typo_field": 1})
-    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("stage,cfg_obj", [
+    ("gen-data", {"count": 20, "typo_field": 1}),
+    ("compose", {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json",
+                 "divergence_tol": 1e-6}),
+], ids=["gen-data", "compose"])
+def test_config_unknown_field_exits_2(capsys, tmp_path, stage, cfg_obj):
+    cfg = write_json(tmp_path / "c.json", cfg_obj)
+    assert main([stage, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown field" in capsys.readouterr().err
 
 
@@ -206,6 +212,33 @@ def test_mis_shaped_checkpoint_exits_2_naming_its_path(capsys, tmp_path):
     assert main(["upcycle", "--kind", "mamba2", "--config", cfg, "--out", str(out)]) == 2
     assert "error: layers.0.mlp_up shape (16, 7) != expected (16, 32)" in capsys.readouterr().err
     assert not (out / "student_mamba2.hfrg").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h["cfg"].update(extra=1), r"header cfg: .*unexpected keyword argument 'extra'"),
+    (lambda h: h["cfg"].pop("vocab"), r"header cfg: .*missing .*argument: 'vocab'"),
+    (lambda h: h.update(mcfg=[1]), r"header mcfg: expected an object"),
+], ids=["unknown", "missing", "not-an-object"])
+def test_bad_header_config_exits_2_naming_its_field(capsys, tmp_path, edit, message):
+    from hybridforge import compose
+    from hybridforge.attention import ModelConfig
+
+    path = tmp_path / "teacher.hfrg"
+    compose.save_checkpoint(
+        compose.build_model(ModelConfig(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)), str(path))
+    blob = path.read_bytes()
+    hlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    header = json.loads(blob[16 : 16 + hlen])
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + np.array([len(new)], dtype="<u8").tobytes() + new
+                     + blob[16 + hlen :])
+    with pytest.raises(compose.CheckpointError, match=f"^{message}$"):
+        compose.load_checkpoint(str(path))
+    cfg = write_json(tmp_path / "c.json", {"teacher": "teacher.hfrg"})
+    assert main(["upcycle", "--kind", "mamba2", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert re.search(f"^error: {message}$", capsys.readouterr().err, re.M)
 
 
 def test_missing_scores_names_sensitivity(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Model container tests: assembly, cache budgeting, checkpoint integrity."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,13 +181,22 @@ def test_assemble_partial_layout_kind_pattern():
     assert np.array_equal(hybrid.layers[1].mixer.W_in.data, mamba.layers[1].mixer.W_in.data)
 
 
-def test_assemble_warns_on_shared_divergence():
+def test_assemble_takes_shared_paths_from_the_ssm_source():
     _, mla, mamba = converted_pair()
-    mamba.embed.data[0, 0] += 0.5
-    with pytest.warns(RuntimeWarning):
+    rng = np.random.default_rng(5)
+    for model in (mla, mamba):
+        for t in (model.embed, model.layers[1].norm2, model.layers[2].mlp_up):
+            t.data[...] += rng.normal(size=t.shape) * 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 3]))
-    # attention-side value wins
-    assert hybrid.embed.data[0, 0] == mla.embed.data[0, 0]
+    ssm_paths, mla_paths = dict(mamba.named_tensors()), dict(mla.named_tensors())
+    for path, t in hybrid.named_tensors():
+        picked = path.startswith(("layers.0.mixer.", "layers.3.mixer."))
+        assert np.array_equal(t.data, (mla_paths if picked else ssm_paths)[path].data), path
+    # the perturbed shared tensors differ between the students, so the check bites
+    for path in ("embed", "layers.1.norm2", "layers.2.mlp_up"):
+        assert not np.array_equal(ssm_paths[path].data, mla_paths[path].data)
 
 
 def test_assemble_input_validation():
@@ -387,10 +397,11 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
-    # 1 is the format before the fused SSM in-projection
+    # 1 is the format before the fused SSM in-projection, 2 the one whose
+    # header still carried conv_k
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(hybrid_model(), path)
-    for version in (99, 1):
+    for version in (99, 1, 2):
         blob = bytearray(open(path, "rb").read())
         blob[4:8] = np.array([version], dtype="<u4").tobytes()
         open(path, "wb").write(bytes(blob))

@@ -9,7 +9,7 @@ import pytest
 
 import hybridforge.numkernel as nk
 from hybridforge.attention import KIND_MHA, KIND_MLA, KIND_MAMBA2, MLAConfig, ModelConfig
-from hybridforge.compose import HybridModel, build_model, convert_model
+from hybridforge.compose import HybridModel, assemble, build_model, convert_model
 from hybridforge.distill import Batch
 from hybridforge.smart import (
     HybridLayout,
@@ -299,26 +299,28 @@ def drifted_family():
     return teacher, mamba, mla, data
 
 
+def plain_kl(teacher, model, data):
+    """Mean over batches of KL(teacher || model) from full forwards, in plain numpy."""
+    per_batch = []
+    for b in data:
+        with nk.no_grad():
+            t = teacher.forward(b.inputs).data
+            s = model.forward(b.inputs).data
+        t_log = t - t.max(-1, keepdims=True)
+        t_log = t_log - np.log(np.exp(t_log).sum(-1, keepdims=True))
+        s_log = s - s.max(-1, keepdims=True)
+        s_log = s_log - np.log(np.exp(s_log).sum(-1, keepdims=True))
+        per_batch.append((np.exp(t_log) * (t_log - s_log)).sum(-1).sum(-1).mean())
+    return float(np.mean(per_batch))
+
+
 def straight_line_scores(teacher, base, donor, data, whole_block=False):
     """s_i from full forwards of hand-built variants and plain-numpy KL.
 
     Variant i is the base with layer i's mixer and kind taken from the donor
     (or, with whole_block, the donor's entire layer i).
     """
-    def mean_kl(model):
-        per_batch = []
-        for b in data:
-            with nk.no_grad():
-                t = teacher.forward(b.inputs).data
-                s = model.forward(b.inputs).data
-            t_log = t - t.max(-1, keepdims=True)
-            t_log = t_log - np.log(np.exp(t_log).sum(-1, keepdims=True))
-            s_log = s - s.max(-1, keepdims=True)
-            s_log = s_log - np.log(np.exp(s_log).sum(-1, keepdims=True))
-            per_batch.append((np.exp(t_log) * (t_log - s_log)).sum(-1).sum(-1).mean())
-        return float(np.mean(per_batch))
-
-    base_kl = mean_kl(base)
+    base_kl = plain_kl(teacher, base, data)
     scores = []
     for i in range(base.cfg.L):
         layers = list(base.layers)
@@ -329,7 +331,7 @@ def straight_line_scores(teacher, base, donor, data, whole_block=False):
         variant = HybridModel(
             cfg=dataclasses.replace(base.cfg, layer_kinds=kinds), mcfg=donor.mcfg,
             embed=base.embed, layers=layers, final_norm=base.final_norm, head=base.head)
-        scores.append(base_kl - mean_kl(variant))
+        scores.append(base_kl - plain_kl(teacher, variant, data))
     return np.asarray(scores)
 
 
@@ -391,6 +393,18 @@ def test_sensitivity_swaps_only_the_mixer(jobs):
     # the drift is large enough that a whole-block swap scores differently
     whole = straight_line_scores(teacher, mamba, mla, data, whole_block=True)
     assert np.abs(whole - want).min() > 1e-6
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sensitivity_scores_the_assembled_hybrid(jobs):
+    # s_i is the KL gain of the very hybrid that assemble builds for layout [i],
+    # even when the students' shared weights have drifted apart
+    teacher, mamba, mla, data = drifted_family()
+    prof = score_sensitivity(teacher, mamba, mla, data, jobs=jobs)
+    base_kl = plain_kl(teacher, mamba, data)
+    want = [base_kl - plain_kl(teacher, assemble(mla, mamba, HybridLayout([i])), data)
+            for i in range(mamba.cfg.L)]
+    assert np.abs(prof.scores - want).max() <= 1e-12
 
 
 def test_sensitivity_records_no_graph(monkeypatch):
