@@ -512,9 +512,30 @@ def read_checkpoint_header(path: str) -> dict:
     return header
 
 
-def _validate_directory(header: dict) -> None:
+# The fields of one tensor directory entry and the JSON types they hold.
+_ENTRY_FIELDS = {"name": str, "dtype": str, "shape": list, "offset": int, "nbytes": int,
+                 "crc32": int}
+
+
+def _validate_directory(header) -> None:
+    """Refuse a header whose directory is malformed, naming the first bad field."""
+    if not isinstance(header, dict):
+        raise CheckpointError("header: expected an object")
+    if not isinstance(header.get("tensors"), list):
+        raise CheckpointError("header tensors: expected a list")
     spans = []
-    for entry in header["tensors"]:
+    for i, entry in enumerate(header["tensors"]):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"header tensors[{i}]: expected an object")
+        for key, kind in _ENTRY_FIELDS.items():
+            if key not in entry:
+                raise CheckpointError(f"header tensors[{i}]: missing {key}")
+            val = entry[key]  # JSON types are exact: a bool is not an int here
+            if type(val) is not kind or (kind is int and val < 0):
+                raise CheckpointError(f"header tensors[{i}].{key}: expected "
+                                      f"{'a non-negative int' if kind is int else kind.__name__}")
+        if not all(type(n) is int and n >= 0 for n in entry["shape"]):
+            raise CheckpointError(f"header tensors[{i}].shape: expected non-negative ints")
         if entry["dtype"] not in _DTYPES:
             raise CheckpointError(f"unknown dtype {entry['dtype']}")
         want = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(entry["dtype"]).itemsize

@@ -431,54 +431,125 @@ def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     return _make(out, (x,), vjp, "rope")
 
 
+# Steps per chunk of ssm_scan. Of 8, 16, 32 and 64, 16 was fastest on the toy
+# 128-token prefill and training batch and tied 8 on the stacked sensitivity batch.
+SCAN_CHUNK = 16
+
+
+def _chunked(a: np.ndarray, nc: int, q: int, groups: int) -> np.ndarray:
+    """(n, t, heads, ...) -> (n, nc, groups, heads/groups, q, ...), time zero-padded
+    to nc*q steps. A padded step has zero log-decay and input: the state stays."""
+    n, t = a.shape[:2]
+    if nc * q > t:
+        a = np.concatenate([a, np.zeros((n, nc * q - t) + a.shape[2:], a.dtype)], axis=1)
+    return np.moveaxis(a.reshape((n, nc, q, groups, -1) + a.shape[3:]), 2, 4)
+
+
+def _unchunked(a: np.ndarray, t: int) -> np.ndarray:
+    """Inverse of ``_chunked``."""
+    n, nc, groups, r, q = a.shape[:5]
+    return np.moveaxis(a, 4, 2).reshape((n, nc * q, groups * r) + a.shape[5:])[:, :t]
+
+
 def ssm_scan(
-    x: Tensor, b: Tensor, c: Tensor, a: Tensor, D: Tensor, h0: np.ndarray | None = None
+    x: Tensor, b: Tensor, c: Tensor, log_decay: Tensor, D: Tensor,
+    h0: np.ndarray | None = None, dt: Tensor | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Gated linear recurrence over per-head (d_h x d_h) state matrices.
+    """Gated linear recurrence over per-head (d_h x d_h) state matrices:
 
-    ``x``, ``b`` and ``c`` have shape (batch, t, heads, d_h), ``a`` has shape
-    (batch, t, heads) and ``D`` shape (heads,); ``h0`` broadcasts to
-    (batch, heads, d_h, d_h) and defaults to zeros. Step i computes
+        h_i = exp(log_decay_i) h_{i-1} + dt_i outer(b_i, x_i),   y_i = c_i . h_i + D x_i
 
-        h_i = a_i * h_{i-1} + outer(b_i, x_i),    y_i = c_i . h_i + D * x_i
-
-    and the result is (y, h_t), with the final state as a plain array. The
-    states are kept for the vjp only while the graph records; the vjp is one
-    reverse-time loop over them. ``h0`` is a constant of the graph.
+    ``c`` is (batch, t, heads, d_h); ``x`` and ``b`` are (batch, t, groups, d_h),
+    head k reading group k // (heads / groups). ``log_decay`` (< 0; finite where
+    its exp underflows) and ``dt`` (default ones) are (batch, t, heads), ``D`` is
+    (heads,), and ``h0``, a graph constant, broadcasts to (batch, heads, d_h, d_h)
+    (default zeros). Returns (y, h_t). Chunks of at most ``SCAN_CHUNK`` steps run
+    as matmuls (the SSD form, Dao & Gu 2024, arXiv 2405.21060): with S the
+    cumulative log-decay in a chunk, y = ((C B^T) o exp(S_t - S_s) dt_s [s <= t]) X
+    + exp(S) (C h_in), and a closing update carries h_out on. The vjp is the
+    reverse chunked scan over the chunk-boundary states, the only states kept.
     """
-    xd, bd, cd, ad, Dd = x.data, b.data, c.data, a.data, D.data
-    n, t, heads, d_h = xd.shape
-    h = np.zeros((n, heads, d_h, d_h), dtype=xd.dtype)
+    got = {"x": x, "b": b, "c": c, "log_decay": log_decay, "D": D, "dt": dt}
+    shapes = {k: v.shape for k, v in got.items() if v is not None}
+    if x.ndim != 4 or c.ndim != 4:
+        raise KernelError(f"ssm_scan: mismatched shapes {shapes}")
+    n, t, groups, d_h = x.shape
+    heads = c.shape[2]
+    want = {"x": x.shape, "b": x.shape, "c": (n, t, heads, d_h), "log_decay": (n, t, heads),
+            "D": (heads,), "dt": (n, t, heads)}
+    if t < 1 or heads % groups or any(want[k] != v for k, v in shapes.items()):
+        raise KernelError(f"ssm_scan: mismatched shapes {shapes}")
+    r = heads // groups
+    xd, bd, cd, ld, Dd = x.data, b.data, c.data, log_decay.data, D.data
+    dtd = np.ones_like(ld) if dt is None else dt.data
+    parents = (x, b, c, log_decay, D) + (() if dt is None else (dt,))
+    nc = -(-t // SCAN_CHUNK)
+    q = -(-t // nc)  # balanced chunks: fewer than nc padded steps
+    hs = np.zeros((n, nc + 1, groups, r, d_h, d_h), dtype=xd.dtype)  # chunk-boundary states
     if h0 is not None:
-        h[:] = h0
-    hs = None
-    if _recording((x, b, c, a, D)):
-        hs = np.empty((t + 1,) + h.shape, dtype=h.dtype)
-        hs[0] = h
-    y = np.empty_like(xd)
+        hs[:, 0] = np.broadcast_to(h0, (n, heads, d_h, d_h)).reshape(hs[:, 0].shape)
+    skip = Dd.reshape(groups, r, 1) * xd[:, :, :, None, :]  # (n, t, groups, r, d_h)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(t):
-            h *= ad[:, i, :, None, None]
-            h += bd[:, i, :, :, None] * xd[:, i, :, None, :]
-            y[:, i] = np.einsum("bhi,bhij->bhj", cd[:, i], h) + Dd[:, None] * xd[:, i]
-            if hs is not None:
-                hs[i + 1] = h
+        if t == 1 and not _recording(parents):  # a decode step: the plain update
+            shape = (n, groups, r, 1, 1)
+            hs[:, 1] = (np.exp(ld[:, 0]).reshape(shape) * hs[:, 0] + dtd[:, 0].reshape(shape)
+                        * bd[:, 0, :, None, :, None] * xd[:, 0, :, None, None, :])
+            y = (cd[:, 0].reshape(n, groups, r, 1, d_h) @ hs[:, 1]).reshape(skip.shape) + skip
+        else:  # what the vjp reads is made here: a recorded scan always takes this path
+            xg, bg = (_chunked(v, nc, q, groups)[:, :, :, :1] for v in (xd, bd))
+            cg, la, dg = (_chunked(v, nc, q, groups) for v in (cd, ld, dtd))
+            S = np.cumsum(la, axis=-1)
+            tri = np.tri(q, dtype=S.dtype)
+            L = S[..., :, None] - S[..., None, :]  # in place from here: these arrays are big
+            L *= tri  # 0, not -inf, above the diagonal: exp(-inf) is a slow path
+            np.exp(L, out=L)
+            L *= tri  # L[t, s]: the decay from step s to step t >= s
+            M = cg @ np.swapaxes(bg, -1, -2)  # C B^T, then in place (C B^T) o L o dt_s
+            M *= L
+            M *= dg[..., None, :]
+            to_end = np.exp(S[..., -1:] - S)  # decay from each step to the chunk's end
+            local = np.swapaxes(bg * (to_end * dg)[..., None], -1, -2) @ xg
+            for k in range(nc):
+                hs[:, k + 1] = np.exp(S[:, k, ..., -1, None, None]) * hs[:, k] + local[:, k]
+            yg = cg @ hs[:, :-1]
+            yg *= np.exp(S)[..., None]
+            yg += M @ xg
+            y = _unchunked(yg, t).reshape(skip.shape)
+            y += skip
+    h_last = hs[:, -1].reshape(n, heads, d_h, d_h).copy()
 
     def vjp(g):
-        gx, gb, gc, ga = (np.empty_like(v) for v in (xd, bd, cd, ad))
-        gh = np.zeros_like(h)  # dL/dh_i, carried backwards in time
-        for i in range(t - 1, -1, -1):
-            g_i = g[:, i]
-            gh += cd[:, i, :, :, None] * g_i[:, :, None, :]
-            gc[:, i] = np.einsum("bhij,bhj->bhi", hs[i + 1], g_i)
-            gb[:, i] = np.einsum("bhij,bhj->bhi", gh, xd[:, i])
-            gx[:, i] = Dd[:, None] * g_i + np.einsum("bhij,bhi->bhj", gh, bd[:, i])
-            ga[:, i] = np.einsum("bhij,bhij->bh", gh, hs[i])
-            gh *= ad[:, i, :, None, None]
-        gD = np.einsum("bthj,bthj->h", g, xd)
-        return gx, gb, gc, ga, gD
+        gy, CB = _chunked(g, nc, q, groups), cg @ np.swapaxes(bg, -1, -2)
+        eS, h_in, gh = np.exp(S), hs[:, :-1], np.zeros_like(hs[:, 1:])
+        for k in range(nc - 1, 0, -1):  # dL/dh_out of each chunk, carried backwards
+            gh[:, k - 1] = (np.exp(S[:, k, ..., -1, None, None]) * gh[:, k]
+                            + np.swapaxes(cg[:, k] * eS[:, k, ..., None], -1, -2) @ gy[:, k])
+        # y = M X + exp(S) (C h_in), with M = (C B^T) o L o dt_s
+        A = (gy @ np.swapaxes(xg, -1, -2)) * L
+        gCB = A * dg[..., None, :]
+        gdt = (A * CB).sum(axis=-2)
+        E = gCB * CB
+        gS = E.sum(axis=-1) - E.sum(axis=-2) + eS * ((cg @ h_in) * gy).sum(axis=-1)
+        gc = gCB @ bg + eS[..., None] * (gy @ np.swapaxes(h_in, -1, -2))
+        gx = np.swapaxes(M, -1, -2) @ gy + Dd.reshape(groups, r, 1, 1) * gy
+        gb = np.swapaxes(gCB, -1, -2) @ cg
+        # h_out = exp(S_end) h_in + sum_s to_end_s dt_s outer(b_s, x_s)
+        xgh = xg @ np.swapaxes(gh, -1, -2)
+        gx += (to_end * dg)[..., None] * (bg @ gh)
+        gb += (to_end * dg)[..., None] * xgh
+        gw = (bg * xgh).sum(axis=-1) * to_end
+        gdt += gw
+        gS -= gw * dg
+        gS[..., -1] += (gw * dg).sum(axis=-1) + eS[..., -1] * (gh * h_in).sum(axis=(-2, -1))
+        gD = (gy * xg).sum(axis=(0, 1, 4, 5)).reshape(heads)
+        grads = [_unchunked(gx.sum(axis=3, keepdims=True), t),
+                 _unchunked(gb.sum(axis=3, keepdims=True), t), _unchunked(gc, t),
+                 _unchunked(np.cumsum(gS[..., ::-1], axis=-1)[..., ::-1], t), gD,
+                 _unchunked(gdt, t)]
+        return tuple(grads[:len(parents)])
 
-    return _make(y, (x, b, c, a, D), vjp, "ssm_scan"), h
+    return _make(y.reshape(n, t, heads, d_h), parents, vjp, "ssm_scan"), h_last
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ rank-1 outer product. Decode therefore needs only the hidden matrices plus
 the last k-1 raw ``xBC`` rows, regardless of how many tokens came before.
 
 The recurrence itself is one kernel primitive, ``numkernel.ssm_scan``: a
-step loop with a hand-written reverse-time vjp, so training, prefill and
-streaming decode all run the same arithmetic and a recorded pass adds one
-graph node per layer. A chunked scan that materializes intra-chunk decay
-products as matrices is kept as an inference-only second route.
+chunked scan (a few matmuls per chunk of steps) with a hand-written vjp that
+runs the chunks in reverse. Training, prefill and streaming decode all run
+it, so a recorded pass adds one graph node per layer; a decode step is a
+chunk of one token. The scan takes the log-decay and the n_kv-head x and B
+paths as they are, so no decay factor or per-head copy is made.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import numkernel as nk
 from .numkernel import Tensor
 
-__all__ = ["Mamba2Weights", "SsmState", "mamba2_forward_seq", "mamba2_forward_chunked"]
+__all__ = ["Mamba2Weights", "SsmState", "mamba2_forward_seq"]
 
 
 @dataclass
@@ -62,10 +63,6 @@ class Mamba2Weights:
     @property
     def d(self) -> int:
         return self.W_in.shape[0]
-
-    @property
-    def group(self) -> int:
-        return self.n_h // self.n_kv
 
     @property
     def xbc_width(self) -> int:
@@ -116,32 +113,12 @@ class SsmState:
         return self.h.nbytes + self.tail.nbytes
 
 
-def _paths(H: Tensor, w: Mamba2Weights, tail: Optional[np.ndarray]):
-    """Shared front end: one in-projection, one conv, head slices, step sizes."""
-    b, t = H.shape[0], H.shape[1]
-    xbc, kv = w.xbc_width, w.n_kv
-    proj = nk.matmul(H, w.W_in)
-    xbc_pre = nk.getitem(proj, (..., slice(None, xbc)))
-    heads = nk.reshape(nk.conv1d_depthwise(xbc_pre, w.conv, tail),
-                       (b, t, 2 * kv + w.n_h, w.d_h))
-    x = nk.getitem(heads, (..., slice(None, kv), slice(None)))
-    Bp = nk.getitem(heads, (..., slice(kv, 2 * kv), slice(None)))
-    Cp = nk.getitem(heads, (..., slice(2 * kv, None), slice(None)))
-    if w.group > 1:  # shared kv-group paths fan out only after the conv
-        x = nk.repeat(x, w.group, axis=2)
-        Bp = nk.repeat(Bp, w.group, axis=2)
-    dt = nk.softplus(nk.add(nk.getitem(proj, (..., slice(xbc, None))), w.delta_b))
-    decay = nk.mul(dt, nk.neg(nk.texp(w.a_log)))  # (b, t, n_h): dt > 0, decay < 0
-    bbar = nk.mul(Bp, nk.reshape(dt, (b, t, w.n_h, 1)))
-    return x, bbar, Cp, decay, xbc_pre
-
-
 def mamba2_forward_seq(
     H: Tensor,
     w: Mamba2Weights,
     state: Optional[SsmState] = None,
 ) -> tuple[Tensor, Optional[SsmState]]:
-    """Step-by-step recurrence; with a state, H continues a streamed sequence.
+    """The mixer over H; with a state, H continues a streamed sequence.
 
     With a state, H must be unbatched (t, d). Batched (batch, t, d) input runs
     stateless for training. Returns the output and the carried state (None in
@@ -159,10 +136,19 @@ def mamba2_forward_seq(
     if H.shape[-1] != w.d:
         raise ValueError(f"hidden dim {H.shape[-1]} != weight dim {w.d}")
     b, t = Hb.shape[0], Hb.shape[1]
+    xbc, kv = w.xbc_width, w.n_kv
 
-    x, bbar, Cp, decay, xbc_pre = _paths(Hb, w, state.tail if state else None)
-    abar = nk.texp(decay)                          # (b, t, n_h) in (0, 1)
-    out, h_last = nk.ssm_scan(x, bbar, Cp, abar, w.D, state.h if state else None)
+    proj = nk.matmul(Hb, w.W_in)
+    xbc_pre = nk.getitem(proj, (..., slice(None, xbc)))
+    heads = nk.reshape(nk.conv1d_depthwise(xbc_pre, w.conv, state.tail if state else None),
+                       (b, t, 2 * kv + w.n_h, w.d_h))
+    x = nk.getitem(heads, (..., slice(None, kv), slice(None)))
+    Bp = nk.getitem(heads, (..., slice(kv, 2 * kv), slice(None)))
+    Cp = nk.getitem(heads, (..., slice(2 * kv, None), slice(None)))
+    dt = nk.softplus(nk.add(nk.getitem(proj, (..., slice(xbc, None))), w.delta_b))
+    decay = nk.mul(dt, nk.neg(nk.texp(w.a_log)))  # (b, t, n_h): dt > 0, log-decay < 0
+    # x and B keep their n_kv heads; the scan fans them out to the n_h heads
+    out, h_last = nk.ssm_scan(x, Bp, Cp, decay, w.D, state.h if state else None, dt=dt)
     flat = (t, w.n_h * w.d_h) if squeeze else (b, t, w.n_h * w.d_h)
     out = nk.matmul(nk.reshape(out, flat), w.W_out)
     if not squeeze:
@@ -171,50 +157,3 @@ def mamba2_forward_seq(
     old = state.tail if state else np.zeros((w.k - 1, w.xbc_width), xbc_pre.dtype)
     joined = np.concatenate([old, xbc_pre.data[0]], axis=0)
     return out, SsmState(h=h_last[0], tail=joined[t:].copy())
-
-
-def mamba2_forward_chunked(H: Tensor, w: Mamba2Weights, chunk: int) -> Tensor:
-    """Chunked scan over the same recurrence (inference only, not recorded).
-
-    Within a chunk, pairwise decay products exp(S_t - S_s) are materialized as
-    a lower-triangular matrix so each chunk is a handful of matmuls; the
-    hidden matrices carry across chunk boundaries. Exponents are sums of
-    negative terms, so every materialized factor lies in (0, 1].
-    """
-    w.validate()
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    if H.ndim != 2:
-        raise ValueError("chunked forward takes a single (t, d) sequence")
-    with nk.no_grad():
-        t = H.shape[0]
-        x, bbar, Cp, decay, _ = _paths(nk.reshape(H, (1,) + H.shape), w, None)
-        x, bbar, Cp = x.data[0], bbar.data[0], Cp.data[0]  # (t, n_h, d_h)
-        decay = decay.data[0]                              # (t, n_h) < 0
-        D = w.D.data
-
-        h = np.zeros((w.n_h, w.d_h, w.d_h), dtype=x.dtype)
-        out = np.empty((t, w.n_h, w.d_h), dtype=x.dtype)
-        for lo in range(0, t, chunk):
-            hi = min(lo + chunk, t)
-            c = hi - lo
-            if c == 1:  # one-token chunk degenerates to the sequential update
-                h = np.exp(decay[lo])[:, None, None] * h
-                h += bbar[lo][:, :, None] * x[lo][:, None, :]
-                out[lo] = np.einsum("hi,hij->hj", Cp[lo], h) + D[:, None] * x[lo]
-                continue
-            S = np.cumsum(decay[lo:hi], axis=0)            # (c, n_h) cumulative log-decay
-            # intra-chunk: out_t += sum_{s<=t} exp(S_t - S_s) (C_t . bbar_s) x_s
-            gates = np.exp(S[:, None, :] - S[None, :, :])  # (t_idx, s_idx, n_h)
-            tri = np.tril(np.ones((c, c), dtype=x.dtype))
-            gates = gates * tri[:, :, None]
-            scores = np.einsum("thi,shi->tsh", Cp[lo:hi], bbar[lo:hi]) * gates
-            y = np.einsum("tsh,shj->thj", scores, x[lo:hi])
-            # carry-in: out_t += exp(S_t) (C_t . h_in)
-            y += np.exp(S)[:, :, None] * np.einsum("thi,hij->thj", Cp[lo:hi], h)
-            out[lo:hi] = y + D[:, None] * x[lo:hi]
-            # close the chunk: h_out = exp(S_c) h_in + sum_s exp(S_c - S_s) bbar_s x_s^T
-            w_s = np.exp(S[-1][None, :] - S)               # (c, n_h)
-            h = np.exp(S[-1])[:, None, None] * h
-            h += np.einsum("sh,shi,shj->hij", w_s, bbar[lo:hi], x[lo:hi])
-        return Tensor(out.reshape(t, w.n_h * w.d_h) @ w.W_out.data)

@@ -112,23 +112,28 @@ def enumerate_valid_configs(L1: int, LN: int, N: int) -> list[tuple[int, ...]]:
     return out
 
 
-def reference_ssm_scan(x, b, c, a, D, h0=None):
+def reference_ssm_scan(x, b, c, log_decay, D, h0=None, dt=None):
     """Straight-line SSM recurrence, one batch row, head and step at a time.
 
-    Per (row, head): h <- a_t h + outer(b_t, x_t), y_t = c_t @ h + D x_t, from
-    h0 (zeros when None). Returns (y, final h) as float64 arrays.
+    Per (row, head k) with group g = k // (heads / groups) of x and b:
+    h <- exp(log_decay_t) h + dt_t outer(b_t, x_t), y_t = c_t @ h + D x_t,
+    from h0 (zeros when None), dt defaulting to ones. Returns (y, final h)
+    as float64 arrays.
     """
-    n, t, heads, d_h = x.shape
+    n, t, heads, d_h = c.shape
+    group = heads // x.shape[2]
+    dt = np.ones((n, t, heads)) if dt is None else dt
     y = np.zeros((n, t, heads, d_h))
     h_last = np.zeros((n, heads, d_h, d_h))
     for r in range(n):
         for k in range(heads):
+            g = k // group
             h = np.zeros((d_h, d_h))
             if h0 is not None:
                 h = h + np.broadcast_to(h0, h_last.shape)[r, k]
             for i in range(t):
-                h = a[r, i, k] * h + np.outer(b[r, i, k], x[r, i, k])
-                y[r, i, k] = c[r, i, k] @ h + D[k] * x[r, i, k]
+                h = np.exp(log_decay[r, i, k]) * h + dt[r, i, k] * np.outer(b[r, i, g], x[r, i, g])
+                y[r, i, k] = c[r, i, k] @ h + D[k] * x[r, i, g]
             h_last[r, k] = h
     return y, h_last
 

@@ -40,12 +40,12 @@ from hybridforge.smart import (
     score_sensitivity,
     smart_select,
 )
-from hybridforge.ssm import mamba2_forward_chunked, mamba2_forward_seq
+from hybridforge.ssm import SsmState, mamba2_forward_seq
 from hybridforge.upcycle import init_mla_from_attention, init_random
 from hybridforge.cli import load_manifest
 
 from oracle_helpers import (enumerate_valid_configs, reconstruct_kv, reconstruct_query,
-                            reference_select)
+                            reference_mamba2, reference_select)
 from test_cli import pipeline_workspace
 from test_upcycle import full_rank_mcfg, rand_attn
 
@@ -257,19 +257,26 @@ def test_criterion_05_cache_state_equivalence(capsys):
                     logits, caches = model.forward_cached(ids[t:t + 1], caches)
                     rows.append(logits.data)
             worst = max(worst, np.abs(np.concatenate(rows) - full).max())
-        # chunked scan against the sequential recurrence at the mixer level
+        # the chunked scan at the mixer level: a prefill spanning a chunk
+        # boundary, then two more pieces, against the straight-line oracle
+        Q = nk.SCAN_CHUNK
         w = init_random(KIND_MAMBA2, ModelConfig(L=1, d=8, n_h=2, n_kv=1, d_h=4,
                                                  vocab=16),
                         seed=case, k=3, dtype=np.float64)
-        h = tensor(rng.standard_normal((T, 8)), dtype=np.float64)
+        T2 = int(rng.integers(Q + 3, 3 * Q + 1))
+        cuts = [int(rng.integers(Q + 1, T2 - 1))]
+        cuts.append(int(rng.integers(cuts[0] + 1, T2)))
+        h = rng.standard_normal((T2, 8))
+        state, rows = SsmState.empty(w, dtype=np.float64), []
         with nk.no_grad():
-            seq, _ = mamba2_forward_seq(h, w)
-            chunked = mamba2_forward_chunked(h, w, chunk=int(rng.integers(1, T + 1)))
-        worst = max(worst, np.abs(seq.data - chunked.data).max())
+            for lo, hi in zip([0] + cuts, cuts + [T2]):
+                out, state = mamba2_forward_seq(tensor(h[lo:hi], dtype=np.float64), w, state)
+                rows.append(out.data)
+        worst = max(worst, np.abs(np.concatenate(rows) - reference_mamba2(h, w)).max())
     ok = worst <= 1e-5
     verdict(capsys, 5, ok,
-            f"50 randomized prefill/decode splits: cached decode and chunked scan "
-            f"match full recomputation, max abs diff {worst:.2e} <= 1e-5 (float64)")
+            f"50 randomized prefill/decode splits: cached decode and chunked-scan "
+            f"prefill cuts match full recomputation, max abs diff {worst:.2e} <= 1e-5 (float64)")
 
 
 def _mean_eval_kd(teacher, student, data) -> float:

@@ -214,6 +214,35 @@ def test_mis_shaped_checkpoint_exits_2_naming_its_path(capsys, tmp_path):
     assert not (out / "student_mamba2.hfrg").exists()
 
 
+def rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header by ``edit(header)``; the payload stays."""
+    blob = path.read_bytes()
+    hlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    header = edit(json.loads(blob[16 : 16 + hlen]))
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + np.array([len(new)], dtype="<u8").tobytes() + new
+                     + blob[16 + hlen :])
+
+
+def refused_by_upcycle(capsys, tmp_path, message):
+    """The upcycle stage on ``teacher.hfrg`` exits 2 with ``message``."""
+    cfg = write_json(tmp_path / "c.json", {"teacher": "teacher.hfrg"})
+    assert main(["upcycle", "--kind", "mamba2", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert re.search(f"^error: {message}$", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "o" / "student_mamba2.hfrg").exists()
+
+
+def saved_teacher(tmp_path):
+    from hybridforge import compose
+    from hybridforge.attention import ModelConfig
+
+    path = tmp_path / "teacher.hfrg"
+    compose.save_checkpoint(
+        compose.build_model(ModelConfig(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)), str(path))
+    return path
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda h: h["cfg"].update(extra=1), r"header cfg: .*unexpected keyword argument 'extra'"),
     (lambda h: h["cfg"].pop("vocab"), r"header cfg: .*missing .*argument: 'vocab'"),
@@ -221,24 +250,48 @@ def test_mis_shaped_checkpoint_exits_2_naming_its_path(capsys, tmp_path):
 ], ids=["unknown", "missing", "not-an-object"])
 def test_bad_header_config_exits_2_naming_its_field(capsys, tmp_path, edit, message):
     from hybridforge import compose
-    from hybridforge.attention import ModelConfig
 
-    path = tmp_path / "teacher.hfrg"
-    compose.save_checkpoint(
-        compose.build_model(ModelConfig(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32)), str(path))
-    blob = path.read_bytes()
-    hlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
-    header = json.loads(blob[16 : 16 + hlen])
-    edit(header)
-    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(blob[:8] + np.array([len(new)], dtype="<u8").tobytes() + new
-                     + blob[16 + hlen :])
+    path = saved_teacher(tmp_path)
+    rewrite_header(path, lambda h: (edit(h), h)[1])
     with pytest.raises(compose.CheckpointError, match=f"^{message}$"):
         compose.load_checkpoint(str(path))
-    cfg = write_json(tmp_path / "c.json", {"teacher": "teacher.hfrg"})
-    assert main(["upcycle", "--kind", "mamba2", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 2
-    assert re.search(f"^error: {message}$", capsys.readouterr().err, re.M)
+    refused_by_upcycle(capsys, tmp_path, message)
+
+
+def _edit_entry(key, value):
+    def edit(h):
+        if value is None:
+            del h["tensors"][0][key]
+        else:
+            h["tensors"][0][key] = value
+        return h
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: [], r"header: expected an object"),
+    (lambda h: {"cfg": {}}, r"header tensors: expected a list"),
+    (lambda h: {**h, "tensors": {}}, r"header tensors: expected a list"),
+    (lambda h: {**h, "tensors": [7]}, r"header tensors\[0\]: expected an object"),
+    (_edit_entry("crc32", None), r"header tensors\[0\]: missing crc32"),
+    (_edit_entry("name", None), r"header tensors\[0\]: missing name"),
+    (_edit_entry("offset", "0"), r"header tensors\[0\]\.offset: expected a non-negative int"),
+    (_edit_entry("nbytes", -4), r"header tensors\[0\]\.nbytes: expected a non-negative int"),
+    (_edit_entry("shape", 16), r"header tensors\[0\]\.shape: expected list"),
+    (_edit_entry("shape", [16, "32"]),
+     r"header tensors\[0\]\.shape: expected non-negative ints"),
+    (_edit_entry("dtype", 4), r"header tensors\[0\]\.dtype: expected str"),
+], ids=["list", "no-tensors", "tensors-object", "entry-not-object", "no-crc32", "no-name",
+        "offset-str", "nbytes-negative", "shape-int", "shape-str-dim", "dtype-int"])
+def test_malformed_header_directory_exits_2_naming_its_field(capsys, tmp_path, edit, message):
+    from hybridforge import compose
+
+    path = saved_teacher(tmp_path)
+    rewrite_header(path, edit)
+    for read in (compose.read_checkpoint_header, compose.load_checkpoint):
+        with pytest.raises(compose.CheckpointError, match=f"^{message}$"):
+            read(str(path))
+    refused_by_upcycle(capsys, tmp_path, message)
 
 
 def test_missing_scores_names_sensitivity(capsys, tmp_path):

@@ -304,38 +304,52 @@ def test_grad_embedding_and_take():
     check_grads(f, store)
 
 
-def scan_inputs(rng, n=2, t=5, heads=3, d_h=2):
+def scan_inputs(rng, n=2, t=5, heads=4, groups=2, d_h=2):
+    """x, b, c, log-decay, D and dt of a scan whose x and b have ``groups`` heads."""
     def r(*shape):
         return tensor(rng.standard_normal(shape), dtype=np.float64)
 
-    a = tensor(rng.uniform(0.2, 0.95, (n, t, heads)), dtype=np.float64)
-    return r(n, t, heads, d_h), r(n, t, heads, d_h), r(n, t, heads, d_h), a, r(heads)
+    def u(lo, hi):
+        return tensor(rng.uniform(lo, hi, (n, t, heads)), dtype=np.float64)
+
+    return (r(n, t, groups, d_h), r(n, t, groups, d_h), r(n, t, heads, d_h),
+            u(-1.5, -0.05), r(heads), u(0.1, 1.5))
+
+
+Q = nk.SCAN_CHUNK
 
 
 def test_ssm_scan_matches_plain_loop():
+    # lengths on both sides of one and two chunk boundaries, both h0 shapes
     rng = np.random.default_rng(20)
-    x, b, c, a, D = scan_inputs(rng)
-    for h0 in (None, rng.standard_normal((3, 2, 2)), rng.standard_normal((2, 3, 2, 2))):
-        with no_grad():
-            y, h_last = nk.ssm_scan(x, b, c, a, D, h0)
-        ref_y, ref_h = reference_ssm_scan(x.data, b.data, c.data, a.data, D.data, h0)
-        assert np.abs(y.data - ref_y).max() <= 1e-12
-        assert np.abs(h_last - ref_h).max() <= 1e-12
+    for groups in (1, 2):
+        for t in (1, Q - 1, Q, Q + 1, 2 * Q + 3):
+            x, b, c, la, D, dt = scan_inputs(rng, t=t, groups=groups)
+            for h0 in (None, rng.standard_normal((4, 2, 2)), rng.standard_normal((2, 4, 2, 2))):
+                with no_grad():
+                    y, h_last = nk.ssm_scan(x, b, c, la, D, h0, dt=dt)
+                ref_y, ref_h = reference_ssm_scan(x.data, b.data, c.data, la.data, D.data,
+                                                  h0, dt.data)
+                assert np.abs(y.data - ref_y).max() <= 1e-12, (groups, t)
+                assert np.abs(h_last - ref_h).max() <= 1e-12, (groups, t)
 
 
 def test_grad_ssm_scan():
+    # every input, the log-decay and dt included, through the reverse chunked
+    # scan over two chunks, and through a one-token scan
     rng = np.random.default_rng(21)
-    store = ParamStore()
-    names = ("x", "b", "c", "a", "D")
-    ins = [store.add(n, t) for n, t in zip(names, scan_inputs(rng))]
-    h0 = rng.standard_normal((2, 3, 2, 2))
-    w = rng.standard_normal(ins[0].shape)
+    names = ("x", "b", "c", "log_decay", "D", "dt")
+    for t in (Q + 3, 1):
+        store = ParamStore()
+        ins = [store.add(n, v) for n, v in zip(names, scan_inputs(rng, t=t))]
+        h0 = rng.standard_normal((2, 4, 2, 2))
+        w = rng.standard_normal(ins[2].shape)
 
-    def f(p):
-        y, _ = nk.ssm_scan(*ins, h0)
-        return nk.tsum(nk.mul(nk.mul(y, y), w))
+        def f(p):
+            y, _ = nk.ssm_scan(*ins[:5], h0, dt=ins[5])
+            return nk.tsum(nk.mul(nk.mul(y, y), w))
 
-    check_grads(f, store)
+        check_grads(f, store)
 
 
 def test_grad_sum_mean_axes():

@@ -1,12 +1,13 @@
-"""SSM mixer tests: recurrence semantics, streaming, chunked equivalence."""
+"""SSM mixer tests: recurrence semantics, streaming, the chunked scan."""
 
 import numpy as np
 import pytest
 
 import hybridforge.numkernel as nk
-from hybridforge.numkernel import Tensor, tensor
-from hybridforge.ssm import Mamba2Weights, SsmState, mamba2_forward_chunked, mamba2_forward_seq
+from hybridforge.numkernel import KernelError, Tensor, tensor
+from hybridforge.ssm import Mamba2Weights, SsmState, mamba2_forward_seq
 from oracle_helpers import reference_mamba2
+from test_numkernel import scan_inputs
 
 D, N_H, N_KV, D_H, K = 12, 4, 2, 3, 4
 
@@ -178,34 +179,58 @@ def test_state_bytes_independent_of_position():
 
 
 def test_chunked_matches_sequential():
+    # one scan over several chunks against the same scan stepped token by token
     rng = np.random.default_rng(10)
-    w = rand_weights(rng)
-    h = tensor(rng.standard_normal((11, D)), dtype=np.float64)
-    with nk.no_grad():
-        full, _ = mamba2_forward_seq(h, w)
-    for chunk in (2, 3, 7, 11, 50):
-        out = mamba2_forward_chunked(h, w, chunk)
-        assert np.abs(out.data - full.data).max() <= 1e-5, f"chunk={chunk}"
+    Q = nk.SCAN_CHUNK
+    for t in (2, 3, Q - 1, Q + 1, 2 * Q + 5):
+        x, b, c, la, Dk, dt = scan_inputs(rng, t=t)
+        h0 = rng.standard_normal((2, 4, 2, 2))
+        with nk.no_grad():
+            full, h_full = nk.ssm_scan(x, b, c, la, Dk, h0, dt=dt)
+            h, rows = h0, []
+            for i in range(t):
+                y, h = nk.ssm_scan(x[:, i:i + 1], b[:, i:i + 1], c[:, i:i + 1],
+                                   la[:, i:i + 1], Dk, h, dt=dt[:, i:i + 1])
+                rows.append(y.data)
+        assert np.abs(np.concatenate(rows, axis=1) - full.data).max() <= 1e-12, f"t={t}"
+        assert np.abs(h - h_full).max() <= 1e-12, f"t={t}"
 
 
 def test_chunk_of_one_is_the_sequential_update():
     rng = np.random.default_rng(11)
-    w = rand_weights(rng)
-    h = tensor(rng.standard_normal((7, D)), dtype=np.float64)
+    x, b, c, la, Dk, dt = scan_inputs(rng, t=1)
+    h0 = rng.standard_normal((2, 4, 2, 2))
     with nk.no_grad():
-        full, _ = mamba2_forward_seq(h, w)
-    out = mamba2_forward_chunked(h, w, 1)
-    assert np.abs(out.data - full.data).max() <= 1e-15
+        y, h = nk.ssm_scan(x, b, c, la, Dk, h0, dt=dt)
+    # written out: h = exp(la) h0 + dt outer(b, x), y = c . h + D x, head k on group k // 2
+    xs, bs = (np.repeat(v.data[:, 0], 2, axis=1) for v in (x, b))
+    want_h = (np.exp(la.data[:, 0])[..., None, None] * h0
+              + dt.data[:, 0][..., None, None] * bs[..., :, None] * xs[..., None, :])
+    want_y = np.einsum("nki,nkij->nkj", c.data[:, 0], want_h) + Dk.data[:, None] * xs
+    assert np.abs(h - want_h).max() <= 1e-15
+    assert np.abs(y.data[:, 0] - want_y).max() <= 1e-15
 
 
 def test_chunked_rejects_bad_args():
     rng = np.random.default_rng(12)
-    w = rand_weights(rng)
-    h = tensor(rng.standard_normal((4, D)), dtype=np.float64)
-    with pytest.raises(ValueError):
-        mamba2_forward_chunked(h, w, 0)
-    with pytest.raises(ValueError):
-        mamba2_forward_chunked(nk.reshape(h, (1, 4, D)), w, 2)
+    x, b, c, la, Dk, dt = scan_inputs(rng)
+    cut = (slice(None), slice(0, 4))  # one step short
+    bad = [
+        (x[cut], b, c, la, Dk),                 # x length differs
+        (x, b[cut], c, la, Dk),                 # B length differs
+        (x, b, c[cut], la, Dk),                 # C length differs
+        (x, b, c, la[cut], Dk),                 # decay length differs
+        (x, b, c[:, :, :3], la, Dk),            # heads not a multiple of x/B groups
+        (x, b, c, la[:, :, :2], Dk),            # decay heads differ from C heads
+        (x, b, c, la, Dk[:2]),                  # D heads differ
+        (x[:, :, :1], b, c, la, Dk),            # x and B groups differ
+        (x[0], b, c, la, Dk),                   # x not batched
+    ]
+    for args in bad:
+        with pytest.raises(KernelError, match="ssm_scan"):
+            nk.ssm_scan(*args)
+    with pytest.raises(KernelError, match="ssm_scan"):
+        nk.ssm_scan(x, b, c, la, Dk, dt=dt[cut])
 
 
 def test_graph_and_fast_paths_agree():
@@ -297,6 +322,7 @@ def test_decode_step_op_count(monkeypatch):
     monkeypatch.setattr(nk, "_make", counting)
     with nk.no_grad():
         mamba2_forward_seq(tensor(rng.standard_normal((1, 64))), w, state)
-    assert len(ops) <= 23, ops
+    assert len(ops) <= 17, ops
+    assert "repeat" not in ops and "exp" not in ops[ops.index("mul"):]
     assert ops.count("conv1d_depthwise") == 1
     assert "concat" not in ops

@@ -205,7 +205,7 @@ def test_mamba_init_mha_source_degenerate_replication():
     rng = np.random.default_rng(11)
     w = rand_attn(cfg, rng)
     m = init_mamba2_from_attention(w, cfg)
-    assert m.group == 1  # replication is the identity
+    assert m.n_kv == m.n_h  # replication is the identity
 
 
 # ---------------------------------------------------------------------------
