@@ -4,11 +4,11 @@ Both mixers are one computation: causal softmax attention over per-token
 cache rows, where a group of query heads shares one set of keys and values.
 They differ only in what a row holds. An MHA row holds each kv head's
 [key | value]; an MLA row holds the compressed latent and the shared rotary
-key, [c_kv | k_r], which the queries score directly. Each mixer runs a
-whole-sequence pass used in training (optionally batched) and incremental
-cached decode over a ``RowCache``. Byte accounting for every layer kind
-lives here as well (``row_width``, ``kv_bytes``), since cache size is the
-quantity the rest of the toolkit budgets against.
+key, [c_kv | k_r], which the queries score directly. Each mixer runs on
+(batch, t, d) input, both in a whole-sequence pass used in training and in
+cached decode over a ``RowCache`` with the same batch. Byte accounting for
+every layer kind lives here as well (``row_width``, ``kv_bytes``), since
+cache size is the quantity the rest of the toolkit budgets against.
 """
 
 from __future__ import annotations
@@ -166,8 +166,9 @@ class MLAWeights:
 class _RowBuffer:
     """Append-only rows shared by the caches grown from one another.
 
-    A cache is the first ``t`` rows of a buffer. Rows below ``filled`` are
-    never rewritten, so every cache that shares the buffer keeps its rows.
+    ``data`` is (b, capacity, width) once written; a cache is the first ``t``
+    rows of each of its b sequences. Rows below ``filled`` are never
+    rewritten, so every cache that shares the buffer keeps its rows.
     """
 
     __slots__ = ("data", "filled")
@@ -176,34 +177,30 @@ class _RowBuffer:
         self.data = data
         self.filled = 0
 
-    @classmethod
-    def empty(cls, row_shape: tuple[int, ...], dtype) -> "_RowBuffer":
-        return cls(np.empty((0,) + row_shape, dtype=dtype))
-
-    def claim(self, t: int, n: int) -> "_RowBuffer":
-        """A buffer holding this one's first t rows, with rows t..t+n-1 free to write.
-
-        That is this buffer when row t is its first unwritten row and fits;
-        otherwise a copy, doubled in capacity when it must grow.
-        """
-        end = t + n
+    def put(self, t: int, new: np.ndarray) -> "_RowBuffer":
+        """A buffer holding this one's first t rows, then the (b, n, width) ``new``:
+        this buffer, written in place, when row t is its first unwritten row and
+        fits; otherwise a copy, doubled in capacity when it must grow."""
+        end = t + new.shape[1]
         buf = self
-        if t != self.filled or end > len(self.data):
-            cap = len(self.data)
+        cap = self.data.shape[-2]
+        if t != self.filled or end > cap:
             if end > cap:
                 cap = max(end, 2 * cap)
-            buf = _RowBuffer(np.empty((cap,) + self.data.shape[1:], dtype=self.data.dtype))
-            buf.data[:t] = self.data[:t]
+            buf = _RowBuffer(np.empty(new.shape[:1] + (cap,) + new.shape[2:], self.data.dtype))
+            buf.data[:, :t] = self.data[..., :t, :]
+        buf.data[:, t:end] = new
         buf.filled = end
         return buf
 
 
 @dataclass(frozen=True)
 class RowCache:
-    """One attention layer's decode cache: a (t, width) row per seen token.
+    """One attention layer's decode cache: (b, t, width) rows, one per seen token.
 
     MHA rows hold each kv head's [key | value]; MLA rows hold [c_kv | k_r]
-    (see ``row_width``).
+    (see ``row_width``). An empty cache has no batch axis; its first append
+    fixes b, and appending rows of another batch raises ``ValueError``.
     """
 
     buf: _RowBuffer
@@ -211,20 +208,20 @@ class RowCache:
 
     @classmethod
     def empty(cls, width: int, dtype=np.float32) -> "RowCache":
-        return cls(_RowBuffer.empty((width,), dtype), 0)
+        return cls(_RowBuffer(np.empty((0, width), dtype=dtype)), 0)
 
     @property
     def rows(self) -> np.ndarray:
-        return self.buf.data[: self.t]
+        return self.buf.data[..., : self.t, :]
 
     def byte_size(self) -> int:
         return self.rows.nbytes
 
     def appended(self, new_rows: np.ndarray) -> "RowCache":
-        n = new_rows.shape[0]
-        buf = self.buf.claim(self.t, n)
-        buf.data[self.t : self.t + n] = new_rows
-        return RowCache(buf, self.t + n)
+        if self.t and len(self.rows) != len(new_rows):
+            raise ValueError(f"cache holds a batch of {len(self.rows)}, "
+                             f"the new rows a batch of {len(new_rows)}")
+        return RowCache(self.buf.put(self.t, new_rows), self.t + new_rows.shape[1])
 
 
 def row_width(kind: str, cfg: ModelConfig, mcfg: Optional[MLAConfig]) -> int:
@@ -256,28 +253,19 @@ def _causal_mask(t_new: int, t_total: int, dtype) -> np.ndarray:
     return np.where(cols > rows, np.array(nk.NEG_MASK, dtype), np.array(0, dtype))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    # (b, heads..., t, dim) -> (b, t, heads*dim)
-    n = x.ndim
-    x = nk.transpose(x, (0, n - 2) + tuple(range(1, n - 2)) + (n - 1,))
-    return nk.reshape(x, x.shape[:2] + (-1,))
-
-
-def _start(H: Tensor, cache: Optional[RowCache]) -> tuple[Tensor, np.ndarray]:
-    """H as (b, t, d), and the absolute positions of its tokens."""
-    if H.ndim not in (2, 3):
-        raise ValueError("H must be (t, d) or (batch, t, d)")
-    if cache is not None and H.ndim != 2:
-        raise ValueError("cached decode takes a single unbatched sequence")
-    Hb = nk.reshape(H, (1,) + H.shape) if H.ndim == 2 else H
+def _start(H: Tensor, cache: Optional[RowCache]) -> np.ndarray:
+    """The absolute positions of the tokens of the (b, t, d) input H."""
+    if H.ndim != 3:
+        raise ValueError(f"H must be (batch, t, d), got shape {H.shape}")
     t_prev = cache.t if cache is not None else 0
-    return Hb, np.arange(t_prev, t_prev + Hb.shape[1])
+    return np.arange(t_prev, t_prev + H.shape[1])
 
 
-def _finish(ctx: Tensor, W_O: Tensor, H: Tensor) -> Tensor:
-    # (b, heads..., t, dim) context, query heads in order -> output shaped like H
-    out = nk.matmul(_merge_heads(ctx), W_O)
-    return nk.reshape(out, out.shape[1:]) if H.ndim == 2 else out
+def _finish(ctx: Tensor, W_O: Tensor) -> Tensor:
+    # (b, heads..., t, dim) context, query heads in order -> (b, t, heads*dim) @ W_O
+    n = ctx.ndim
+    ctx = nk.transpose(ctx, (0, n - 2) + tuple(range(1, n - 2)) + (n - 1,))
+    return nk.matmul(nk.reshape(ctx, ctx.shape[:2] + (-1,)), W_O)
 
 
 def _rows_so_far(
@@ -291,10 +279,11 @@ def _rows_so_far(
     """
     if cache is None:
         return new_rows, None
-    grown = cache.appended(new_rows.data[0].reshape(new_rows.shape[1], -1))
+    b, t = new_rows.shape[:2]
+    grown = cache.appended(new_rows.data.reshape(b, t, -1))
     if not cache.t:
         return new_rows, grown
-    past = cache.rows.reshape((1, cache.t) + new_rows.shape[2:])
+    past = cache.rows.reshape((b, cache.t) + new_rows.shape[2:])
     return nk.concat([Tensor(past), new_rows], axis=1), grown
 
 
@@ -324,19 +313,19 @@ def mha_forward(
 ) -> tuple[Tensor, Optional[RowCache]]:
     """Causal grouped-query attention; returns output and the grown cache.
 
-    With a cache, H holds the new tokens only and must be unbatched (t, d);
-    positions continue from cache.t. Batched input runs cache-free. Each
-    kv head's keys and values are shared by its n_h / n_kv adjacent query
-    heads without being copied per head.
+    H is (b, t, d); with a cache, H holds the new tokens of the cache's b
+    sequences, and positions continue from cache.t. Each kv head's keys and
+    values are shared by its n_h / n_kv adjacent query heads without being
+    copied per head.
     """
     w.validate(cfg)
-    Hb, positions = _start(H, cache)
-    b, t = Hb.shape[0], Hb.shape[1]
+    positions = _start(H, cache)
+    b, t = H.shape[0], H.shape[1]
     n_kv, g, d_h = cfg.n_kv, cfg.n_h // cfg.n_kv, cfg.d_h
 
-    q = nk.reshape(nk.matmul(Hb, w.W_Q), (b, t, cfg.n_h, d_h))
-    k = nk.reshape(nk.matmul(Hb, w.W_K), (b, t, n_kv, d_h))
-    v = nk.reshape(nk.matmul(Hb, w.W_V), (b, t, n_kv, d_h))
+    q = nk.reshape(nk.matmul(H, w.W_Q), (b, t, cfg.n_h, d_h))
+    k = nk.reshape(nk.matmul(H, w.W_K), (b, t, n_kv, d_h))
+    v = nk.reshape(nk.matmul(H, w.W_V), (b, t, n_kv, d_h))
     q = nk.mul(rope_apply(q, positions, cfg.rope_base), 1.0 / np.sqrt(d_h))
     # a kv head's g query heads are adjacent: one group per kv head
     q = nk.transpose(nk.reshape(q, (b, t, n_kv, g, d_h)), (0, 2, 3, 1, 4))
@@ -347,7 +336,7 @@ def mha_forward(
     rows, new_cache = _rows_so_far(new_rows, cache)
     kv = nk.transpose(rows, (0, 2, 3, 1, 4))                 # (b, n_kv, 1, T, 2*d_h)
     ctx = _attend(q, nk.getitem(kv, (..., slice(0, d_h))), nk.getitem(kv, (..., slice(d_h, None))))
-    return _finish(ctx, w.W_O, H), new_cache
+    return _finish(ctx, w.W_O), new_cache
 
 
 def mla_forward(
@@ -364,10 +353,11 @@ def mla_forward(
     W_UK is folded into each head's query, which then scores the cached
     [c_kv | k_r] rows directly, and W_UV maps each head's attention-weighted
     latent (attn @ c_kv) before W_O. Scores scale by 1 / sqrt(d_qk + d_r).
+    Shapes and caching are as in ``mha_forward``.
     """
     w.validate(cfg, mcfg)
-    Hb, positions = _start(H, cache)
-    b, t = Hb.shape[0], Hb.shape[1]
+    positions = _start(H, cache)
+    b, t = H.shape[0], H.shape[1]
     n_kv, g = cfg.n_kv, cfg.n_h // cfg.n_kv
     r_kv, width = mcfg.r_kv, mcfg.r_kv + mcfg.d_r
 
@@ -375,7 +365,7 @@ def mla_forward(
     w_uk = nk.transpose(nk.reshape(w.W_UK, (r_kv, n_kv, mcfg.d_qk)), (1, 2, 0))
     w_uv = nk.transpose(nk.reshape(w.W_UV, (r_kv, n_kv, mcfg.d_v)), (1, 0, 2))
 
-    c_q = nk.matmul(Hb, w.W_DQ)                              # (b, t, r_q)
+    c_q = nk.matmul(H, w.W_DQ)                               # (b, t, r_q)
     q_c = nk.reshape(nk.matmul(c_q, w.W_UQ), (b, t, cfg.n_h, mcfg.d_qk))
     # a kv head's g query heads are adjacent, so (n_h, t) regroups as (n_kv, g*t)
     q_c = nk.reshape(nk.transpose(q_c, (0, 2, 1, 3)), (b, n_kv, g * t, mcfg.d_qk))
@@ -384,8 +374,8 @@ def mla_forward(
     q_r = nk.transpose(rope_apply(q_r, positions, cfg.rope_base), (0, 2, 1, 3))
     q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
 
-    c_kv = nk.matmul(Hb, w.W_DKV)                            # (b, t, r_kv)
-    k_r = nk.reshape(nk.matmul(Hb, w.W_KR), (b, t, 1, mcfg.d_r))
+    c_kv = nk.matmul(H, w.W_DKV)                             # (b, t, r_kv)
+    k_r = nk.reshape(nk.matmul(H, w.W_KR), (b, t, 1, mcfg.d_r))
     k_r = rope_apply(k_r, positions, cfg.rope_base)          # rotated before caching
     new_rows = nk.concat([c_kv, nk.reshape(k_r, (b, t, mcfg.d_r))], axis=-1)
 
@@ -393,7 +383,7 @@ def mla_forward(
     rows = nk.reshape(rows, (b, 1, rows.shape[1], width))   # shared by all n_h heads
     ctx = _attend(q, rows, nk.getitem(rows, (..., slice(0, r_kv))))  # (b, n_h, t, r_kv)
     ctx = nk.matmul(nk.reshape(ctx, (b, n_kv, g * t, r_kv)), w_uv)
-    return _finish(nk.reshape(ctx, (b, cfg.n_h, t, mcfg.d_v)), w.W_O, H), new_cache
+    return _finish(nk.reshape(ctx, (b, cfg.n_h, t, mcfg.d_v)), w.W_O), new_cache
 
 
 def kv_bytes(

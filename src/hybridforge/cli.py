@@ -29,12 +29,13 @@ from .compose import (
     load_checkpoint,
     save_checkpoint,
 )
-from .distill import Batch, DivergenceError, TrainConfig, run_ild, run_kd
+from .distill import DivergenceError, TrainConfig, run_ild, run_kd
 from .harness import (
     SynthSpec,
     bench_csv,
     bench_rows,
     eval_model,
+    pack_batches,
     sequences,
     stream_splits,
     train_teacher,
@@ -212,19 +213,16 @@ def _save_split(out: str, name: str, arr: np.ndarray) -> str:
     return path
 
 
-def _load_split(data_dir: str, name: str, batch_size: int):
-    path = _need(os.path.join(data_dir, f"{name}.npy"), "gen-data", f"{name} split")
-    arr = np.load(path)
-    return [Batch(arr[i:i + batch_size]) for i in range(0, arr.shape[0], batch_size)]
-
-
 def _load_data(data_dir: str, producer: str = "gen-data"):
     meta_path = os.path.join(data_dir, "meta.json")
     _need(meta_path, producer, "data directory")
     meta = _load_json(meta_path, "data meta")
     _check_keys(meta, ("batch_size", "count", "spec"), (), "data meta")
     bs = _int(meta, "batch_size", "data meta", lo=1)
-    splits = {name: _load_split(data_dir, name, bs) for name in ("ild", "kd", "eval")}
+    splits = {}
+    for name in ("ild", "kd", "eval"):
+        path = _need(os.path.join(data_dir, f"{name}.npy"), "gen-data", f"{name} split")
+        splits[name] = pack_batches(np.load(path), bs)
     return meta, splits
 
 
@@ -346,8 +344,7 @@ def cmd_sensitivity(args) -> int:
         if arr.shape[0] < samples:
             raise StageError(f"sensitivity config: samples={samples} exceeds the "
                              f"eval split ({arr.shape[0]} sequences)")
-        bs = meta["batch_size"]
-        data = [Batch(arr[i:i + bs]) for i in range(0, arr.shape[0], bs)]
+        data = pack_batches(arr, meta["batch_size"])
 
     jobs = args.jobs
     cap = thread_cap()
@@ -478,6 +475,8 @@ STAGE_ORDER = {
 
 _MANIFEST_ENTRY_KEYS = ("config", "out", "seed", "kind", "n", "scores", "layout",
                         "tokens", "jobs", "outputs", "done")
+# every entry key but outputs and done is a --flag of the stage's command
+_MANIFEST_ARGV_KEYS = tuple(k for k in _MANIFEST_ENTRY_KEYS if k not in ("outputs", "done"))
 _PATH_FLAGS = ("config", "scores", "layout")
 
 
@@ -523,8 +522,7 @@ def load_manifest(path: str) -> PipelineManifest:
             raise StageError(f"{where}: {stage!r} is out of pipeline order")
         last_rank = rank
         argv = []
-        for key in ("config", "out", "seed", "kind", "n", "scores", "layout",
-                    "tokens", "jobs"):
+        for key in _MANIFEST_ARGV_KEYS:
             if key not in entry:
                 continue
             val = entry[key]

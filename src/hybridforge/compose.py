@@ -161,20 +161,27 @@ class HybridModel:
         mixer's own output projection, before the residual add) for
         layer-alignment losses.
         """
-        logits, _, mixer_outs = self._blocks(ids, [None] * len(self.layers))
+        logits, _, mixer_outs = self._blocks(ids, [None] * len(self.layers),
+                                             collect_mixer_outputs)
         if collect_mixer_outputs:
             return logits, mixer_outs
         return logits
 
-    def _blocks(self, ids, caches: list):
-        """Logits, new caches and mixer outputs; a None cache runs its layer stateless."""
-        x = nk.embedding(self.embed, np.asarray(ids))
-        new_caches, mixer_outs = [], []
+    def _blocks(self, ids, caches: list, keep_mixer_outs: bool = False):
+        """Logits, new caches and (if kept) mixer outputs; a None cache runs its
+        layer stateless. (t,) ids run as a batch of one, whose axis the logits
+        and mixer outputs drop."""
+        ids = np.asarray(ids)
+        x = nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
+        new_caches, outs = [], []
         for i in range(len(self.layers)):
             x, c, mixed = self.block(x, i, caches[i])
             new_caches.append(c)
-            mixer_outs.append(mixed)
-        return self.logits(x), new_caches, mixer_outs
+            outs.append(mixed)
+        outs = [self.logits(x)] + (outs if keep_mixer_outs else [])
+        if ids.ndim == 1:
+            outs = [nk.reshape(o, o.shape[1:]) for o in outs]
+        return outs[0], new_caches, outs[1:]
 
     def block(self, x: Tensor, i: int, cache=None, mixer_from: Optional[HybridModel] = None):
         """Residual block i over the stream x: (new stream, new cache, mixer output).
@@ -211,10 +218,8 @@ class HybridModel:
         return caches
 
     def forward_cached(self, ids: np.ndarray, caches: list):
-        """Incremental decode over new tokens of one sequence; grows the caches."""
-        ids = np.asarray(ids)
-        if ids.ndim != 1:
-            raise ValueError("cached decode takes a flat token id array")
+        """Incremental decode over the new (t,) or (b, t) ids of one or b
+        equal-length sequences; grows the caches, which take b from their first call."""
         logits, new_caches, _ = self._blocks(ids, caches)
         return logits, new_caches
 

@@ -36,6 +36,7 @@ __all__ = [
     "toy_model_config",
     "toy_mla_config",
     "sequences",
+    "pack_batches",
     "batches",
     "stream_splits",
     "is_copy_position",
@@ -153,12 +154,16 @@ def sequences(spec: SynthSpec, start: int, count: int) -> np.ndarray:
     return out
 
 
-def batches(spec: SynthSpec, start: int, count: int, batch_size: int) -> list[Batch]:
-    """Consecutive stream sequences packed into (batch_size, seq_len) batches."""
+def pack_batches(tokens: np.ndarray, batch_size: int) -> list[Batch]:
+    """Consecutive batches of batch_size rows of (n, seq_len) tokens."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    tokens = sequences(spec, start, count)
-    return [Batch(tokens[i : i + batch_size]) for i in range(0, count, batch_size)]
+    return [Batch(tokens[i : i + batch_size]) for i in range(0, len(tokens), batch_size)]
+
+
+def batches(spec: SynthSpec, start: int, count: int, batch_size: int) -> list[Batch]:
+    """Consecutive stream sequences packed into (batch_size, seq_len) batches."""
+    return pack_batches(sequences(spec, start, count), batch_size)
 
 
 def stream_splits(count: int) -> dict[str, tuple[int, int]]:

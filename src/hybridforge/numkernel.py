@@ -109,13 +109,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return out
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
@@ -372,15 +365,17 @@ def conv1d_depthwise(x: Tensor, w: Tensor, tail: np.ndarray | None = None) -> Te
 
     ``x`` has shape (..., t, channels), ``w`` has shape (channels, k).  Output
     position t mixes inputs t-k+1 .. t. The k-1 rows before the first input
-    are ``tail``, a constant (k-1, channels) array shared across leading axes,
-    or zeros when None, so a kernel whose last tap is 1 (and the rest 0) is
-    the identity.
+    are ``tail``, a constant array: (..., k-1, channels) with x's leading
+    axes, one tail per sequence, or (k-1, channels) shared across them. It is
+    zeros when None, so a kernel whose last tap is 1 (and the rest 0) is the
+    identity.
     """
     k = w.shape[1]
     xd, wd = x.data, w.data
     t, ch = xd.shape[-2], xd.shape[-1]
-    if tail is not None and tail.shape != (k - 1, ch):
-        raise KernelError(f"conv tail shape {tail.shape} != {(k - 1, ch)}")
+    want = xd.shape[:-2] + (k - 1, ch)
+    if tail is not None and tail.shape not in (want, want[-2:]):
+        raise KernelError(f"conv tail shape {tail.shape} is neither {want} nor {want[-2:]}")
     xp = np.empty(xd.shape[:-2] + (t + k - 1, ch), dtype=xd.dtype)
     xp[..., : k - 1, :] = 0.0 if tail is None else tail
     xp[..., k - 1 :, :] = xd

@@ -99,10 +99,12 @@ class Mamba2Weights:
 
 @dataclass
 class SsmState:
-    """Decode carry: per-head hidden matrices + the raw ``xBC`` conv history."""
+    """Decode carry: per-head hidden matrices + the raw ``xBC`` conv history.
 
-    h: np.ndarray      # (n_h, d_h, d_h)
-    tail: np.ndarray   # (k-1, xbc_width) last pre-conv rows
+    An empty state has no batch axis; it broadcasts against its first input."""
+
+    h: np.ndarray      # (b, n_h, d_h, d_h); (n_h, d_h, d_h) when empty
+    tail: np.ndarray   # (b, k-1, xbc_width) last pre-conv rows; (k-1, xbc_width) when empty
 
     @classmethod
     def empty(cls, w: Mamba2Weights, dtype=np.float32) -> "SsmState":
@@ -118,27 +120,23 @@ def mamba2_forward_seq(
     w: Mamba2Weights,
     state: Optional[SsmState] = None,
 ) -> tuple[Tensor, Optional[SsmState]]:
-    """The mixer over H; with a state, H continues a streamed sequence.
+    """The mixer over (b, t, d) H; returns the (b, t, d) output and the state.
 
-    With a state, H must be unbatched (t, d). Batched (batch, t, d) input runs
-    stateless for training. Returns the output and the carried state (None in
-    the stateless batched case).
+    With a state, H continues the state's b streamed sequences, and the
+    returned state carries them past H's last token. Without one, the pass
+    starts from zeros and returns None for the state.
     """
     w.validate()
-    if state is not None and H.ndim != 2:
-        raise ValueError("streaming decode takes a single unbatched sequence")
-    if H.ndim == 2:
-        Hb, squeeze = nk.reshape(H, (1,) + H.shape), True
-    elif H.ndim == 3:
-        Hb, squeeze = H, False
-    else:
-        raise ValueError("H must be (t, d) or (batch, t, d)")
+    if H.ndim != 3:
+        raise ValueError(f"H must be (batch, t, d), got shape {H.shape}")
     if H.shape[-1] != w.d:
         raise ValueError(f"hidden dim {H.shape[-1]} != weight dim {w.d}")
-    b, t = Hb.shape[0], Hb.shape[1]
+    b, t = H.shape[0], H.shape[1]
+    if state is not None and state.h.shape[:-3] not in ((), (b,)):
+        raise ValueError(f"state holds a batch of {state.h.shape[0]}, H a batch of {b}")
     xbc, kv = w.xbc_width, w.n_kv
 
-    proj = nk.matmul(Hb, w.W_in)
+    proj = nk.matmul(H, w.W_in)
     xbc_pre = nk.getitem(proj, (..., slice(None, xbc)))
     heads = nk.reshape(nk.conv1d_depthwise(xbc_pre, w.conv, state.tail if state else None),
                        (b, t, 2 * kv + w.n_h, w.d_h))
@@ -149,11 +147,10 @@ def mamba2_forward_seq(
     decay = nk.mul(dt, nk.neg(nk.texp(w.a_log)))  # (b, t, n_h): dt > 0, log-decay < 0
     # x and B keep their n_kv heads; the scan fans them out to the n_h heads
     out, h_last = nk.ssm_scan(x, Bp, Cp, decay, w.D, state.h if state else None, dt=dt)
-    flat = (t, w.n_h * w.d_h) if squeeze else (b, t, w.n_h * w.d_h)
-    out = nk.matmul(nk.reshape(out, flat), w.W_out)
-    if not squeeze:
+    out = nk.matmul(nk.reshape(out, (b, t, w.n_h * w.d_h)), w.W_out)
+    if state is None:
         return out, None
 
-    old = state.tail if state else np.zeros((w.k - 1, w.xbc_width), xbc_pre.dtype)
-    joined = np.concatenate([old, xbc_pre.data[0]], axis=0)
-    return out, SsmState(h=h_last[0], tail=joined[t:].copy())
+    old = np.broadcast_to(state.tail, (b,) + state.tail.shape[-2:])
+    joined = np.concatenate([old, xbc_pre.data], axis=1)
+    return out, SsmState(h=h_last, tail=joined[:, t:].copy())

@@ -248,3 +248,30 @@ def reference_mamba2(h, w):
             state = state + dt[i, head] * np.outer(B[i, g], x[i, g])
             y[i, head] = C[i, head] @ state + W["D"][head] * x[i, g]
     return y.reshape(t, q) @ W["W_out"]
+
+
+def reference_model(ids, model):
+    """Straight-line logits of a model over one (t,) id sequence, in float64.
+
+    Each block is an RMS norm, the layer's mixer oracle above, a residual
+    add, an RMS norm and the gated MLP (silu(z W_gate) * z W_up) W_down with
+    its residual add; the final norm and the head follow. Returns the
+    (t, vocab) logits.
+    """
+    def norm(x, gain):
+        return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-6) * gain.data
+
+    cfg = model.cfg
+    x = model.embed.data[np.asarray(ids)].astype(np.float64)
+    for kind, layer in zip(cfg.layer_kinds, model.layers):
+        z = norm(x, layer.norm1)
+        if kind == "mha":
+            x = x + reference_mha(z, layer.mixer, cfg)
+        elif kind == "mla":
+            x = x + reference_mla(z, layer.mixer, cfg, model.mcfg)
+        else:
+            x = x + reference_mamba2(z, layer.mixer)
+        z = norm(x, layer.norm2)
+        gate = z @ layer.mlp_gate.data
+        x = x + (gate / (1.0 + np.exp(-gate)) * (z @ layer.mlp_up.data)) @ layer.mlp_down.data
+    return norm(x, model.final_norm) @ model.head.data

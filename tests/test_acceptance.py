@@ -169,8 +169,8 @@ def test_criterion_04_gradient_correctness(capsys):
     store = nk.ParamStore()
     for name, t in mw.items():
         store.add(name, t)
-    h = tensor(rng.standard_normal((3, cfg.d)), dtype=np.float64)
-    target = rng.standard_normal((3, cfg.d))
+    h = tensor(rng.standard_normal((1, 3, cfg.d)), dtype=np.float64)
+    target = rng.standard_normal((1, 3, cfg.d))
 
     def mla_loss(p):
         out, _ = mla_forward(h, mw, cfg, mcfg)
@@ -188,8 +188,8 @@ def test_criterion_04_gradient_correctness(capsys):
     store_m = nk.ParamStore()
     for name, t in sw.items():
         store_m.add(name, t)
-    h_m = tensor(rng.standard_normal((5, cfg_m.d)), dtype=np.float64)
-    target_m = rng.standard_normal((5, cfg_m.d))
+    h_m = tensor(rng.standard_normal((1, 5, cfg_m.d)), dtype=np.float64)
+    target_m = rng.standard_normal((1, 5, cfg_m.d))
 
     def mamba_loss(p):
         out, _ = mamba2_forward_seq(h_m, sw)
@@ -270,8 +270,8 @@ def test_criterion_05_cache_state_equivalence(capsys):
         state, rows = SsmState.empty(w, dtype=np.float64), []
         with nk.no_grad():
             for lo, hi in zip([0] + cuts, cuts + [T2]):
-                out, state = mamba2_forward_seq(tensor(h[lo:hi], dtype=np.float64), w, state)
-                rows.append(out.data)
+                out, state = mamba2_forward_seq(tensor(h[None, lo:hi], dtype=np.float64), w, state)
+                rows.append(out.data[0])
         worst = max(worst, np.abs(np.concatenate(rows) - reference_mamba2(h, w)).max())
     ok = worst <= 1e-5
     verdict(capsys, 5, ok,

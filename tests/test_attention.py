@@ -99,7 +99,7 @@ def test_weight_shape_validation():
     w = rand_attn(cfg, rng)
     w.W_K = tensor(np.zeros((cfg.d, 3)), dtype=np.float64)
     with pytest.raises(ValueError):
-        mha_forward(tensor(np.zeros((2, cfg.d)), dtype=np.float64), w, cfg)
+        mha_forward(tensor(np.zeros((1, 2, cfg.d)), dtype=np.float64), w, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_mha_zero_weights_zero_output():
         W_V=tensor(np.zeros((cfg.d, cfg.n_kv * cfg.d_h)), dtype=np.float64),
         W_O=tensor(np.zeros((cfg.n_h * cfg.d_h, cfg.d)), dtype=np.float64),
     )
-    h = tensor(np.random.default_rng(3).standard_normal((1, cfg.d)), dtype=np.float64)
+    h = tensor(np.random.default_rng(3).standard_normal((1, 1, cfg.d)), dtype=np.float64)
     out, _ = mha_forward(h, zeros, cfg)
     assert np.all(out.data == 0)
 
@@ -159,16 +159,16 @@ def test_mha_cached_decode_matches_full_forward():
     cfg = toy_cfg()
     rng = np.random.default_rng(4)
     w = rand_attn(cfg, rng)
-    h = tensor(rng.standard_normal((6, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 6, cfg.d)), dtype=np.float64)
     full, _ = mha_forward(h, w, cfg)
 
     cache = empty_cache(KIND_MHA, cfg)
     outs = []
     for i in range(6):
-        step = nk.getitem(h, (slice(i, i + 1), slice(None)))
+        step = nk.getitem(h, (slice(None), slice(i, i + 1)))
         o, cache = mha_forward(step, w, cfg, cache)
         outs.append(o.data)
-    stepped = np.concatenate(outs, axis=0)
+    stepped = np.concatenate(outs, axis=1)
     assert np.abs(stepped - full.data).max() <= 1e-5
     assert cache.t == 6
 
@@ -177,14 +177,14 @@ def test_mha_random_prefill_decode_splits():
     cfg = toy_cfg()
     rng = np.random.default_rng(5)
     w = rand_attn(cfg, rng)
-    h = tensor(rng.standard_normal((10, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 10, cfg.d)), dtype=np.float64)
     full, _ = mha_forward(h, w, cfg)
     for _ in range(8):
         split = int(rng.integers(1, 10))
         cache = empty_cache(KIND_MHA, cfg)
-        o1, cache = mha_forward(h[:split], w, cfg, cache)
-        o2, cache = mha_forward(h[split:], w, cfg, cache)
-        merged = np.concatenate([o1.data, o2.data], axis=0)
+        o1, cache = mha_forward(h[:, :split], w, cfg, cache)
+        o2, cache = mha_forward(h[:, split:], w, cfg, cache)
+        merged = np.concatenate([o1.data, o2.data], axis=1)
         assert np.abs(merged - full.data).max() <= 1e-5
 
 
@@ -195,10 +195,10 @@ def test_mha_causality_exact():
     h1 = rng.standard_normal((8, cfg.d))
     h2 = h1.copy()
     h2[5] += 3.0  # perturb token 5 only
-    o1, _ = mha_forward(tensor(h1, dtype=np.float64), w, cfg)
-    o2, _ = mha_forward(tensor(h2, dtype=np.float64), w, cfg)
-    assert np.array_equal(o1.data[:5], o2.data[:5])
-    assert not np.array_equal(o1.data[5:], o2.data[5:])
+    o1, _ = mha_forward(tensor(h1[None], dtype=np.float64), w, cfg)
+    o2, _ = mha_forward(tensor(h2[None], dtype=np.float64), w, cfg)
+    assert np.array_equal(o1.data[:, :5], o2.data[:, :5])
+    assert not np.array_equal(o1.data[:, 5:], o2.data[:, 5:])
 
 
 def test_mha_gqa_matches_duplicated_head_mha():
@@ -217,7 +217,7 @@ def test_mha_gqa_matches_duplicated_head_mha():
         W_V=tensor(dup(w.W_V), dtype=np.float64),
         W_O=w.W_O,
     )
-    h = tensor(rng.standard_normal((5, cfg_g.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((2, 5, cfg_g.d)), dtype=np.float64)
     og, _ = mha_forward(h, w, cfg_g)
     of, _ = mha_forward(h, w_full, cfg_f)
     assert np.abs(og.data - of.data).max() <= 1e-12
@@ -239,8 +239,8 @@ def test_mha_matches_reference_oracle(n_kv):
         cache = empty_cache(KIND_MHA, cfg)
         outs = []
         for lo, hi in zip((0, *cuts), (*cuts, 9)):
-            o, cache = mha_forward(tensor(hb[0, lo:hi], dtype=np.float64), w, cfg, cache)
-            outs.append(o.data)
+            o, cache = mha_forward(tensor(hb[:1, lo:hi], dtype=np.float64), w, cfg, cache)
+            outs.append(o.data[0])
         assert cache.t == 9
         assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
 
@@ -256,8 +256,8 @@ def test_mha_attention_rows_normalized():
     w.W_O = tensor(np.eye(cfg.n_h * cfg.d_h, cfg.d), dtype=np.float64)
     h = rng.standard_normal((6, cfg.d))
     h[:, 0] = 1.0  # constant first feature drives V = all-ones
-    out, _ = mha_forward(tensor(h, dtype=np.float64), w, cfg)
-    assert np.allclose(out.data[:, : cfg.n_h * cfg.d_h], 1.0, atol=1e-6)
+    out, _ = mha_forward(tensor(h[None], dtype=np.float64), w, cfg)
+    assert np.allclose(out.data[0, :, : cfg.n_h * cfg.d_h], 1.0, atol=1e-6)
 
 
 def test_mha_batched_matches_loop():
@@ -267,8 +267,8 @@ def test_mha_batched_matches_loop():
     hb = rng.standard_normal((3, 5, cfg.d))
     batched, _ = mha_forward(tensor(hb, dtype=np.float64), w, cfg)
     for i in range(3):
-        single, _ = mha_forward(tensor(hb[i], dtype=np.float64), w, cfg)
-        assert np.abs(batched.data[i] - single.data).max() <= 1e-12
+        single, _ = mha_forward(tensor(hb[i:i + 1], dtype=np.float64), w, cfg)
+        assert np.abs(batched.data[i] - single.data[0]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_mla_zero_latent_projection_zero_output():
     rng = np.random.default_rng(10)
     w = rand_mla(cfg, mcfg, rng)
     w.W_DKV = tensor(np.zeros((cfg.d, mcfg.r_kv)), dtype=np.float64)
-    h = tensor(rng.standard_normal((4, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 4, cfg.d)), dtype=np.float64)
     out, _ = mla_forward(h, w, cfg, mcfg)
     assert np.abs(out.data).max() <= 1e-12
 
@@ -291,14 +291,14 @@ def test_mla_cached_decode_matches_full_forward():
     mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(11)
     w = rand_mla(cfg, mcfg, rng)
-    h = tensor(rng.standard_normal((7, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 7, cfg.d)), dtype=np.float64)
     full, _ = mla_forward(h, w, cfg, mcfg)
     cache = empty_cache(KIND_MLA, cfg, mcfg)
     outs = []
     for i in range(7):
-        o, cache = mla_forward(h[i : i + 1], w, cfg, mcfg, cache)
+        o, cache = mla_forward(h[:, i : i + 1], w, cfg, mcfg, cache)
         outs.append(o.data)
-    stepped = np.concatenate(outs, axis=0)
+    stepped = np.concatenate(outs, axis=1)
     assert np.abs(stepped - full.data).max() <= 1e-5
     assert cache.t == 7
 
@@ -308,14 +308,14 @@ def test_mla_random_prefill_decode_splits():
     mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(12)
     w = rand_mla(cfg, mcfg, rng)
-    h = tensor(rng.standard_normal((9, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 9, cfg.d)), dtype=np.float64)
     full, _ = mla_forward(h, w, cfg, mcfg)
     for _ in range(8):
         split = int(rng.integers(1, 9))
         cache = empty_cache(KIND_MLA, cfg, mcfg)
-        o1, cache = mla_forward(h[:split], w, cfg, mcfg, cache)
-        o2, cache = mla_forward(h[split:], w, cfg, mcfg, cache)
-        merged = np.concatenate([o1.data, o2.data], axis=0)
+        o1, cache = mla_forward(h[:, :split], w, cfg, mcfg, cache)
+        o2, cache = mla_forward(h[:, split:], w, cfg, mcfg, cache)
+        merged = np.concatenate([o1.data, o2.data], axis=1)
         assert np.abs(merged - full.data).max() <= 1e-5
 
 
@@ -327,9 +327,9 @@ def test_mla_causality_exact():
     h1 = rng.standard_normal((8, cfg.d))
     h2 = h1.copy()
     h2[4] -= 2.5
-    o1, _ = mla_forward(tensor(h1, dtype=np.float64), w, cfg, mcfg)
-    o2, _ = mla_forward(tensor(h2, dtype=np.float64), w, cfg, mcfg)
-    assert np.array_equal(o1.data[:4], o2.data[:4])
+    o1, _ = mla_forward(tensor(h1[None], dtype=np.float64), w, cfg, mcfg)
+    o2, _ = mla_forward(tensor(h2[None], dtype=np.float64), w, cfg, mcfg)
+    assert np.array_equal(o1.data[:, :4], o2.data[:, :4])
 
 
 def test_mla_latent_gauge_invariance():
@@ -347,7 +347,7 @@ def test_mla_latent_gauge_invariance():
     w2.W_DKV = tensor(w.W_DKV.data @ R, dtype=np.float64)
     w2.W_UK = tensor(Rinv @ w.W_UK.data, dtype=np.float64)
     w2.W_UV = tensor(Rinv @ w.W_UV.data, dtype=np.float64)
-    h = tensor(rng.standard_normal((6, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((2, 6, cfg.d)), dtype=np.float64)
     o1, _ = mla_forward(h, w, cfg, mcfg)
     o2, _ = mla_forward(h, w2, cfg, mcfg)
     assert np.abs(o1.data - o2.data).max() <= 1e-5
@@ -370,8 +370,8 @@ def test_mla_matches_reference_oracle(n_kv):
         cache = empty_cache(KIND_MLA, cfg, mcfg)
         outs = []
         for lo, hi in zip((0, *cuts), (*cuts, 9)):
-            o, cache = mla_forward(tensor(hb[0, lo:hi], dtype=np.float64), w, cfg, mcfg, cache)
-            outs.append(o.data)
+            o, cache = mla_forward(tensor(hb[:1, lo:hi], dtype=np.float64), w, cfg, mcfg, cache)
+            outs.append(o.data[0])
         assert cache.t == 9
         assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
 
@@ -387,13 +387,13 @@ def test_caches_append_twice_from_one_cache():
         width = row_width(kind, cfg, mcfg)
         base = empty_cache(kind, cfg, mcfg)
         for n in (3, 1):
-            base = base.appended(rng.standard_normal((n, width)))
-        new1, new2 = rng.standard_normal((1, width)), rng.standard_normal((2, width))
+            base = base.appended(rng.standard_normal((2, n, width)))
+        new1, new2 = rng.standard_normal((2, 1, width)), rng.standard_normal((2, 2, width))
         first = base.appended(new1)
         second = base.appended(new2)
         assert first.buf is base.buf and second.buf is not base.buf
-        assert np.array_equal(first.rows, np.concatenate([base.rows, new1]))
-        assert np.array_equal(second.rows, np.concatenate([base.rows, new2]))
+        assert np.array_equal(first.rows, np.concatenate([base.rows, new1], axis=1))
+        assert np.array_equal(second.rows, np.concatenate([base.rows, new2], axis=1))
         assert base.t == 4 and first.t == 5 and second.t == 6
 
 
@@ -406,13 +406,13 @@ def test_caches_grow_past_capacity():
         cache = empty_cache(kind, cfg, mcfg)
         added = []
         for step in range(40):
-            added.append(rng.standard_normal((1 if step % 3 else 2, width)))
+            added.append(rng.standard_normal((3, 1 if step % 3 else 2, width)))
             cache = cache.appended(added[-1])
             t = cache.t
-            assert t == sum(len(a) for a in added)
-            assert cache.byte_size() == kv_bytes(kind, cfg, mcfg, t, 8)
-        assert len(cache.buf.data) > cache.t  # capacity is not logical rows
-        assert np.array_equal(cache.rows, np.concatenate(added))
+            assert t == sum(a.shape[1] for a in added)
+            assert cache.byte_size() == 3 * kv_bytes(kind, cfg, mcfg, t, 8)
+        assert cache.buf.data.shape[1] > cache.t  # capacity is not logical rows
+        assert np.array_equal(cache.rows, np.concatenate(added, axis=1))
 
 
 def test_cache_rows_hold_documented_layout():
@@ -424,18 +424,18 @@ def test_cache_rows_hold_documented_layout():
     h = rng.standard_normal((5, cfg.d))
     pos = np.arange(5)
     aw = rand_attn(cfg, rng)
-    _, cache = mha_forward(tensor(h, dtype=np.float64), aw, cfg, empty_cache(KIND_MHA, cfg))
-    rows = cache.rows.reshape(5, cfg.n_kv, 2, cfg.d_h)
+    _, cache = mha_forward(tensor(h[None], dtype=np.float64), aw, cfg, empty_cache(KIND_MHA, cfg))
+    rows = cache.rows[0].reshape(5, cfg.n_kv, 2, cfg.d_h)
     key = rope_apply(tensor((h @ aw.W_K.data).reshape(5, cfg.n_kv, cfg.d_h), dtype=np.float64),
                      pos, cfg.rope_base)
     assert np.array_equal(rows[:, :, 0], key.data)
     assert np.array_equal(rows[:, :, 1], (h @ aw.W_V.data).reshape(5, cfg.n_kv, cfg.d_h))
     mw = rand_mla(cfg, mcfg, rng)
-    _, cache = mla_forward(tensor(h, dtype=np.float64), mw, cfg, mcfg,
+    _, cache = mla_forward(tensor(h[None], dtype=np.float64), mw, cfg, mcfg,
                            empty_cache(KIND_MLA, cfg, mcfg))
     k_r = rope_apply(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), pos, cfg.rope_base)
-    assert np.array_equal(cache.rows[:, : mcfg.r_kv], h @ mw.W_DKV.data)
-    assert np.array_equal(cache.rows[:, mcfg.r_kv :], k_r.data[:, 0])
+    assert np.array_equal(cache.rows[0, :, : mcfg.r_kv], h @ mw.W_DKV.data)
+    assert np.array_equal(cache.rows[0, :, mcfg.r_kv :], k_r.data[:, 0])
 
 
 @pytest.mark.parametrize("kind", [KIND_MHA, KIND_MLA])
@@ -456,11 +456,11 @@ def test_grad_through_cached_call(kind):
         row_weights = ("W_DKV", "W_KR")
     for name, t in w.items():
         store.add(name, t)
-    h = rng.standard_normal((5, cfg.d))
+    h = rng.standard_normal((2, 5, cfg.d))
     with nk.no_grad():
-        _, cache = mixer(tensor(h[:3], dtype=np.float64), empty_cache(kind, cfg, mcfg))
-    new = tensor(h[3:], dtype=np.float64)
-    target = rng.standard_normal((2, cfg.d))
+        _, cache = mixer(tensor(h[:, :3], dtype=np.float64), empty_cache(kind, cfg, mcfg))
+    new = tensor(h[:, 3:], dtype=np.float64)
+    target = rng.standard_normal((2, 2, cfg.d))
 
     def f(p):
         out, grown = mixer(new, cache)
@@ -514,12 +514,12 @@ def test_cache_objects_report_bytes():
     # is the base layer's (128 + 32)-element row over 100 tokens
     full = empty_cache(KIND_MHA, toy_cfg())  # n_kv=2, d_h=4
     assert full.byte_size() == 0 and full.t == 0
-    full = full.appended(np.ones((3, 2 * 2 * 4)))
+    full = full.appended(np.ones((1, 3, 2 * 2 * 4)))
     assert full.byte_size() == 2 * 2 * 4 * 3 * 8
     cfg = ModelConfig(L=16, d=2048, n_h=32, n_kv=8, d_h=64, vocab=128256)
     mcfg = MLAConfig(r_q=1344, r_kv=128, d_qk=32, d_v=64, d_r=32)
     latent = RowCache.empty(row_width(KIND_MLA, cfg, mcfg), dtype=np.float32)
-    latent = latent.appended(np.zeros((100, 128 + 32), dtype=np.float32))
+    latent = latent.appended(np.zeros((1, 100, 128 + 32), dtype=np.float32))
     assert latent.byte_size() == (128 + 32) * 100 * 4 == 64000
 
 
@@ -538,8 +538,8 @@ def test_mha_mla_grad_check():
         store.add(f"attn.{name}", t)
     for name, t in mw.items():
         store.add(f"mla.{name}", t)
-    h = tensor(rng.standard_normal((3, cfg.d)), dtype=np.float64)
-    target = rng.standard_normal((3, cfg.d))
+    h = tensor(rng.standard_normal((1, 3, cfg.d)), dtype=np.float64)
+    target = rng.standard_normal((1, 3, cfg.d))
 
     def f(p):
         o1, _ = mha_forward(h, aw, cfg)

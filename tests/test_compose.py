@@ -28,6 +28,7 @@ from hybridforge.compose import (
 )
 from hybridforge.smart import HybridLayout
 from hybridforge.ssm import SsmState
+from oracle_helpers import reference_model
 
 
 def toy_cfg(**kw):
@@ -225,6 +226,36 @@ def test_assembled_hybrid_cached_decode_matches_full():
         step, caches = hybrid.forward_cached(ids[t : t + 1], caches)
         parts.append(step.data)
     assert np.abs(np.concatenate(parts) - full).max() < 1e-5
+
+
+@pytest.mark.parametrize("which", ["mha", "mla", "mamba2", "hybrid"])
+def test_batched_cached_decode_matches_single_sequences(which):
+    # three equal-length prompts decode as one (3, t) batch: a prefill, then
+    # single-token steps. Each row equals its own b=1 decode and the oracle.
+    teacher, mla, mamba = converted_pair()
+    model = {"mha": teacher, "mla": mla, "mamba2": mamba,
+             "hybrid": assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))}[which]
+    ids = np.random.default_rng(61).integers(0, 32, size=(3, 9))
+
+    def decode(rows, prefill=5):
+        caches = model.init_caches(np.float64)
+        logits, caches = model.forward_cached(rows[..., :prefill], caches)
+        parts = [logits.data]
+        for t in range(prefill, rows.shape[-1]):
+            logits, caches = model.forward_cached(rows[..., t:t + 1], caches)
+            parts.append(logits.data)
+        return np.concatenate(parts, axis=-2), caches
+
+    with nk.no_grad():
+        batched, caches = decode(ids)
+        assert batched.shape == (3, 9, 32)
+        for row, got in zip(ids, batched):
+            single, _ = decode(row)
+            assert np.abs(got - single).max() <= 1e-12
+            assert np.abs(got - reference_model(row, model)).max() <= 1e-12
+        # the first layer's cache or state of batch 3 refuses a batch of 2
+        with pytest.raises(ValueError, match=r"batch of 3\b.*batch of 2\b"):
+            model.forward_cached(ids[:2, :1], caches)
 
 
 def test_kernel_error_names_its_layer():

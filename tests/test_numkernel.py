@@ -209,8 +209,15 @@ def test_conv1d_tail_continues_the_sequence():
         joined = np.concatenate([np.broadcast_to(tail, (2, k - 1, 3)), x], axis=1)
         want = nk.conv1d_depthwise(tensor(joined, dtype=np.float64), w).data[:, k - 1:]
         assert np.abs(got - want).max() <= 1e-15
-    with pytest.raises(KernelError):
-        nk.conv1d_depthwise(tensor(x, dtype=np.float64), w, np.zeros((k, 3)))
+        # one tail per sequence
+        tails = rng.standard_normal((2, k - 1, 3))
+        got = nk.conv1d_depthwise(tensor(x, dtype=np.float64), w, tails).data
+        joined = np.concatenate([tails, x], axis=1)
+        want = nk.conv1d_depthwise(tensor(joined, dtype=np.float64), w).data[:, k - 1:]
+        assert np.abs(got - want).max() <= 1e-15
+    for bad in (np.zeros((k, 3)), np.zeros((3, k - 1, 3))):
+        with pytest.raises(KernelError):
+            nk.conv1d_depthwise(tensor(x, dtype=np.float64), w, bad)
 
 
 def test_conv1d_identity_kernel():

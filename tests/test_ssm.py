@@ -72,10 +72,10 @@ def test_zero_projections_zero_output():
     W_in = w.W_in.data.copy()
     W_in[:, : w.xbc_width] = 0.0  # x, B and C blocks; the dt columns stay
     w.W_in = tensor(W_in, dtype=np.float64)
-    h = tensor(rng.standard_normal((5, D)), dtype=np.float64)
-    out, state = mamba2_forward_seq(h, w)
+    h = tensor(rng.standard_normal((2, 5, D)), dtype=np.float64)
+    out, state = mamba2_forward_seq(h, w, SsmState.empty(w, dtype=np.float64))
     assert np.all(out.data == 0)
-    assert np.all(state.h == 0)
+    assert state.h.shape == (2, N_H, D_H, D_H) and np.all(state.h == 0)
 
 
 def test_decay_factor_in_unit_interval():
@@ -92,63 +92,62 @@ def test_infinite_decay_is_memoryless():
     rng = np.random.default_rng(4)
     w = rand_weights(rng, n_h=1, n_kv=1)
     w.a_log = tensor(np.array([25.0]), dtype=np.float64)  # a = -exp(25), decay ~ 0
-    h = tensor(rng.standard_normal((6, D)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 6, D)), dtype=np.float64)
     out, _ = mamba2_forward_seq(h, w)
 
     # direct per-step formula, no recurrence: y_t = C_t . (dt_t * B_t x_t^T) + D x_t
     proj, kernels, dt_cols = blocks(w)
     with nk.no_grad():
-        Hb = nk.reshape(h, (1, 6, D))
         x, B, C = (
-            nk.conv1d_depthwise(nk.matmul(Hb, Tensor(p)), Tensor(c)).data[0].reshape(6, 1, w.d_h)
+            nk.conv1d_depthwise(nk.matmul(h, Tensor(p)), Tensor(c)).data[0].reshape(6, 1, w.d_h)
             for p, c in zip(proj, kernels)
         )
-    dt = np.log1p(np.exp(h.data @ dt_cols + w.delta_b.data))
+    dt = np.log1p(np.exp(h.data[0] @ dt_cols + w.delta_b.data))
     y = np.einsum("thi,th,thi,thj->thj", C, dt, B, x) + w.D.data[:, None] * x
     direct = y.reshape(6, -1) @ w.W_out.data
-    assert np.abs(out.data - direct).max() <= 1e-10
+    assert np.abs(out.data[0] - direct).max() <= 1e-10
 
 
 def test_streaming_two_chunks_matches_full_pass():
     rng = np.random.default_rng(5)
     w = rand_weights(rng)
-    h = tensor(rng.standard_normal((9, D)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 9, D)), dtype=np.float64)
     full, _ = mamba2_forward_seq(h, w)
     state = SsmState.empty(w, dtype=np.float64)
-    o1, state = mamba2_forward_seq(h[:4], w, state)
-    o2, state = mamba2_forward_seq(h[4:], w, state)
-    merged = np.concatenate([o1.data, o2.data], axis=0)
+    o1, state = mamba2_forward_seq(h[:, :4], w, state)
+    o2, state = mamba2_forward_seq(h[:, 4:], w, state)
+    merged = np.concatenate([o1.data, o2.data], axis=1)
     assert np.abs(merged - full.data).max() <= 1e-5
 
 
 def test_streaming_random_splits():
     rng = np.random.default_rng(6)
     w = rand_weights(rng)
-    h = tensor(rng.standard_normal((12, D)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 12, D)), dtype=np.float64)
     full, _ = mamba2_forward_seq(h, w)
     for _ in range(8):
         cuts = sorted(rng.choice(np.arange(1, 12), size=2, replace=False).tolist())
         state = SsmState.empty(w, dtype=np.float64)
         pieces = []
         for lo, hi in zip([0] + cuts, cuts + [12]):
-            o, state = mamba2_forward_seq(h[lo:hi], w, state)
+            o, state = mamba2_forward_seq(h[:, lo:hi], w, state)
             pieces.append(o.data)
-        merged = np.concatenate(pieces, axis=0)
+        merged = np.concatenate(pieces, axis=1)
         assert np.abs(merged - full.data).max() <= 1e-5
 
 
 def test_token_by_token_decode_matches_full_pass():
     rng = np.random.default_rng(7)
     w = rand_weights(rng)
-    h = tensor(rng.standard_normal((8, D)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 8, D)), dtype=np.float64)
     full, _ = mamba2_forward_seq(h, w)
     state = SsmState.empty(w, dtype=np.float64)
     outs = []
     with nk.no_grad():
         for i in range(8):
-            o, state = mamba2_forward_seq(h[i : i + 1], w, state)
+            o, state = mamba2_forward_seq(h[:, i : i + 1], w, state)
             outs.append(o.data)
-    assert np.abs(np.concatenate(outs) - full.data).max() <= 1e-5
+    assert np.abs(np.concatenate(outs, axis=1) - full.data).max() <= 1e-5
 
 
 def test_causality_exact():
@@ -157,10 +156,10 @@ def test_causality_exact():
     h1 = rng.standard_normal((10, D))
     h2 = h1.copy()
     h2[6] += 4.0
-    o1, _ = mamba2_forward_seq(tensor(h1, dtype=np.float64), w)
-    o2, _ = mamba2_forward_seq(tensor(h2, dtype=np.float64), w)
-    assert np.array_equal(o1.data[:6], o2.data[:6])
-    assert not np.array_equal(o1.data[6:], o2.data[6:])
+    o1, _ = mamba2_forward_seq(tensor(h1[None], dtype=np.float64), w)
+    o2, _ = mamba2_forward_seq(tensor(h2[None], dtype=np.float64), w)
+    assert np.array_equal(o1.data[:, :6], o2.data[:, :6])
+    assert not np.array_equal(o1.data[:, 6:], o2.data[:, 6:])
 
 
 def test_state_bytes_independent_of_position():
@@ -169,10 +168,12 @@ def test_state_bytes_independent_of_position():
     # accounting only: stream 10 vs 10,000 tokens, state footprint unchanged
     with nk.no_grad():
         state = SsmState.empty(w32, dtype=np.float64)
-        _, state = mamba2_forward_seq(tensor(rng.standard_normal((10, D)), dtype=np.float64), w32, state)
+        _, state = mamba2_forward_seq(
+            tensor(rng.standard_normal((1, 10, D)), dtype=np.float64), w32, state
+        )
         b10 = state.byte_size()
         _, state = mamba2_forward_seq(
-            tensor(rng.standard_normal((9990, D)), dtype=np.float64), w32, state
+            tensor(rng.standard_normal((1, 9990, D)), dtype=np.float64), w32, state
         )
         b10k = state.byte_size()
     assert b10 == b10k > 0
@@ -236,7 +237,7 @@ def test_chunked_rejects_bad_args():
 def test_graph_and_fast_paths_agree():
     rng = np.random.default_rng(13)
     w = rand_weights(rng)
-    h = tensor(rng.standard_normal((6, D)), dtype=np.float64)
+    h = tensor(rng.standard_normal((2, 6, D)), dtype=np.float64)
     store = nk.ParamStore()
     for name, t in w.items():
         store.add(name, t)
@@ -254,8 +255,8 @@ def test_batched_matches_loop():
     batched, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w)
     assert state is None
     for i in range(3):
-        single, _ = mamba2_forward_seq(tensor(hb[i], dtype=np.float64), w)
-        assert np.abs(batched.data[i] - single.data).max() <= 1e-12
+        single, _ = mamba2_forward_seq(tensor(hb[i:i + 1], dtype=np.float64), w)
+        assert np.abs(batched.data[i] - single.data[0]).max() <= 1e-12
 
 
 def test_grad_check_small():
@@ -264,8 +265,8 @@ def test_grad_check_small():
     store = nk.ParamStore()
     for name, t in w.items():
         store.add(name, t)
-    h = tensor(rng.standard_normal((4, 6)), dtype=np.float64)
-    target = rng.standard_normal((4, 6))
+    h = tensor(rng.standard_normal((1, 4, 6)), dtype=np.float64)
+    target = rng.standard_normal((1, 4, 6))
 
     def f(p):
         out, _ = mamba2_forward_seq(h, w)
@@ -296,8 +297,8 @@ def test_mamba2_matches_reference_oracle(n_kv):
         state = SsmState.empty(w, dtype=np.float64)
         outs = []
         for lo, hi in zip((0, *cuts), (*cuts, 9)):
-            o, state = mamba2_forward_seq(tensor(hb[0, lo:hi], dtype=np.float64), w, state)
-            outs.append(o.data)
+            o, state = mamba2_forward_seq(tensor(hb[:1, lo:hi], dtype=np.float64), w, state)
+            outs.append(o.data[0])
         assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
 
 
@@ -311,7 +312,7 @@ def test_decode_step_op_count(monkeypatch):
     rng = np.random.default_rng(16)
     state = SsmState.empty(w)
     with nk.no_grad():
-        _, state = mamba2_forward_seq(tensor(rng.standard_normal((5, 64))), w, state)
+        _, state = mamba2_forward_seq(tensor(rng.standard_normal((1, 5, 64))), w, state)
     ops = []
     make = nk._make
 
@@ -321,8 +322,8 @@ def test_decode_step_op_count(monkeypatch):
 
     monkeypatch.setattr(nk, "_make", counting)
     with nk.no_grad():
-        mamba2_forward_seq(tensor(rng.standard_normal((1, 64))), w, state)
-    assert len(ops) <= 17, ops
+        mamba2_forward_seq(tensor(rng.standard_normal((1, 1, 64))), w, state)
+    assert len(ops) <= 16, ops
     assert "repeat" not in ops and "exp" not in ops[ops.index("mul"):]
     assert ops.count("conv1d_depthwise") == 1
     assert "concat" not in ops

@@ -186,7 +186,7 @@ def test_mamba_init_single_step_hand_oracle():
     w = rand_attn(cfg, rng)
     m = init_mamba2_from_attention(w, cfg, k=4)
     h = rng.standard_normal((1, cfg.d))
-    out, _ = mamba2_forward_seq(tensor(h, dtype=np.float64), m)
+    out, _ = mamba2_forward_seq(tensor(h[None], dtype=np.float64), m)
 
     # by hand: identity conv means the paths are plain projections at t=1
     group = cfg.n_h // cfg.n_kv
@@ -197,7 +197,7 @@ def test_mamba_init_single_step_hand_oracle():
     hmat = dt[:, None, None] * B[:, :, None] * x[:, None, :]
     y = np.einsum("hi,hij->hj", C, hmat) + m.D.data[:, None] * x
     expect = y.reshape(1, -1) @ w.W_O.data
-    assert np.abs(out.data - expect).max() <= 1e-10
+    assert np.abs(out.data[0] - expect).max() <= 1e-10
 
 
 def test_mamba_init_mha_source_degenerate_replication():
@@ -239,7 +239,7 @@ def test_random_mla_output_variance_envelope():
     cfg = toy_cfg()
     mcfg = full_rank_mcfg(cfg)
     rng = np.random.default_rng(12)
-    h = tensor(rng.standard_normal((16, cfg.d)), dtype=np.float64)
+    h = tensor(rng.standard_normal((1, 16, cfg.d)), dtype=np.float64)
     outs = []
     for seed in range(100):
         w = init_random(KIND_MLA, cfg, mcfg, seed=seed, dtype=np.float64)
