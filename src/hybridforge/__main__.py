@@ -1,6 +1,6 @@
 """Allow `python -m hybridforge <command> ...`."""
 
-from .cli import entry
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

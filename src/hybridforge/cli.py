@@ -9,12 +9,13 @@ Conventions:
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -129,57 +130,45 @@ def _str(obj: dict, name: str, where: str) -> str:
     return v
 
 
-MODEL_KEYS = ("L", "d", "n_h", "n_kv", "d_h", "vocab")
-MLA_KEYS = ("r_q", "r_kv", "d_qk", "d_v", "d_r")
-TRAIN_KEYS = ("steps", "batch_size", "learning_rate", "warmup_fraction",
-              "seed", "precision", "token_budget", "log_every")
-SPEC_KEYS = ("vocab", "seq_len", "order", "copy_span", "copy_every",
-             "mix_uniform", "buckets", "seed")
+# readers of an optional config field, by the type of the field's default
+_READ_BY_DEFAULT = {int: lambda obj, k, where: _int(obj, k, where, lo=0), float: _num, str: _str}
 
 
-def _model_config(obj, where: str) -> ModelConfig:
-    _check_keys(obj, MODEL_KEYS, (), where)
-    return ModelConfig(**{k: _int(obj, k, where, lo=1) for k in MODEL_KEYS})
+def _read_config(cls, obj, where: str, seed: Optional[int] = None):
+    """Build a config dataclass from a JSON object; the class's fields are the schema.
 
-
-def _mla_config(obj, where: str) -> MLAConfig:
-    _check_keys(obj, MLA_KEYS, (), where)
-    return MLAConfig(**{k: _int(obj, k, where, lo=1) for k in MLA_KEYS})
-
-
-def _train_config(obj, where: str, seed_override: Optional[int]) -> TrainConfig:
-    _check_keys(obj, (), TRAIN_KEYS, where)
-    kw = {}
-    for k in TRAIN_KEYS:
-        if k not in obj:
-            continue
-        if k == "precision":
-            kw[k] = _str(obj, k, where)
-        elif k in ("learning_rate", "warmup_fraction"):
-            kw[k] = _num(obj, k, where)
-        else:
-            kw[k] = _int(obj, k, where, lo=0)
-    if seed_override is not None:
-        kw["seed"] = seed_override
+    A class with fields without a default (``ModelConfig``, ``MLAConfig``) takes
+    exactly those, as positive ints; otherwise every field is optional and read
+    by the type of its default. A given ``seed`` overrides the object's.
+    """
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    _check_keys(obj, required, () if required else [f.name for f in fields], where)
+    if required:
+        kw = {k: _int(obj, k, where, lo=1) for k in required}
+    else:
+        kw = {f.name: _READ_BY_DEFAULT[type(f.default)](obj, f.name, where)
+              for f in fields if f.name in obj}
+    if seed is not None:
+        kw["seed"] = seed
     try:
-        return TrainConfig(**kw)
+        return cls(**kw)
     except ValueError as exc:
         raise StageError(f"{where}: {exc}")
 
 
-def _synth_spec(obj, where: str, seed_override: Optional[int]) -> SynthSpec:
-    _check_keys(obj, (), SPEC_KEYS, where)
-    kw = {}
-    for k in SPEC_KEYS:
-        if k not in obj:
-            continue
-        kw[k] = _num(obj, k, where) if k == "mix_uniform" else _int(obj, k, where, lo=0)
-    if seed_override is not None:
-        kw["seed"] = seed_override
-    try:
-        return SynthSpec(**kw)
-    except ValueError as exc:
-        raise StageError(f"{where}: {exc}")
+def _stage_config(args, required, optional=()) -> dict:
+    """The stage's --config object, checked against the stage's keys."""
+    if not args.config:
+        raise UsageError(f"{args.command} requires --config <file>")
+    cfg = _load_json(args.config, "config")
+    _check_keys(cfg, required, optional, f"{args.command} config")
+    return cfg
+
+
+def _config_path(args, cfg: dict, key: str) -> str:
+    return _resolve(args.config, _str(cfg, key, f"{args.command} config"))
 
 
 def _need(path: str, producer: str, what: str) -> str:
@@ -188,9 +177,19 @@ def _need(path: str, producer: str, what: str) -> str:
     return path
 
 
-def _out_dir(args, stage: str) -> str:
+def _load_model(path: str, producer: str, what: str):
+    return load_checkpoint(_need(path, producer, what))
+
+
+def _save_model(model, out: str, name: str) -> None:
+    path = os.path.join(out, name)
+    save_checkpoint(model, path)
+    log(f"wrote {path}")
+
+
+def _out_dir(args) -> str:
     if not args.out:
-        raise UsageError(f"{stage} requires --out <dir>")
+        raise UsageError(f"{args.command} requires --out <dir>")
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -201,21 +200,29 @@ def _write_text(path: str, text: str) -> None:
     log(f"wrote {path}")
 
 
+def _write_result(args, name: str, text: str) -> bool:
+    """Write text to --out/name; False, writing nothing, when --out is not given."""
+    if not args.out:
+        return False
+    os.makedirs(args.out, exist_ok=True)
+    _write_text(os.path.join(args.out, name), text)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # data artifacts
 
 
-def _save_split(out: str, name: str, arr: np.ndarray) -> str:
+def _save_split(out: str, name: str, arr: np.ndarray) -> None:
     path = os.path.join(out, f"{name}.npy")
     with atomic_open(path) as fh:
         np.save(fh, arr)
     log(f"wrote {path} shape {arr.shape}")
-    return path
 
 
-def _load_data(data_dir: str, producer: str = "gen-data"):
+def _load_data(data_dir: str):
     meta_path = os.path.join(data_dir, "meta.json")
-    _need(meta_path, producer, "data directory")
+    _need(meta_path, "gen-data", "data directory")
     meta = _load_json(meta_path, "data meta")
     _check_keys(meta, ("batch_size", "count", "spec"), (), "data meta")
     bs = _int(meta, "batch_size", "data meta", lo=1)
@@ -235,108 +242,93 @@ def _cycle(batches_list, steps: int):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("count",), ("batch_size", "spec"), "gen-data config")
+    cfg = _stage_config(args, ("count",), ("batch_size", "spec"))
     count = _int(cfg, "count", "gen-data config", lo=5)
     bs = _int(cfg, "batch_size", "gen-data config", lo=1) if "batch_size" in cfg else 8
-    spec = _synth_spec(cfg.get("spec", {}), "gen-data config: spec", args.seed)
-    out = _out_dir(args, "gen-data")
+    spec = _read_config(SynthSpec, cfg.get("spec", {}), "gen-data config: spec", args.seed)
+    out = _out_dir(args)
 
     for name, (start, n) in stream_splits(count).items():
         _save_split(out, name, sequences(spec, start, n))
-    meta = {"batch_size": bs, "count": count,
-            "spec": {k: getattr(spec, k) for k in SPEC_KEYS}}
+    meta = {"batch_size": bs, "count": count, "spec": dataclasses.asdict(spec)}
     _write_text(os.path.join(out, "meta.json"),
                 json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("model", "data"), ("train",), "train-teacher config")
-    mc = _model_config(cfg["model"], "train-teacher config: model")
-    tc = _train_config(cfg.get("train", {}), "train-teacher config: train", args.seed)
-    data_dir = _resolve(args.config, _str(cfg, "data", "train-teacher config"))
-    out = _out_dir(args, "train-teacher")
+    cfg = _stage_config(args, ("model", "data"), ("train",))
+    mc = _read_config(ModelConfig, cfg["model"], "train-teacher config: model")
+    tc = _read_config(TrainConfig, cfg.get("train", {}), "train-teacher config: train",
+                      args.seed)
+    data_dir = _config_path(args, cfg, "data")
+    out = _out_dir(args)
 
     _, splits = _load_data(data_dir)
     teacher = train_teacher(mc, _cycle(splits["kd"], tc.steps), tc, log=sys.stderr)
     report = eval_model(teacher, splits["eval"])
     log(f"teacher held-out perplexity {report.perplexity:.4f} "
         f"(unigram baseline {unigram_perplexity(splits['kd']):.4f}, vocab {mc.vocab})")
-    save_checkpoint(teacher, os.path.join(out, "teacher.hfrg"))
-    log(f"wrote {os.path.join(out, 'teacher.hfrg')}")
+    _save_model(teacher, out, "teacher.hfrg")
     return 0
-
-
-KIND_BY_NAME = {"mla": KIND_MLA, "mamba2": KIND_MAMBA2}
 
 
 def cmd_upcycle(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("teacher",), ("mla", "conv_k", "random_seed"), "upcycle config")
-    if args.kind == "mla" and "mla" not in cfg:
+    cfg = _stage_config(args, ("teacher",), ("mla", "conv_k", "random_seed"))
+    if args.kind == KIND_MLA and "mla" not in cfg:
         raise StageError("upcycle config: --kind mla needs an 'mla' rank section")
-    mcfg = _mla_config(cfg["mla"], "upcycle config: mla") if "mla" in cfg else None
+    mcfg = _read_config(MLAConfig, cfg["mla"], "upcycle config: mla") if "mla" in cfg else None
     conv_k = _int(cfg, "conv_k", "upcycle config", lo=1) if "conv_k" in cfg else 4
     rand = _int(cfg, "random_seed", "upcycle config", lo=0) if "random_seed" in cfg else None
-    teacher_path = _resolve(args.config, _str(cfg, "teacher", "upcycle config"))
-    out = _out_dir(args, "upcycle")
+    teacher_path = _config_path(args, cfg, "teacher")
+    out = _out_dir(args)
 
-    teacher = load_checkpoint(_need(teacher_path, "train-teacher", "teacher checkpoint"))
-    student = convert_model(teacher, KIND_BY_NAME[args.kind], mcfg,
-                            conv_k=conv_k, random_seed=rand)
-    path = os.path.join(out, f"student_{args.kind}.hfrg")
-    save_checkpoint(student, path)
-    log(f"wrote {path}")
+    teacher = _load_model(teacher_path, "train-teacher", "teacher checkpoint")
+    student = convert_model(teacher, args.kind, mcfg, conv_k=conv_k, random_seed=rand)
+    _save_model(student, out, f"student_{args.kind}.hfrg")
     return 0
 
 
-def _distill_stage(args, stage: str, split_name: str, runner, student_producer: str,
+def _distill_stage(args, split_name: str, runner, student_producer: str,
                    default_suffix: str) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("teacher", "student", "data"), ("train", "save_as"), f"{stage} config")
-    tc = _train_config(cfg.get("train", {}), f"{stage} config: train", args.seed)
-    teacher_path = _resolve(args.config, _str(cfg, "teacher", f"{stage} config"))
-    student_path = _resolve(args.config, _str(cfg, "student", f"{stage} config"))
-    data_dir = _resolve(args.config, _str(cfg, "data", f"{stage} config"))
-    save_as = _str(cfg, "save_as", f"{stage} config") if "save_as" in cfg else None
-    out = _out_dir(args, stage)
+    cfg = _stage_config(args, ("teacher", "student", "data"), ("train", "save_as"))
+    where = f"{args.command} config"
+    tc = _read_config(TrainConfig, cfg.get("train", {}), f"{where}: train", args.seed)
+    teacher_path = _config_path(args, cfg, "teacher")
+    student_path = _config_path(args, cfg, "student")
+    data_dir = _config_path(args, cfg, "data")
+    save_as = _str(cfg, "save_as", where) if "save_as" in cfg else None
+    out = _out_dir(args)
 
-    teacher = load_checkpoint(_need(teacher_path, "train-teacher", "teacher checkpoint"))
-    student = load_checkpoint(_need(student_path, student_producer, "student checkpoint"))
+    teacher = _load_model(teacher_path, "train-teacher", "teacher checkpoint")
+    student = _load_model(student_path, student_producer, "student checkpoint")
     _, splits = _load_data(data_dir)
     trained = runner(teacher, student, _cycle(splits[split_name], tc.steps), tc,
                      log=sys.stderr)
     if save_as is None:
         stem = os.path.splitext(os.path.basename(student_path))[0]
         save_as = f"{stem}{default_suffix}.hfrg"
-    path = os.path.join(out, save_as)
-    save_checkpoint(trained, path)
-    log(f"wrote {path}")
+    _save_model(trained, out, save_as)
     return 0
 
 
 def cmd_ild(args) -> int:
-    return _distill_stage(args, "ild", "ild", run_ild, "upcycle", "_ild")
+    return _distill_stage(args, "ild", run_ild, "upcycle", "_ild")
 
 
 def cmd_distill(args) -> int:
-    return _distill_stage(args, "distill", "kd", run_kd, "compose", "_kd")
+    return _distill_stage(args, "kd", run_kd, "compose", "_kd")
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("teacher", "full_mla", "full_mamba", "data"), ("samples",),
-                "sensitivity config")
+    cfg = _stage_config(args, ("teacher", "full_mla", "full_mamba", "data"), ("samples",))
     samples = _int(cfg, "samples", "sensitivity config", lo=1) if "samples" in cfg else None
-    paths = {k: _resolve(args.config, _str(cfg, k, "sensitivity config"))
-             for k in ("teacher", "full_mla", "full_mamba", "data")}
-    out = _out_dir(args, "sensitivity")
+    paths = {k: _config_path(args, cfg, k) for k in ("teacher", "full_mla", "full_mamba", "data")}
+    out = _out_dir(args)
 
-    teacher = load_checkpoint(_need(paths["teacher"], "train-teacher", "teacher checkpoint"))
-    full_mla = load_checkpoint(_need(paths["full_mla"], "ild", "full-MLA checkpoint"))
-    full_mamba = load_checkpoint(_need(paths["full_mamba"], "ild", "full-Mamba checkpoint"))
+    teacher = _load_model(paths["teacher"], "train-teacher", "teacher checkpoint")
+    full_mla = _load_model(paths["full_mla"], "ild", "full-MLA checkpoint")
+    full_mamba = _load_model(paths["full_mamba"], "ild", "full-Mamba checkpoint")
     meta, splits = _load_data(paths["data"])
     data = splits["eval"]
     if samples is not None:
@@ -346,10 +338,8 @@ def cmd_sensitivity(args) -> int:
                              f"eval split ({arr.shape[0]} sequences)")
         data = pack_batches(arr, meta["batch_size"])
 
-    jobs = args.jobs
     cap = thread_cap()
-    if cap is not None:
-        jobs = min(jobs, cap)
+    jobs = args.jobs if cap is None else min(args.jobs, cap)
     profile = score_sensitivity(teacher, full_mamba, full_mla, data, jobs=jobs,
                                 provenance={"data": os.path.basename(paths["data"])})
     _write_text(os.path.join(out, "sensitivity.json"), profile.to_json())
@@ -362,56 +352,44 @@ def cmd_smart_select(args) -> int:
     if args.n is None:
         raise UsageError("smart-select requires --n <N>")
     raw = _load_json(_need(args.scores, "sensitivity", "scores file"), "scores file")
-    if isinstance(raw, list):
-        profile = SensitivityProfile(scores=raw)
-    else:
-        profile = SensitivityProfile.from_json(json.dumps(raw))
+    profile = (SensitivityProfile(scores=raw) if isinstance(raw, list)
+               else SensitivityProfile.from_json(json.dumps(raw)))
     layout = smart_select(profile, args.n)
     print(json.dumps(layout.mla_indices))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "layout.json"), layout.to_json())
+    _write_result(args, "layout.json", layout.to_json())
     return 0
 
 
-def cmd_compose(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("mla", "mamba", "layout"), (), "compose config")
-    paths = {k: _resolve(args.config, _str(cfg, k, "compose config"))
-             for k in ("mla", "mamba", "layout")}
-    out = _out_dir(args, "compose")
+def _load_layout(path: str) -> HybridLayout:
+    with open(_need(path, "smart-select", "layout file"), encoding="utf-8") as fh:
+        return HybridLayout.from_json(fh.read())
 
-    mla_model = load_checkpoint(_need(paths["mla"], "ild", "full-MLA checkpoint"))
-    mamba_model = load_checkpoint(_need(paths["mamba"], "ild", "full-Mamba checkpoint"))
-    layout_text = open(_need(paths["layout"], "smart-select", "layout file"),
-                       encoding="utf-8").read()
-    layout = HybridLayout.from_json(layout_text)
-    hybrid = assemble(mla_model, mamba_model, layout)
-    path = os.path.join(out, "hybrid.hfrg")
-    save_checkpoint(hybrid, path)
-    log(f"wrote {path}")
+
+def cmd_compose(args) -> int:
+    cfg = _stage_config(args, ("mla", "mamba", "layout"))
+    paths = {k: _config_path(args, cfg, k) for k in ("mla", "mamba", "layout")}
+    out = _out_dir(args)
+
+    mla_model = _load_model(paths["mla"], "ild", "full-MLA checkpoint")
+    mamba_model = _load_model(paths["mamba"], "ild", "full-Mamba checkpoint")
+    hybrid = assemble(mla_model, mamba_model, _load_layout(paths["layout"]))
+    _save_model(hybrid, out, "hybrid.hfrg")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("model", "data"), ("teacher",), "eval config")
-    model_path = _resolve(args.config, _str(cfg, "model", "eval config"))
-    data_dir = _resolve(args.config, _str(cfg, "data", "eval config"))
-    teacher_path = (_resolve(args.config, _str(cfg, "teacher", "eval config"))
-                    if "teacher" in cfg else None)
+    cfg = _stage_config(args, ("model", "data"), ("teacher",))
+    model_path = _config_path(args, cfg, "model")
+    data_dir = _config_path(args, cfg, "data")
+    teacher_path = _config_path(args, cfg, "teacher") if "teacher" in cfg else None
 
-    model = load_checkpoint(_need(model_path, "distill", "model checkpoint"))
-    teacher = None
-    if teacher_path is not None:
-        teacher = load_checkpoint(_need(teacher_path, "train-teacher", "teacher checkpoint"))
+    model = _load_model(model_path, "distill", "model checkpoint")
+    teacher = (_load_model(teacher_path, "train-teacher", "teacher checkpoint")
+               if teacher_path is not None else None)
     _, splits = _load_data(data_dir)
-    report = eval_model(model, splits["eval"], teacher=teacher)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "eval.json"), report.to_json())
-    else:
-        print(report.to_json(), end="")
+    text = eval_model(model, splits["eval"], teacher=teacher).to_json()
+    if not _write_result(args, "eval.json", text):
+        print(text, end="")
     return 0
 
 
@@ -420,29 +398,22 @@ def cmd_kv_report(args) -> int:
         raise UsageError("kv-report requires --layout <file>")
     if args.tokens is None:
         raise UsageError("kv-report requires --tokens <t>")
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("model", "mla"), ("elem_bytes", "conv_k"), "kv-report config")
-    mc = _model_config(cfg["model"], "kv-report config: model")
-    mcfg = _mla_config(cfg["mla"], "kv-report config: mla")
+    cfg = _stage_config(args, ("model", "mla"), ("elem_bytes", "conv_k"))
+    mc = _read_config(ModelConfig, cfg["model"], "kv-report config: model")
+    mcfg = _read_config(MLAConfig, cfg["mla"], "kv-report config: mla")
     elem = _int(cfg, "elem_bytes", "kv-report config", lo=1) if "elem_bytes" in cfg else 4
     conv_k = _int(cfg, "conv_k", "kv-report config", lo=1) if "conv_k" in cfg else 4
 
-    layout_text = open(_need(args.layout, "smart-select", "layout file"),
-                       encoding="utf-8").read()
-    layout = HybridLayout.from_json(layout_text)
+    layout = _load_layout(args.layout)
     report = kv_report(mc, layout, mcfg, t=args.tokens, elem_bytes=elem, conv_k=conv_k)
     print(f"{report['percent_of_baseline']:.2f}%")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "kv_report.json"),
-                    json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_result(args, "kv_report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_json(args.config, "config")
-    _check_keys(cfg, ("model", "prompt_len", "gen_lens"), ("reps", "seed"), "bench config")
-    model_path = _resolve(args.config, _str(cfg, "model", "bench config"))
+    cfg = _stage_config(args, ("model", "prompt_len", "gen_lens"), ("reps", "seed"))
+    model_path = _config_path(args, cfg, "model")
     prompt_len = _int(cfg, "prompt_len", "bench config", lo=1)
     gen_lens = cfg["gen_lens"]
     if (not isinstance(gen_lens, list) or not gen_lens
@@ -452,32 +423,69 @@ def cmd_bench(args) -> int:
     seed = args.seed if args.seed is not None else (
         _int(cfg, "seed", "bench config", lo=0) if "seed" in cfg else 0)
 
-    model = load_checkpoint(_need(model_path, "compose", "model checkpoint"))
-    rows = bench_rows(model, prompt_len, gen_lens, reps=reps, seed=seed)
-    text = bench_csv(rows)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "bench.csv"), text)
-    else:
+    model = _load_model(model_path, "compose", "model checkpoint")
+    text = bench_csv(bench_rows(model, prompt_len, gen_lens, reps=reps, seed=seed))
+    if not _write_result(args, "bench.csv", text):
         print(text, end="")
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the stage table
+
+
+def _int_arg(lo: int, hi: float = float("inf")):
+    """argparse type for an integer in [lo, hi); anything else is a usage error."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if not lo <= v < hi:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}" if v < lo else f"must be < {hi}")
+        return v
+    parse.__name__ = "int"  # argparse's message for a non-integer reads "invalid int value"
+    return parse
+
+
+class Stage(NamedTuple):
+    name: str
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: dict = {}  # flag -> add_argument keywords, besides --config, --seed and --out
+
+
+# Every stage once, in pipeline order. The parser, the manifest's flag keys
+# and its order check all read this table.
+STAGES = (
+    Stage("gen-data", cmd_gen_data, "generate deterministic synthetic token splits"),
+    Stage("train-teacher", cmd_train_teacher, "train the attention-only teacher"),
+    Stage("upcycle", cmd_upcycle, "convert the teacher into a single-kind student",
+          {"kind": dict(choices=(KIND_MLA, KIND_MAMBA2), required=True)}),
+    Stage("ild", cmd_ild, "align student mixer outputs to the teacher layerwise"),
+    Stage("sensitivity", cmd_sensitivity, "score per-layer KL reduction of swaps",
+          {"jobs": dict(type=_int_arg(1), default=1, help="eval batches scored in parallel")}),
+    Stage("smart-select", cmd_smart_select, "pick attention layer placement",
+          {"scores": dict(default=None, help="sensitivity profile JSON"),
+           "n": dict(type=_int_arg(0), default=None,
+                     help="number of attention layers to place")}),
+    Stage("compose", cmd_compose, "assemble a hybrid from two students and a layout"),
+    Stage("distill", cmd_distill, "end-to-end KL distillation of a student"),
+    Stage("eval", cmd_eval, "perplexity and KL-to-teacher on held-out data"),
+    Stage("kv-report", cmd_kv_report, "per-layer cache budget vs full-attention",
+          {"layout": dict(default=None, help="layout JSON file"),
+           "tokens": dict(type=_int_arg(1), default=None,
+                          help="sequence length for the byte accounting")}),
+    Stage("bench", cmd_bench, "decode throughput and peak cache measurement"),
+)
+STAGE_ORDER = {stage.name: rank for rank, stage in enumerate(STAGES)}
 
 
 # ---------------------------------------------------------------------------
 # pipeline manifest
 
 
-STAGE_ORDER = {
-    "gen-data": 0, "train-teacher": 1, "upcycle": 2, "ild": 3, "sensitivity": 4,
-    "smart-select": 5, "compose": 6, "distill": 7, "eval": 8,
-    "kv-report": 9, "bench": 10,
-}
-
-_MANIFEST_ENTRY_KEYS = ("config", "out", "seed", "kind", "n", "scores", "layout",
-                        "tokens", "jobs", "outputs", "done")
-# every entry key but outputs and done is a --flag of the stage's command
-_MANIFEST_ARGV_KEYS = tuple(k for k in _MANIFEST_ENTRY_KEYS if k not in ("outputs", "done"))
-_PATH_FLAGS = ("config", "scores", "layout")
+# every argv key is a --flag of some stage's command
+_MANIFEST_ARGV_KEYS = ("config", "out", "seed", *(f for stage in STAGES for f in stage.flags))
+_MANIFEST_ENTRY_KEYS = (*_MANIFEST_ARGV_KEYS, "outputs", "done")
+_PATH_FLAGS = ("config", "out", "scores", "layout")
 
 
 @dataclass(frozen=True)
@@ -522,21 +530,16 @@ def load_manifest(path: str) -> PipelineManifest:
             raise StageError(f"{where}: {stage!r} is out of pipeline order")
         last_rank = rank
         argv = []
-        for key in _MANIFEST_ARGV_KEYS:
-            if key not in entry:
-                continue
-            val = entry[key]
-            if key in _PATH_FLAGS or key == "out":
-                val = _resolve(path, _str(entry, key, where))
+        for key in (k for k in _MANIFEST_ARGV_KEYS if k in entry):
+            val = _resolve(path, _str(entry, key, where)) if key in _PATH_FLAGS else entry[key]
             argv += [f"--{key}", str(val)]
         outputs = tuple(_resolve(path, p) for p in entry.get("outputs", []))
         done = bool(entry.get("done", False))
-        if done:
-            for p in outputs:
-                if not os.path.exists(p):
-                    raise StageError(f"{where}: marked done but output missing: {p}")
-            if not outputs:
-                raise StageError(f"{where}: marked done but lists no outputs")
+        if done and not outputs:
+            raise StageError(f"{where}: marked done but lists no outputs")
+        for p in outputs if done else ():
+            if not os.path.exists(p):
+                raise StageError(f"{where}: marked done but output missing: {p}")
         entries.append(StageEntry(stage, tuple(argv), outputs, done))
     return PipelineManifest(path=os.path.abspath(path), stages=tuple(entries))
 
@@ -565,85 +568,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _u64(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= v < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return v
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="hybridforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="<command>")
     sub.required = True
-
-    handlers = {
-        "gen-data": (cmd_gen_data, "generate deterministic synthetic token splits"),
-        "train-teacher": (cmd_train_teacher, "train the attention-only teacher"),
-        "upcycle": (cmd_upcycle, "convert the teacher into a single-kind student"),
-        "ild": (cmd_ild, "align student mixer outputs to the teacher layerwise"),
-        "sensitivity": (cmd_sensitivity, "score per-layer KL reduction of swaps"),
-        "smart-select": (cmd_smart_select, "pick attention layer placement"),
-        "compose": (cmd_compose, "assemble a hybrid from two students and a layout"),
-        "distill": (cmd_distill, "end-to-end KL distillation of a student"),
-        "eval": (cmd_eval, "perplexity and KL-to-teacher on held-out data"),
-        "kv-report": (cmd_kv_report, "per-layer cache budget vs full-attention"),
-        "bench": (cmd_bench, "decode throughput and peak cache measurement"),
-    }
-    for name, (fn, help_text) in handlers.items():
-        p = sub.add_parser(name, help=help_text)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
         p.error = parser.error
         p.add_argument("--config", help="JSON config file for this stage")
-        p.add_argument("--seed", type=_u64, default=None,
+        p.add_argument("--seed", type=_int_arg(0, 2 ** 64), default=None,
                        help="override the config seed (u64)")
         p.add_argument("--out", default=None, help="directory for result artifacts")
-        if name == "upcycle":
-            p.add_argument("--kind", choices=("mla", "mamba2"), required=True)
-        if name == "smart-select":
-            p.add_argument("--scores", default=None, help="sensitivity profile JSON")
-            p.add_argument("--n", type=int, default=None,
-                           help="number of attention layers to place")
-        if name == "kv-report":
-            p.add_argument("--layout", default=None, help="layout JSON file")
-            p.add_argument("--tokens", type=int, default=None,
-                           help="sequence length for the byte accounting")
-        if name == "sensitivity":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="eval batches scored in parallel")
-        p.set_defaults(func=fn)
+        for flag, kwargs in stage.flags.items():
+            p.add_argument(f"--{flag}", **kwargs)
+        p.set_defaults(func=stage.run)
     return parser
-
-
-_CONFIG_REQUIRED = {"gen-data", "train-teacher", "upcycle", "ild", "sensitivity",
-                    "compose", "distill", "eval", "kv-report", "bench"}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command in _CONFIG_REQUIRED and not args.config:
-            raise UsageError(f"{args.command} requires --config <file>")
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be >= 1")
-        if getattr(args, "tokens", 1) is not None and getattr(args, "tokens", 1) < 1:
-            raise UsageError("--tokens must be >= 1")
-        if getattr(args, "n", 0) is not None and getattr(args, "n", 0) < 0:
-            raise UsageError("--n must be >= 0")
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, LayoutError, CheckpointError, DivergenceError,
+    except (StageError, ValueError, LayoutError, CheckpointError, DivergenceError,
             nk.KernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:
-    sys.exit(main())

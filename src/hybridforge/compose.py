@@ -341,6 +341,13 @@ def convert_model(
 # hybrid assembly
 
 
+def _layer_kinds(layout: HybridLayout, L: int) -> list[str]:
+    """The kind of each of L layers: MLA at the layout's indices, Mamba2 elsewhere."""
+    layout.validate(L)
+    chosen = set(layout.mla_indices)
+    return [KIND_MLA if i in chosen else KIND_MAMBA2 for i in range(L)]
+
+
 def assemble(
     mla_model: HybridModel,
     mamba_model: HybridModel,
@@ -359,14 +366,12 @@ def assemble(
     for f in skeleton:
         if getattr(a, f) != getattr(b, f):
             raise ValueError(f"source models disagree on cfg.{f}")
-    layout.validate(a.L)
+    kinds = _layer_kinds(layout, a.L)
     if any(k != KIND_MLA for k in a.layer_kinds):
         raise ValueError("first source must be all-MLA")
     if any(k != KIND_MAMBA2 for k in b.layer_kinds):
         raise ValueError("second source must be all-Mamba2")
 
-    chosen = set(layout.mla_indices)
-    kinds = [KIND_MLA if i in chosen else KIND_MAMBA2 for i in range(a.L)]
     cfg = dataclasses.replace(a, layer_kinds=kinds)
     mla_paths, mamba_paths = dict(mla_model.named_tensors()), dict(mamba_model.named_tensors())
     # the mixer kinds share no tensor names, so the SSM side wins exactly the shared paths
@@ -393,9 +398,7 @@ def kv_report(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    layout.validate(cfg.L)
-    chosen = set(layout.mla_indices)
-    kinds = [KIND_MLA if i in chosen else KIND_MAMBA2 for i in range(cfg.L)]
+    kinds = _layer_kinds(layout, cfg.L)
     per_layer = [
         kv_bytes(kind, cfg, mcfg if kind == KIND_MLA else None, t, elem_bytes)
         for kind in kinds
@@ -404,11 +407,10 @@ def kv_report(
     baseline = cfg.L * kv_bytes(KIND_MHA, cfg, None, t, elem_bytes)
     # exact ratio: (sum over MLA layers of r_kv + d_r) / (L * 2 * n_kv * d_h)
     percent = round(100.0 * total / baseline, 2)
-    ssm_elems = (
-        cfg.n_h * cfg.d_h * cfg.d_h
-        + (conv_k - 1) * (2 * cfg.n_kv * cfg.d_h + cfg.n_h * cfg.d_h)
-    )
-    n_mamba = cfg.L - len(chosen)
+    # per SSM layer: the (n_h, d_h, d_h) hidden state and k-1 raw rows of the conv's channels
+    xbc, k = Mamba2Weights.shapes(cfg, k=conv_k)["conv"]
+    ssm_elems = cfg.n_h * cfg.d_h * cfg.d_h + (k - 1) * xbc
+    n_mamba = kinds.count(KIND_MAMBA2)
     return {
         "t": t,
         "elem_bytes": elem_bytes,

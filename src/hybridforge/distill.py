@@ -41,7 +41,6 @@ class DivergenceError(Exception):
 @dataclass
 class TrainConfig:
     steps: int = 200
-    batch_size: int = 8
     learning_rate: float = 3e-3
     warmup_fraction: float = 0.01
     seed: int = 0

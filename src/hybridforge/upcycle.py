@@ -148,32 +148,14 @@ def init_random(
     def gauss(fan_in: int, *shape) -> Tensor:
         return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype))
 
-    if kind == KIND_MHA:
-        out = AttentionWeights(
-            W_Q=gauss(cfg.d, cfg.d, cfg.n_h * cfg.d_h),
-            W_K=gauss(cfg.d, cfg.d, cfg.n_kv * cfg.d_h),
-            W_V=gauss(cfg.d, cfg.d, cfg.n_kv * cfg.d_h),
-            W_O=gauss(cfg.n_h * cfg.d_h, cfg.n_h * cfg.d_h, cfg.d),
-        )
-        out.validate(cfg)
-        return out
-
     if kind == KIND_MLA:
         if mcfg is None:
             raise ValueError("random MLA init needs an MLAConfig")
         mcfg.validate(cfg)
-        out = MLAWeights(
-            W_DQ=gauss(cfg.d, cfg.d, mcfg.r_q),
-            W_UQ=gauss(mcfg.r_q, mcfg.r_q, cfg.n_h * mcfg.d_qk),
-            W_QR=gauss(mcfg.r_q, mcfg.r_q, cfg.n_h * mcfg.d_r),
-            W_DKV=gauss(cfg.d, cfg.d, mcfg.r_kv),
-            W_UK=gauss(mcfg.r_kv, mcfg.r_kv, cfg.n_kv * mcfg.d_qk),
-            W_UV=gauss(mcfg.r_kv, mcfg.r_kv, cfg.n_kv * mcfg.d_v),
-            W_KR=gauss(cfg.d, cfg.d, mcfg.d_r),
-            W_O=gauss(cfg.n_h * mcfg.d_v, cfg.n_h * mcfg.d_v, cfg.d),
-        )
-        out.validate(cfg, mcfg)
-        return out
+    if kind in (KIND_MHA, KIND_MLA):
+        cls = AttentionWeights if kind == KIND_MHA else MLAWeights
+        # one draw per tensor in shape order; fan-in is the row count
+        return cls(**{n: gauss(s[0], *s) for n, s in cls.shapes(cfg, mcfg).items()})
 
     if kind == KIND_MAMBA2:
         # draw x, B, C, then their kernels, each block on its own

@@ -152,7 +152,11 @@ def test_config_bad_json_exits_2(capsys, tmp_path):
     ("gen-data", {"count": 20, "typo_field": 1}),
     ("compose", {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json",
                  "divergence_tol": 1e-6}),
-], ids=["gen-data", "compose"])
+    # batches are packed by the data directory's batch_size, so train has none
+    ("train-teacher", {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4,
+                                 "vocab": 32},
+                       "data": "data", "train": {"steps": 1, "batch_size": 4}}),
+], ids=["gen-data", "compose", "train-batch_size"])
 def test_config_unknown_field_exits_2(capsys, tmp_path, stage, cfg_obj):
     cfg = write_json(tmp_path / "c.json", cfg_obj)
     assert main([stage, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -559,6 +563,19 @@ def test_upcycle_random_arm_differs_from_structured(tmp_path, capsys):
                  "--out", str(out_s)]) == 0
     assert (out_r / "student_mla.hfrg").read_bytes() != \
         (out_s / "student_mla.hfrg").read_bytes()
+
+
+def test_upcycle_ignores_seed_flag(tmp_path, capsys):
+    # --seed does not become the random-init seed: the structured arm stays structured
+    manifest, out_dir = pipeline_workspace(tmp_path)
+    for cmd in load_manifest(manifest).commands()[:2]:
+        assert main(cmd) == 0
+    cfg = str(tmp_path / "configs" / "upcycle_mla.json")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["upcycle", "--kind", "mla", "--config", cfg, "--out", str(out_a)]) == 0
+    assert main(["upcycle", "--kind", "mla", "--config", cfg, "--seed", "7",
+                 "--out", str(out_b)]) == 0
+    assert out_bytes(out_a) == out_bytes(out_b)
 
 
 class _TornFile:
