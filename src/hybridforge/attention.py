@@ -26,6 +26,7 @@ __all__ = [
     "KIND_MLA",
     "KIND_MAMBA2",
     "ModelConfig",
+    "MixerWeights",
     "AttentionWeights",
     "MLAConfig",
     "MLAWeights",
@@ -72,8 +73,29 @@ class ModelConfig:
             raise ValueError("dims and vocab must be positive (vocab >= 2)")
 
 
+class MixerWeights:
+    """One layer's mixer: a record of the tensors ``NAMES`` lists, and nothing else.
+
+    Every dim comes from the model's configs. ``shapes(cfg, mcfg, k)`` gives
+    each tensor's shape; k is the SSM conv width, which no config carries, so
+    a record's own ``conv`` tensor supplies it.
+    """
+
+    NAMES: tuple[str, ...] = ()
+
+    def items(self) -> list[tuple[str, Tensor]]:
+        return [(n, getattr(self, n)) for n in self.NAMES]
+
+    def validate(self, cfg: ModelConfig, mcfg: Optional[MLAConfig] = None) -> None:
+        """Raise ``ValueError`` naming the first tensor whose shape contradicts the configs."""
+        tensors = vars(self)
+        conv = tensors.get("conv")
+        k = None if conv is None else (conv.shape[-1] if conv.ndim else 0)
+        nk.check_shapes(tensors, self.shapes(cfg, mcfg, k))
+
+
 @dataclass
-class AttentionWeights:
+class AttentionWeights(MixerWeights):
     """Plain MHA/GQA projections."""
 
     NAMES = ("W_Q", "W_K", "W_V", "W_O")
@@ -92,12 +114,6 @@ class AttentionWeights:
             "W_V": (cfg.d, cfg.n_kv * cfg.d_h),
             "W_O": (cfg.n_h * cfg.d_h, cfg.d),
         }
-
-    def validate(self, cfg: ModelConfig) -> None:
-        nk.check_shapes(vars(self), self.shapes(cfg))
-
-    def items(self):
-        return [(n, getattr(self, n)) for n in self.NAMES]
 
 
 @dataclass
@@ -124,7 +140,7 @@ class MLAConfig:
 
 
 @dataclass
-class MLAWeights:
+class MLAWeights(MixerWeights):
     """Latent attention parameters: down/up projections plus the rotary key path."""
 
     NAMES = ("W_DQ", "W_UQ", "W_QR", "W_DKV", "W_UK", "W_UV", "W_KR", "W_O")
@@ -139,8 +155,10 @@ class MLAWeights:
     W_O: Tensor    # (n_h * d_v) x d
 
     @staticmethod
-    def shapes(cfg: ModelConfig, mcfg: MLAConfig, k=None) -> dict:
+    def shapes(cfg: ModelConfig, mcfg: Optional[MLAConfig], k=None) -> dict:
         """Expected shape of each tensor; the conv width goes unused."""
+        if mcfg is None:
+            raise ValueError("MLA weights need an MLAConfig")
         return {
             "W_DQ": (cfg.d, mcfg.r_q),
             "W_UQ": (mcfg.r_q, cfg.n_h * mcfg.d_qk),
@@ -151,12 +169,6 @@ class MLAWeights:
             "W_KR": (cfg.d, mcfg.d_r),
             "W_O": (cfg.n_h * mcfg.d_v, cfg.d),
         }
-
-    def validate(self, cfg: ModelConfig, mcfg: MLAConfig) -> None:
-        nk.check_shapes(vars(self), self.shapes(cfg, mcfg))
-
-    def items(self):
-        return [(n, getattr(self, n)) for n in self.NAMES]
 
 
 # ---------------------------------------------------------------------------

@@ -482,9 +482,8 @@ STAGE_ORDER = {stage.name: rank for rank, stage in enumerate(STAGES)}
 # pipeline manifest
 
 
-# every argv key is a --flag of some stage's command
-_MANIFEST_ARGV_KEYS = ("config", "out", "seed", *(f for stage in STAGES for f in stage.flags))
-_MANIFEST_ENTRY_KEYS = (*_MANIFEST_ARGV_KEYS, "outputs", "done")
+# an entry's argv keys are the --flags of its own stage's command
+_COMMON_FLAGS = ("config", "out", "seed")
 _PATH_FLAGS = ("config", "out", "scores", "layout")
 
 
@@ -521,7 +520,8 @@ def load_manifest(path: str) -> PipelineManifest:
     last_rank = -1
     for i, entry in enumerate(raw["stages"]):
         where = f"manifest stage {i}"
-        _check_keys(entry, ("stage",), _MANIFEST_ENTRY_KEYS, where)
+        if not isinstance(entry, dict) or "stage" not in entry:
+            raise StageError(f"{where}: expected a JSON object with a stage")
         stage = _str(entry, "stage", where)
         if stage not in STAGE_ORDER:
             raise StageError(f"{where}: unknown stage {stage!r}")
@@ -529,8 +529,10 @@ def load_manifest(path: str) -> PipelineManifest:
         if rank < last_rank:
             raise StageError(f"{where}: {stage!r} is out of pipeline order")
         last_rank = rank
+        argv_keys = (*_COMMON_FLAGS, *STAGES[rank].flags)
+        _check_keys(entry, ("stage",), (*argv_keys, "outputs", "done"), f"{where} ({stage})")
         argv = []
-        for key in (k for k in _MANIFEST_ARGV_KEYS if k in entry):
+        for key in (k for k in argv_keys if k in entry):
             val = _resolve(path, _str(entry, key, where)) if key in _PATH_FLAGS else entry[key]
             argv += [f"--{key}", str(val)]
         outputs = tuple(_resolve(path, p) for p in entry.get("outputs", []))

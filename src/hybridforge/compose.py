@@ -19,7 +19,7 @@ import os
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .attention import (
     KIND_MLA,
     KIND_MAMBA2,
     AttentionWeights,
+    MixerWeights,
     MLAConfig,
     MLAWeights,
     ModelConfig,
@@ -62,7 +63,6 @@ MAGIC = b"HFRG"
 FORMAT_VERSION = 3
 _ALIGN = 64
 
-MixerWeights = Union[AttentionWeights, MLAWeights, Mamba2Weights]
 MIXERS = {KIND_MHA: AttentionWeights, KIND_MLA: MLAWeights, KIND_MAMBA2: Mamba2Weights}
 
 
@@ -152,7 +152,7 @@ class HybridModel:
             return mha_forward(x, mixer, self.cfg, cache)
         if kind == KIND_MLA:
             return mla_forward(x, mixer, self.cfg, self.mcfg, cache)
-        return mamba2_forward_seq(x, mixer, cache)
+        return mamba2_forward_seq(x, mixer, self.cfg, cache)
 
     def forward(self, ids: np.ndarray, collect_mixer_outputs: bool = False):
         """Teacher-forced logits for (batch, t) or (t,) token ids.
@@ -212,7 +212,7 @@ class HybridModel:
         caches = []
         for kind, layer in zip(self.cfg.layer_kinds, self.layers):
             if kind == KIND_MAMBA2:
-                caches.append(SsmState.empty(layer.mixer, dtype))
+                caches.append(SsmState.empty(self.cfg, layer.mixer.conv.shape[1], dtype))
             else:
                 caches.append(RowCache.empty(row_width(kind, self.cfg, self.mcfg), dtype))
         return caches
@@ -242,7 +242,8 @@ def from_tensors(
     Tensors are taken as they are, not copied; paths the configs do not name
     are ignored. A missing path raises ``KeyError``. A tensor whose shape
     contradicts ``cfg``/``mcfg`` raises ``ValueError`` naming its path. An SSM
-    layer's conv width, which no config carries, is read from its ``conv``.
+    layer's conv width, which no config carries, is read from its ``conv``
+    (``MixerWeights.validate``); a width below 1 is refused the same way.
     """
     if KIND_MLA in cfg.layer_kinds:
         if mcfg is None:
@@ -255,16 +256,13 @@ def from_tensors(
     nk.check_shapes(tensors, top)
     layers = []
     for i, kind in enumerate(cfg.layer_kinds):
-        p, cls, dims = f"layers.{i}.", MIXERS[kind], {}
-        if kind == KIND_MAMBA2:
-            conv_shape = tensors[p + "mixer.conv"].shape
-            dims = dict(n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h,
-                        k=conv_shape[-1] if conv_shape else 0)
-        want = {p + n: s for n, s in block.items()}
-        want.update((f"{p}mixer.{n}", s)
-                    for n, s in cls.shapes(cfg, mcfg, dims.get("k")).items())
-        nk.check_shapes(tensors, want)
-        mixer = cls(**dims, **{n: tensors[f"{p}mixer.{n}"] for n in cls.NAMES})
+        p, cls = f"layers.{i}.", MIXERS[kind]
+        nk.check_shapes(tensors, {p + n: s for n, s in block.items()})
+        mixer = cls(**{n: tensors[f"{p}mixer.{n}"] for n in cls.NAMES})
+        try:
+            mixer.validate(cfg, mcfg)
+        except ValueError as exc:  # the message starts with the tensor's name
+            raise ValueError(f"{p}mixer.{exc}") from None
         layers.append(LayerParams(mixer=mixer, **{n: tensors[p + n] for n in block}))
     return HybridModel(cfg=cfg, mcfg=mcfg, layers=layers, **{n: tensors[n] for n in top})
 
@@ -408,8 +406,8 @@ def kv_report(
     # exact ratio: (sum over MLA layers of r_kv + d_r) / (L * 2 * n_kv * d_h)
     percent = round(100.0 * total / baseline, 2)
     # per SSM layer: the (n_h, d_h, d_h) hidden state and k-1 raw rows of the conv's channels
-    xbc, k = Mamba2Weights.shapes(cfg, k=conv_k)["conv"]
-    ssm_elems = cfg.n_h * cfg.d_h * cfg.d_h + (k - 1) * xbc
+    state = SsmState.empty(cfg, conv_k)
+    ssm_elems = state.h.size + state.tail.size
     n_mamba = kinds.count(KIND_MAMBA2)
     return {
         "t": t,

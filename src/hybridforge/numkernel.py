@@ -109,51 +109,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
-    # operator sugar; the heavy lifting lives in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
@@ -607,11 +567,18 @@ def repeat(a: Tensor, times: int, axis: int) -> Tensor:
     return _make(out, (a,), vjp, "repeat")
 
 
+def _check_ids(ids: np.ndarray, n: int, op: str) -> None:
+    """Refuse ids outside [0, n); numpy would raise IndexError or wrap a negative one."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise KernelError(f"{op} ids must lie in [0, {n}), got {ids.min()}..{ids.max()}")
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``table`` by integer id array; scatter-add on backward."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise KernelError("embedding ids must be integers")
+    _check_ids(ids, table.shape[0], "embedding")
     out = table.data[ids]
     vshape = table.shape
 
@@ -626,6 +593,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def take_last_axis(a: Tensor, ids: np.ndarray) -> Tensor:
     """Select one entry per row along the last axis (label gather)."""
     ids = np.asarray(ids)
+    _check_ids(ids, a.shape[-1], "take_last_axis")
     out = np.take_along_axis(a.data, ids[..., None], axis=-1)[..., 0]
     shape, dtype = a.shape, a.dtype
 
@@ -643,38 +611,20 @@ def take_last_axis(a: Tensor, ids: np.ndarray) -> Tensor:
 
 
 class ParamStore:
-    """Named parameter registry: dotted path -> (Tensor, trainable flag)."""
+    """Named parameter registry: dotted path -> Tensor, every one trainable."""
 
     def __init__(self):
-        self._entries: dict[str, tuple[Tensor, bool]] = {}
+        self._entries: dict[str, Tensor] = {}
 
-    def add(self, path: str, t: Tensor, trainable: bool = True) -> Tensor:
+    def add(self, path: str, t: Tensor) -> Tensor:
         if path in self._entries:
             raise KernelError(f"duplicate parameter path {path!r}")
-        t.requires_grad = bool(trainable)
-        self._entries[path] = (t, bool(trainable))
+        t.requires_grad = True
+        self._entries[path] = t
         return t
 
-    def __getitem__(self, path: str) -> Tensor:
-        return self._entries[path][0]
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def paths(self) -> list[str]:
-        return list(self._entries)
-
-    def items(self) -> Iterator[tuple[str, Tensor, bool]]:
-        for path, (t, trainable) in self._entries.items():
-            yield path, t, trainable
-
     def trainable_items(self) -> Iterator[tuple[str, Tensor]]:
-        for path, (t, trainable) in self._entries.items():
-            if trainable:
-                yield path, t
+        return iter(self._entries.items())
 
 
 def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:

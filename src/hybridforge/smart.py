@@ -100,7 +100,16 @@ class HybridLayout:
 
     @classmethod
     def from_json(cls, text: str) -> "HybridLayout":
-        return cls(mla_indices=json.loads(text)["mla_indices"])
+        """Parse a layout file; a malformed one raises ``ValueError`` naming the field."""
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a layout is a JSON object with an 'mla_indices' list")
+        indices = doc.get("mla_indices")
+        if not isinstance(indices, list):
+            raise ValueError("layout mla_indices: expected a list")
+        if any(type(i) is not int for i in indices):  # JSON types are exact: no bools
+            raise ValueError("layout mla_indices: expected integers")
+        return cls(mla_indices=indices)
 
 
 def gap_bounds(L1: int, LN: int, N: int) -> tuple[int, int]:

@@ -25,28 +25,26 @@ from typing import Optional
 import numpy as np
 
 from . import numkernel as nk
+from .attention import MixerWeights, ModelConfig
 from .numkernel import Tensor
 
 __all__ = ["Mamba2Weights", "SsmState", "mamba2_forward_seq"]
 
 
 @dataclass
-class Mamba2Weights:
+class Mamba2Weights(MixerWeights):
     """In-projection, convolution, and gating parameters for one SSM layer.
 
     ``W_in`` has the column blocks ``[x | B | C | dt]`` of widths n_kv*d_h,
     n_kv*d_h, n_h*d_h and n_h: the value path, the input-gate path, the
     output-read path and the step-size projection. ``conv`` holds one
     depthwise kernel per channel of the first three blocks (``xBC``); the
-    ``dt`` columns skip the convolution.
+    ``dt`` columns skip the convolution. The dims come from ``ModelConfig``,
+    the conv width k from ``conv`` itself.
     """
 
     NAMES = ("W_in", "conv", "a_log", "delta_b", "D", "W_out")
 
-    n_h: int
-    n_kv: int
-    d_h: int
-    k: int
     W_in: Tensor      # d x (2 * n_kv * d_h + n_h * d_h + n_h), blocks [x | B | C | dt]
     conv: Tensor      # (2 * n_kv * d_h + n_h * d_h) x k depthwise kernels over xBC
     a_log: Tensor     # n_h log-magnitudes; decay exponent a = -exp(a_log) < 0
@@ -54,28 +52,13 @@ class Mamba2Weights:
     D: Tensor         # n_h skip coefficients
     W_out: Tensor     # (n_h * d_h) x d
 
-    def __post_init__(self):
-        if self.n_h % self.n_kv != 0:
-            raise ValueError("n_h must be divisible by n_kv")
-        if self.k < 1:
-            raise ValueError("conv width k must be >= 1")
-
-    @property
-    def d(self) -> int:
-        return self.W_in.shape[0]
-
-    @property
-    def xbc_width(self) -> int:
-        """Channels of the convolved ``[x | B | C]`` blocks."""
-        return (2 * self.n_kv + self.n_h) * self.d_h
-
     @staticmethod
-    def shapes(cfg, mcfg=None, k: int = 4) -> dict:
+    def shapes(cfg: ModelConfig, mcfg=None, k: int = 4) -> dict:
         """Expected shape of each tensor for conv width k; the MLA config goes unused.
 
-        ``cfg`` is anything with the dims ``d``, ``n_h``, ``n_kv`` and ``d_h``:
-        a ``ModelConfig``, or the weights themselves.
-        """
+        A width below 1 raises ``ValueError``."""
+        if k < 1:
+            raise ValueError(f"conv width {k} must be >= 1")
         xbc = (2 * cfg.n_kv + cfg.n_h) * cfg.d_h
         return {
             "W_in": (cfg.d, xbc + cfg.n_h),
@@ -85,12 +68,6 @@ class Mamba2Weights:
             "D": (cfg.n_h,),
             "W_out": (cfg.n_h * cfg.d_h, cfg.d),
         }
-
-    def validate(self) -> None:
-        nk.check_shapes(vars(self), self.shapes(self, k=self.k))
-
-    def items(self):
-        return [(n, getattr(self, n)) for n in self.NAMES]
 
     def decay(self) -> np.ndarray:
         """Per-head decay exponents, strictly negative by construction."""
@@ -107,9 +84,11 @@ class SsmState:
     tail: np.ndarray   # (b, k-1, xbc_width) last pre-conv rows; (k-1, xbc_width) when empty
 
     @classmethod
-    def empty(cls, w: Mamba2Weights, dtype=np.float32) -> "SsmState":
-        return cls(h=np.zeros((w.n_h, w.d_h, w.d_h), dtype=dtype),
-                   tail=np.zeros((w.k - 1, w.xbc_width), dtype=dtype))
+    def empty(cls, cfg: ModelConfig, k: int, dtype=np.float32) -> "SsmState":
+        """The zero state of an SSM layer of conv width k."""
+        xbc, k = Mamba2Weights.shapes(cfg, k=k)["conv"]
+        return cls(h=np.zeros((cfg.n_h, cfg.d_h, cfg.d_h), dtype=dtype),
+                   tail=np.zeros((k - 1, xbc), dtype=dtype))
 
     def byte_size(self) -> int:
         return self.h.nbytes + self.tail.nbytes
@@ -118,6 +97,7 @@ class SsmState:
 def mamba2_forward_seq(
     H: Tensor,
     w: Mamba2Weights,
+    cfg: ModelConfig,
     state: Optional[SsmState] = None,
 ) -> tuple[Tensor, Optional[SsmState]]:
     """The mixer over (b, t, d) H; returns the (b, t, d) output and the state.
@@ -126,20 +106,18 @@ def mamba2_forward_seq(
     returned state carries them past H's last token. Without one, the pass
     starts from zeros and returns None for the state.
     """
-    w.validate()
+    w.validate(cfg)
     if H.ndim != 3:
         raise ValueError(f"H must be (batch, t, d), got shape {H.shape}")
-    if H.shape[-1] != w.d:
-        raise ValueError(f"hidden dim {H.shape[-1]} != weight dim {w.d}")
     b, t = H.shape[0], H.shape[1]
     if state is not None and state.h.shape[:-3] not in ((), (b,)):
         raise ValueError(f"state holds a batch of {state.h.shape[0]}, H a batch of {b}")
-    xbc, kv = w.xbc_width, w.n_kv
+    xbc, kv, n_h, d_h = w.conv.shape[0], cfg.n_kv, cfg.n_h, cfg.d_h
 
     proj = nk.matmul(H, w.W_in)
     xbc_pre = nk.getitem(proj, (..., slice(None, xbc)))
     heads = nk.reshape(nk.conv1d_depthwise(xbc_pre, w.conv, state.tail if state else None),
-                       (b, t, 2 * kv + w.n_h, w.d_h))
+                       (b, t, 2 * kv + n_h, d_h))
     x = nk.getitem(heads, (..., slice(None, kv), slice(None)))
     Bp = nk.getitem(heads, (..., slice(kv, 2 * kv), slice(None)))
     Cp = nk.getitem(heads, (..., slice(2 * kv, None), slice(None)))
@@ -147,7 +125,7 @@ def mamba2_forward_seq(
     decay = nk.mul(dt, nk.neg(nk.texp(w.a_log)))  # (b, t, n_h): dt > 0, log-decay < 0
     # x and B keep their n_kv heads; the scan fans them out to the n_h heads
     out, h_last = nk.ssm_scan(x, Bp, Cp, decay, w.D, state.h if state else None, dt=dt)
-    out = nk.matmul(nk.reshape(out, (b, t, w.n_h * w.d_h)), w.W_out)
+    out = nk.matmul(nk.reshape(out, (b, t, n_h * d_h)), w.W_out)
     if state is None:
         return out, None
 

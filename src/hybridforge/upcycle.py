@@ -12,7 +12,7 @@ the freshly converted layer starts out computing attention-like scores.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .attention import (
     KIND_MLA,
     KIND_MAMBA2,
     AttentionWeights,
+    MixerWeights,
     MLAConfig,
     MLAWeights,
     ModelConfig,
@@ -36,9 +37,6 @@ __all__ = [
     "default_step_bias",
     "identity_conv",
 ]
-
-AnyWeights = Union[AttentionWeights, MLAWeights, Mamba2Weights]
-
 
 def init_mla_from_attention(
     w: AttentionWeights, cfg: ModelConfig, mcfg: MLAConfig
@@ -122,15 +120,14 @@ def init_mamba2_from_attention(
     dtype = w.W_Q.dtype
     dt_cols = np.zeros((cfg.d, cfg.n_h), dtype=dtype)
     out = Mamba2Weights(
-        n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h, k=k,
         W_in=Tensor(np.concatenate([w.W_V.data, w.W_K.data, w.W_Q.data, dt_cols], axis=1)),
-        conv=Tensor(identity_conv((2 * cfg.n_kv + cfg.n_h) * cfg.d_h, k, dtype)),
+        conv=Tensor(identity_conv(*Mamba2Weights.shapes(cfg, k=k)["conv"], dtype)),
         a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
         delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
         D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
         W_out=Tensor(w.W_O.data.copy()),
     )
-    out.validate()
+    out.validate(cfg)
     return out
 
 
@@ -141,7 +138,7 @@ def init_random(
     seed: int = 0,
     k: int = 4,
     dtype=np.float32,
-) -> AnyWeights:
+) -> MixerWeights:
     """Scaled Gaussian init (std = 1/sqrt(fan_in)) for any mixer kind."""
     rng = np.random.default_rng(seed)
 
@@ -163,7 +160,6 @@ def init_random(
         proj = [gauss(cfg.d, cfg.d, n).data for n in widths]
         kernels = [gauss(k, n, k).data for n in widths]
         out = Mamba2Weights(
-            n_h=cfg.n_h, n_kv=cfg.n_kv, d_h=cfg.d_h, k=k,
             W_in=Tensor(np.concatenate(proj + [np.zeros((cfg.d, cfg.n_h), dtype)], axis=1)),
             conv=Tensor(np.concatenate(kernels, axis=0)),
             a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
@@ -171,7 +167,7 @@ def init_random(
             D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
             W_out=gauss(cfg.n_h * cfg.d_h, cfg.n_h * cfg.d_h, cfg.d),
         )
-        out.validate()
+        out.validate(cfg)
         return out
 
     raise ValueError(f"unknown mixer kind {kind!r}")

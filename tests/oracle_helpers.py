@@ -213,7 +213,7 @@ def reference_mha(h, w, cfg):
     return np.concatenate(heads, axis=1) @ W["W_O"]
 
 
-def reference_mamba2(h, w):
+def reference_mamba2(h, w, cfg):
     """Straight-line SSM mixer over one (t, d) sequence, in float64.
 
     Slices the x, B, C and dt column blocks out of W_in, convolves each
@@ -222,7 +222,7 @@ def reference_mamba2(h, w):
     the (t, d) output.
     """
     t = h.shape[0]
-    n_h, n_kv, d_h, k = w.n_h, w.n_kv, w.d_h, w.k
+    n_h, n_kv, d_h, k = cfg.n_h, cfg.n_kv, cfg.d_h, w.conv.shape[1]
     group = n_h // n_kv
     W = {name: np.asarray(tns.data, dtype=np.float64) for name, tns in w.items()}
     kv, q = n_kv * d_h, n_h * d_h
@@ -270,7 +270,7 @@ def reference_model(ids, model):
         elif kind == "mla":
             x = x + reference_mla(z, layer.mixer, cfg, model.mcfg)
         else:
-            x = x + reference_mamba2(z, layer.mixer)
+            x = x + reference_mamba2(z, layer.mixer, cfg)
         z = norm(x, layer.norm2)
         gate = z @ layer.mlp_gate.data
         x = x + (gate / (1.0 + np.exp(-gate)) * (z @ layer.mlp_up.data)) @ layer.mlp_down.data

@@ -192,7 +192,7 @@ def test_criterion_04_gradient_correctness(capsys):
     target_m = rng.standard_normal((1, 5, cfg_m.d))
 
     def mamba_loss(p):
-        out, _ = mamba2_forward_seq(h_m, sw)
+        out, _ = mamba2_forward_seq(h_m, sw, cfg_m)
         diff = nk.add(out, nk.neg(Tensor(target_m)))
         return nk.tsum(nk.mul(diff, diff))
 
@@ -260,19 +260,19 @@ def test_criterion_05_cache_state_equivalence(capsys):
         # the chunked scan at the mixer level: a prefill spanning a chunk
         # boundary, then two more pieces, against the straight-line oracle
         Q = nk.SCAN_CHUNK
-        w = init_random(KIND_MAMBA2, ModelConfig(L=1, d=8, n_h=2, n_kv=1, d_h=4,
-                                                 vocab=16),
-                        seed=case, k=3, dtype=np.float64)
+        cfg_m = ModelConfig(L=1, d=8, n_h=2, n_kv=1, d_h=4, vocab=16)
+        w = init_random(KIND_MAMBA2, cfg_m, seed=case, k=3, dtype=np.float64)
         T2 = int(rng.integers(Q + 3, 3 * Q + 1))
         cuts = [int(rng.integers(Q + 1, T2 - 1))]
         cuts.append(int(rng.integers(cuts[0] + 1, T2)))
         h = rng.standard_normal((T2, 8))
-        state, rows = SsmState.empty(w, dtype=np.float64), []
+        state, rows = SsmState.empty(cfg_m, 3, dtype=np.float64), []
         with nk.no_grad():
             for lo, hi in zip([0] + cuts, cuts + [T2]):
-                out, state = mamba2_forward_seq(tensor(h[None, lo:hi], dtype=np.float64), w, state)
+                out, state = mamba2_forward_seq(tensor(h[None, lo:hi], dtype=np.float64), w, cfg_m,
+                                                state)
                 rows.append(out.data[0])
-        worst = max(worst, np.abs(np.concatenate(rows) - reference_mamba2(h, w)).max())
+        worst = max(worst, np.abs(np.concatenate(rows) - reference_mamba2(h, w, cfg_m)).max())
     ok = worst <= 1e-5
     verdict(capsys, 5, ok,
             f"50 randomized prefill/decode splits: cached decode and chunked-scan "

@@ -393,6 +393,26 @@ def test_kv_report_prints_published_percentage(tmp_path, capsys):
     assert report["percent_of_baseline"] == 3.91
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([0, 1], "a layout is a JSON object"),
+    ({"indices": [0]}, "layout mla_indices: expected a list"),
+    ({"mla_indices": 5}, "layout mla_indices: expected a list"),
+    ({"mla_indices": [0.5]}, "layout mla_indices: expected integers"),
+    ({"mla_indices": [True]}, "layout mla_indices: expected integers"),
+], ids=["list", "missing", "not-a-list", "float", "bool"])
+def test_kv_report_refuses_malformed_layout(capsys, tmp_path, doc, message):
+    cfg = write_json(tmp_path / "kv.json", {
+        "model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4, "vocab": 32},
+        "mla": {"r_q": 8, "r_kv": 6, "d_qk": 2, "d_v": 4, "d_r": 2},
+    })
+    layout = write_json(tmp_path / "l.json", doc)
+    out = tmp_path / "o"
+    assert main(["kv-report", "--config", cfg, "--layout", layout, "--tokens", "8",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "kv_report.json").exists()
+
+
 def test_kv_report_requires_layout_and_tokens(capsys, tmp_path):
     cfg = write_json(tmp_path / "kv.json", {
         "model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4, "vocab": 32},
@@ -531,6 +551,36 @@ def test_manifest_done_flag_requires_outputs(tmp_path, capsys):
          "outputs": ["out/missing.npy"]},
     ]})
     assert run_manifest(manifest) == 2
+
+
+def test_manifest_refuses_another_stages_flag_before_running(tmp_path, capsys):
+    # --jobs belongs to sensitivity: the compose entry is refused at load, so
+    # the smart-select entry before it never runs
+    scores = write_json(tmp_path / "scores.json", SCORES_16)
+    manifest = write_json(tmp_path / "m.json", {"stages": [
+        {"stage": "smart-select", "scores": scores, "n": 4, "out": "out"},
+        {"stage": "compose", "config": "c.json", "jobs": 2, "out": "out"},
+    ]})
+    assert run_manifest(manifest) == 2
+    assert "manifest stage 1 (compose): unknown field(s): jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "layout.json").exists()
+
+
+def test_train_teacher_refuses_ids_outside_its_vocab(tmp_path, capsys):
+    # data drawn at vocab 256 fed to a vocab-64 teacher: exit 2, no checkpoint
+    data = write_json(tmp_path / "data.json", {
+        "count": 12, "batch_size": 4,
+        "spec": {"vocab": 256, "seq_len": 9, "copy_span": 6, "copy_every": 4, "seed": 3},
+    })
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", data, "--out", str(out)]) == 0
+    teacher = write_json(tmp_path / "teacher.json", {
+        "model": {"L": 1, "d": 8, "n_h": 2, "n_kv": 1, "d_h": 4, "vocab": 64},
+        "train": {"steps": 2, "log_every": 0}, "data": "out",
+    })
+    assert main(["train-teacher", "--config", teacher, "--out", str(out)]) == 2
+    assert "ids must lie in [0, 64)" in capsys.readouterr().err
+    assert not (out / "teacher.hfrg").exists()
 
 
 def test_manifest_status_reflects_existing_outputs(tmp_path):

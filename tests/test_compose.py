@@ -1,5 +1,6 @@
 """Model container tests: assembly, cache budgeting, checkpoint integrity."""
 
+import dataclasses
 import json
 import warnings
 
@@ -11,11 +12,13 @@ from hybridforge.attention import (
     KIND_MHA,
     KIND_MLA,
     KIND_MAMBA2,
+    MixerWeights,
     MLAConfig,
     ModelConfig,
 )
 from hybridforge.compose import (
     FORMAT_VERSION,
+    MIXERS,
     CheckpointError,
     HybridModel,
     assemble,
@@ -76,6 +79,14 @@ def test_named_tensor_order_and_param_count():
     assert names[1] == "layers.0.norm1"
     assert len(names) == len(set(names))
     assert model.param_count() == sum(t.data.size for _, t in model.named_tensors())
+
+
+def test_mixer_records_share_one_convention():
+    # plain tensor records: no dims of their own, one items() and one validate()
+    for cls in MIXERS.values():
+        assert [f.name for f in dataclasses.fields(cls)] == list(cls.NAMES)
+        assert cls.items is MixerWeights.items
+        assert cls.validate is MixerWeights.validate
 
 
 def test_kind_mixer_mismatch_rejected():
@@ -340,7 +351,7 @@ def test_kv_report_ssm_state_matches_live_states():
     _, mla, mamba = converted_pair(dtype=np.float32)
     hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
     report = kv_report(hybrid.cfg, HybridLayout(mla_indices=[0, 2]), hybrid.mcfg, t=5)
-    per_state = SsmState.empty(hybrid.layers[1].mixer, np.float32).byte_size()
+    per_state = SsmState.empty(hybrid.cfg, hybrid.layers[1].mixer.conv.shape[1]).byte_size()
     assert report["ssm_state_bytes"] == 2 * per_state
 
 
@@ -518,4 +529,14 @@ def test_checkpoint_rejects_mis_shaped_tensors(tmp_path):
 def test_checkpoint_round_trips_conv_width(tmp_path):
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(build_model(toy_cfg(layer_kinds=[KIND_MAMBA2] * 4), conv_k=3), path)
-    assert [layer.mixer.k for layer in load_checkpoint(path).layers] == [3] * 4
+    assert [layer.mixer.conv.shape[1] for layer in load_checkpoint(path).layers] == [3] * 4
+
+
+def test_checkpoint_rejects_conv_width_below_one(tmp_path):
+    # the width is read from the conv tensor, so load refuses it by the tensor's path
+    path = str(tmp_path / "model.hfrg")
+    model = hybrid_model()
+    model.layers[1].mixer.conv = nk.Tensor(model.layers[1].mixer.conv.data[:, :0])
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=r"^layers\.1\.mixer\.conv width 0 must be >= 1"):
+        load_checkpoint(path)

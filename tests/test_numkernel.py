@@ -99,14 +99,6 @@ def test_param_store_rejects_duplicates():
         store.add("w", tensor([2.0]))
 
 
-def test_param_store_trainable_flag():
-    store = ParamStore()
-    store.add("frozen", tensor([1.0], dtype=np.float64), trainable=False)
-    live = store.add("live", tensor([2.0], dtype=np.float64))
-    grads = backward(nk.tsum(nk.mul(live, live)), store)
-    assert set(grads) == {"live"}
-
-
 # ---------------------------------------------------------------------------
 # gradient checks, one primitive at a time
 
@@ -309,6 +301,16 @@ def test_grad_embedding_and_take():
         return nk.tsum(nk.mul(picked, picked))
 
     check_grads(f, store)
+
+
+def test_gathers_refuse_out_of_range_ids():
+    # numpy would raise IndexError past the end and wrap a negative id around
+    table = tensor(np.ones((4, 3)), dtype=np.float64)
+    for ids in ([0, 4], [-1, 2]):
+        with pytest.raises(KernelError, match=r"embedding ids must lie in \[0, 4\)"):
+            nk.embedding(table, np.array(ids))
+        with pytest.raises(KernelError, match=r"take_last_axis ids must lie in \[0, 3\)"):
+            nk.take_last_axis(table, np.array(ids) - 1)
 
 
 def scan_inputs(rng, n=2, t=5, heads=4, groups=2, d_h=2):

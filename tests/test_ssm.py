@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hybridforge.numkernel as nk
+from hybridforge.attention import ModelConfig
 from hybridforge.numkernel import KernelError, Tensor, tensor
 from hybridforge.ssm import Mamba2Weights, SsmState, mamba2_forward_seq
 from oracle_helpers import reference_mamba2
@@ -12,18 +13,26 @@ from test_numkernel import scan_inputs
 D, N_H, N_KV, D_H, K = 12, 4, 2, 3, 4
 
 
-def rand_weights(rng, d=D, n_h=N_H, n_kv=N_KV, d_h=D_H, k=K, scale=0.3):
+def ssm_cfg(d=D, n_h=N_H, n_kv=N_KV, d_h=D_H):
+    """A one-layer config carrying the mixer's dims; vocab goes unused."""
+    return ModelConfig(L=1, d=d, n_h=n_h, n_kv=n_kv, d_h=d_h, vocab=2)
+
+
+CFG = ssm_cfg()
+
+
+def rand_weights(rng, cfg=CFG, k=K, scale=0.3):
     def w(*shape):
         return rng.standard_normal(shape) * scale
 
     # draw x, B, C (projections then kernels) as separate blocks, then fuse them
+    d, n_h, n_kv, d_h = cfg.d, cfg.n_h, cfg.n_kv, cfg.d_h
     widths = (n_kv * d_h, n_kv * d_h, n_h * d_h)
     proj = [w(d, n) for n in widths]
     kernels = [w(n, k) for n in widths]
     a_log = rng.uniform(-1.5, 0.5, n_h)
     dt_cols = w(d, n_h)
     return Mamba2Weights(
-        n_h=n_h, n_kv=n_kv, d_h=d_h, k=k,
         W_in=tensor(np.concatenate(proj + [dt_cols], axis=1), dtype=np.float64),
         conv=tensor(np.concatenate(kernels, axis=0), dtype=np.float64),
         a_log=tensor(a_log, dtype=np.float64),
@@ -33,9 +42,9 @@ def rand_weights(rng, d=D, n_h=N_H, n_kv=N_KV, d_h=D_H, k=K, scale=0.3):
     )
 
 
-def blocks(w):
+def blocks(w, cfg):
     """Column slices of W_in and row slices of conv for x, B, C, plus the dt columns."""
-    kv, h = w.n_kv * w.d_h, w.n_h * w.d_h
+    kv, h = cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h
     cuts = [(0, kv), (kv, 2 * kv), (2 * kv, 2 * kv + h)]
     proj = [w.W_in.data[:, lo:hi] for lo, hi in cuts]
     kernels = [w.conv.data[lo:hi] for lo, hi in cuts]
@@ -45,19 +54,20 @@ def blocks(w):
 def test_weight_validation():
     rng = np.random.default_rng(0)
     w = rand_weights(rng)
-    w.validate()
+    w.validate(CFG)
     assert len(w.items()) == 6
     good = w.W_in
     w.W_in = tensor(np.zeros((D, good.shape[1] - 1)), dtype=np.float64)
     with pytest.raises(ValueError):
-        w.validate()
+        w.validate(CFG)
     w.W_in = good
     w.conv = tensor(np.zeros((w.conv.shape[0], K + 1)), dtype=np.float64)
+    w.validate(CFG)  # the conv width is the conv's own
     with pytest.raises(ValueError):
-        w.validate()
-    with pytest.raises(ValueError):
-        Mamba2Weights(n_h=3, n_kv=2, d_h=4, k=4, **{n: w.W_in for n in
-                      ("W_in", "conv", "a_log", "delta_b", "D", "W_out")})
+        w.validate(ssm_cfg(d_h=D_H + 1))
+    w.conv = tensor(np.zeros((w.conv.shape[0], 0)), dtype=np.float64)
+    with pytest.raises(ValueError, match="conv width 0"):
+        w.validate(CFG)
 
 
 def test_decay_strictly_negative():
@@ -70,10 +80,10 @@ def test_zero_projections_zero_output():
     rng = np.random.default_rng(2)
     w = rand_weights(rng)
     W_in = w.W_in.data.copy()
-    W_in[:, : w.xbc_width] = 0.0  # x, B and C blocks; the dt columns stay
+    W_in[:, : w.conv.shape[0]] = 0.0  # x, B and C blocks; the dt columns stay
     w.W_in = tensor(W_in, dtype=np.float64)
     h = tensor(rng.standard_normal((2, 5, D)), dtype=np.float64)
-    out, state = mamba2_forward_seq(h, w, SsmState.empty(w, dtype=np.float64))
+    out, state = mamba2_forward_seq(h, w, CFG, SsmState.empty(CFG, K, dtype=np.float64))
     assert np.all(out.data == 0)
     assert state.h.shape == (2, N_H, D_H, D_H) and np.all(state.h == 0)
 
@@ -82,7 +92,7 @@ def test_decay_factor_in_unit_interval():
     rng = np.random.default_rng(3)
     w = rand_weights(rng)
     h = rng.standard_normal((20, D)) * 5
-    dt = np.log1p(np.exp(h @ blocks(w)[2] + w.delta_b.data))
+    dt = np.log1p(np.exp(h @ blocks(w, CFG)[2] + w.delta_b.data))
     abar = np.exp(dt * w.decay())
     assert np.all(abar > 0) and np.all(abar < 1)
 
@@ -90,16 +100,17 @@ def test_decay_factor_in_unit_interval():
 def test_infinite_decay_is_memoryless():
     # a -> -inf kills the carried state: each step sees only its own outer product
     rng = np.random.default_rng(4)
-    w = rand_weights(rng, n_h=1, n_kv=1)
+    cfg = ssm_cfg(n_h=1, n_kv=1)
+    w = rand_weights(rng, cfg)
     w.a_log = tensor(np.array([25.0]), dtype=np.float64)  # a = -exp(25), decay ~ 0
     h = tensor(rng.standard_normal((1, 6, D)), dtype=np.float64)
-    out, _ = mamba2_forward_seq(h, w)
+    out, _ = mamba2_forward_seq(h, w, cfg)
 
     # direct per-step formula, no recurrence: y_t = C_t . (dt_t * B_t x_t^T) + D x_t
-    proj, kernels, dt_cols = blocks(w)
+    proj, kernels, dt_cols = blocks(w, cfg)
     with nk.no_grad():
         x, B, C = (
-            nk.conv1d_depthwise(nk.matmul(h, Tensor(p)), Tensor(c)).data[0].reshape(6, 1, w.d_h)
+            nk.conv1d_depthwise(nk.matmul(h, Tensor(p)), Tensor(c)).data[0].reshape(6, 1, D_H)
             for p, c in zip(proj, kernels)
         )
     dt = np.log1p(np.exp(h.data[0] @ dt_cols + w.delta_b.data))
@@ -112,10 +123,10 @@ def test_streaming_two_chunks_matches_full_pass():
     rng = np.random.default_rng(5)
     w = rand_weights(rng)
     h = tensor(rng.standard_normal((1, 9, D)), dtype=np.float64)
-    full, _ = mamba2_forward_seq(h, w)
-    state = SsmState.empty(w, dtype=np.float64)
-    o1, state = mamba2_forward_seq(h[:, :4], w, state)
-    o2, state = mamba2_forward_seq(h[:, 4:], w, state)
+    full, _ = mamba2_forward_seq(h, w, CFG)
+    state = SsmState.empty(CFG, K, dtype=np.float64)
+    o1, state = mamba2_forward_seq(h[:, :4], w, CFG, state)
+    o2, state = mamba2_forward_seq(h[:, 4:], w, CFG, state)
     merged = np.concatenate([o1.data, o2.data], axis=1)
     assert np.abs(merged - full.data).max() <= 1e-5
 
@@ -124,13 +135,13 @@ def test_streaming_random_splits():
     rng = np.random.default_rng(6)
     w = rand_weights(rng)
     h = tensor(rng.standard_normal((1, 12, D)), dtype=np.float64)
-    full, _ = mamba2_forward_seq(h, w)
+    full, _ = mamba2_forward_seq(h, w, CFG)
     for _ in range(8):
         cuts = sorted(rng.choice(np.arange(1, 12), size=2, replace=False).tolist())
-        state = SsmState.empty(w, dtype=np.float64)
+        state = SsmState.empty(CFG, K, dtype=np.float64)
         pieces = []
         for lo, hi in zip([0] + cuts, cuts + [12]):
-            o, state = mamba2_forward_seq(h[:, lo:hi], w, state)
+            o, state = mamba2_forward_seq(h[:, lo:hi], w, CFG, state)
             pieces.append(o.data)
         merged = np.concatenate(pieces, axis=1)
         assert np.abs(merged - full.data).max() <= 1e-5
@@ -140,12 +151,12 @@ def test_token_by_token_decode_matches_full_pass():
     rng = np.random.default_rng(7)
     w = rand_weights(rng)
     h = tensor(rng.standard_normal((1, 8, D)), dtype=np.float64)
-    full, _ = mamba2_forward_seq(h, w)
-    state = SsmState.empty(w, dtype=np.float64)
+    full, _ = mamba2_forward_seq(h, w, CFG)
+    state = SsmState.empty(CFG, K, dtype=np.float64)
     outs = []
     with nk.no_grad():
         for i in range(8):
-            o, state = mamba2_forward_seq(h[:, i : i + 1], w, state)
+            o, state = mamba2_forward_seq(h[:, i : i + 1], w, CFG, state)
             outs.append(o.data)
     assert np.abs(np.concatenate(outs, axis=1) - full.data).max() <= 1e-5
 
@@ -156,8 +167,8 @@ def test_causality_exact():
     h1 = rng.standard_normal((10, D))
     h2 = h1.copy()
     h2[6] += 4.0
-    o1, _ = mamba2_forward_seq(tensor(h1[None], dtype=np.float64), w)
-    o2, _ = mamba2_forward_seq(tensor(h2[None], dtype=np.float64), w)
+    o1, _ = mamba2_forward_seq(tensor(h1[None], dtype=np.float64), w, CFG)
+    o2, _ = mamba2_forward_seq(tensor(h2[None], dtype=np.float64), w, CFG)
     assert np.array_equal(o1.data[:, :6], o2.data[:, :6])
     assert not np.array_equal(o1.data[:, 6:], o2.data[:, 6:])
 
@@ -167,13 +178,13 @@ def test_state_bytes_independent_of_position():
     w32 = rand_weights(rng)
     # accounting only: stream 10 vs 10,000 tokens, state footprint unchanged
     with nk.no_grad():
-        state = SsmState.empty(w32, dtype=np.float64)
+        state = SsmState.empty(CFG, K, dtype=np.float64)
         _, state = mamba2_forward_seq(
-            tensor(rng.standard_normal((1, 10, D)), dtype=np.float64), w32, state
+            tensor(rng.standard_normal((1, 10, D)), dtype=np.float64), w32, CFG, state
         )
         b10 = state.byte_size()
         _, state = mamba2_forward_seq(
-            tensor(rng.standard_normal((1, 9990, D)), dtype=np.float64), w32, state
+            tensor(rng.standard_normal((1, 9990, D)), dtype=np.float64), w32, CFG, state
         )
         b10k = state.byte_size()
     assert b10 == b10k > 0
@@ -241,10 +252,10 @@ def test_graph_and_fast_paths_agree():
     store = nk.ParamStore()
     for name, t in w.items():
         store.add(name, t)
-    recorded, _ = mamba2_forward_seq(h, w)
+    recorded, _ = mamba2_forward_seq(h, w, CFG)
     assert recorded._parents  # the pass really was recorded
     with nk.no_grad():
-        plain, _ = mamba2_forward_seq(h, w)
+        plain, _ = mamba2_forward_seq(h, w, CFG)
     assert np.array_equal(recorded.data, plain.data)
 
 
@@ -252,16 +263,17 @@ def test_batched_matches_loop():
     rng = np.random.default_rng(14)
     w = rand_weights(rng)
     hb = rng.standard_normal((3, 5, D))
-    batched, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w)
+    batched, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w, CFG)
     assert state is None
     for i in range(3):
-        single, _ = mamba2_forward_seq(tensor(hb[i:i + 1], dtype=np.float64), w)
+        single, _ = mamba2_forward_seq(tensor(hb[i:i + 1], dtype=np.float64), w, CFG)
         assert np.abs(batched.data[i] - single.data[0]).max() <= 1e-12
 
 
 def test_grad_check_small():
     rng = np.random.default_rng(15)
-    w = rand_weights(rng, d=6, n_h=2, n_kv=1, d_h=2, k=3)
+    cfg = ssm_cfg(d=6, n_h=2, n_kv=1, d_h=2)
+    w = rand_weights(rng, cfg, k=3)
     store = nk.ParamStore()
     for name, t in w.items():
         store.add(name, t)
@@ -269,7 +281,7 @@ def test_grad_check_small():
     target = rng.standard_normal((1, 4, 6))
 
     def f(p):
-        out, _ = mamba2_forward_seq(h, w)
+        out, _ = mamba2_forward_seq(h, w, cfg)
         diff = nk.add(out, nk.neg(Tensor(target)))
         return nk.tsum(nk.mul(diff, diff))
 
@@ -286,18 +298,19 @@ def test_grad_check_small():
 def test_mamba2_matches_reference_oracle(n_kv):
     # batched without a state, and random prefill/decode splits with one
     rng = np.random.default_rng(50 + n_kv)
-    w = rand_weights(rng, d=16, n_h=4, n_kv=n_kv, d_h=3, k=4)
+    cfg = ssm_cfg(d=16, n_h=4, n_kv=n_kv, d_h=3)
+    w = rand_weights(rng, cfg, k=4)
     hb = rng.standard_normal((3, 9, 16))
-    want = np.stack([reference_mamba2(x, w) for x in hb])
-    out, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w)
+    want = np.stack([reference_mamba2(x, w, cfg) for x in hb])
+    out, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w, cfg)
     assert state is None
     assert np.abs(out.data - want).max() <= 1e-12
     for _ in range(6):
         cuts = np.sort(rng.choice(np.arange(1, 9), size=3, replace=False))
-        state = SsmState.empty(w, dtype=np.float64)
+        state = SsmState.empty(cfg, 4, dtype=np.float64)
         outs = []
         for lo, hi in zip((0, *cuts), (*cuts, 9)):
-            o, state = mamba2_forward_seq(tensor(hb[:1, lo:hi], dtype=np.float64), w, state)
+            o, state = mamba2_forward_seq(tensor(hb[:1, lo:hi], dtype=np.float64), w, cfg, state)
             outs.append(o.data[0])
         assert np.abs(np.concatenate(outs) - want[0]).max() <= 1e-12
 
@@ -310,9 +323,9 @@ def test_decode_step_op_count(monkeypatch):
     cfg = ModelConfig(L=1, d=64, n_h=4, n_kv=2, d_h=16, vocab=32)
     w = init_random(KIND_MAMBA2, cfg, seed=0, k=4)
     rng = np.random.default_rng(16)
-    state = SsmState.empty(w)
+    state = SsmState.empty(cfg, 4)
     with nk.no_grad():
-        _, state = mamba2_forward_seq(tensor(rng.standard_normal((1, 5, 64))), w, state)
+        _, state = mamba2_forward_seq(tensor(rng.standard_normal((1, 5, 64))), w, cfg, state)
     ops = []
     make = nk._make
 
@@ -322,7 +335,7 @@ def test_decode_step_op_count(monkeypatch):
 
     monkeypatch.setattr(nk, "_make", counting)
     with nk.no_grad():
-        mamba2_forward_seq(tensor(rng.standard_normal((1, 1, 64))), w, state)
+        mamba2_forward_seq(tensor(rng.standard_normal((1, 1, 64))), w, cfg, state)
     assert len(ops) <= 16, ops
     assert "repeat" not in ops and "exp" not in ops[ops.index("mul"):]
     assert ops.count("conv1d_depthwise") == 1

@@ -177,7 +177,7 @@ def test_mamba_init_identity_conv_and_defaults():
     dt0 = np.log1p(np.exp(m.delta_b.data))
     assert dt0.min() >= 0.001 - 1e-9 and dt0.max() <= 0.1 + 1e-9
     assert np.all(m.D.data == 1.0)
-    assert np.all(m.W_in.data[:, m.xbc_width:] == 0.0)  # dt block
+    assert np.all(m.W_in.data[:, m.conv.shape[0]:] == 0.0)  # dt block
 
 
 def test_mamba_init_single_step_hand_oracle():
@@ -186,7 +186,7 @@ def test_mamba_init_single_step_hand_oracle():
     w = rand_attn(cfg, rng)
     m = init_mamba2_from_attention(w, cfg, k=4)
     h = rng.standard_normal((1, cfg.d))
-    out, _ = mamba2_forward_seq(tensor(h[None], dtype=np.float64), m)
+    out, _ = mamba2_forward_seq(tensor(h[None], dtype=np.float64), m, cfg)
 
     # by hand: identity conv means the paths are plain projections at t=1
     group = cfg.n_h // cfg.n_kv
@@ -205,7 +205,8 @@ def test_mamba_init_mha_source_degenerate_replication():
     rng = np.random.default_rng(11)
     w = rand_attn(cfg, rng)
     m = init_mamba2_from_attention(w, cfg)
-    assert m.n_kv == m.n_h  # replication is the identity
+    # replication is the identity: x, B and C are each n_h heads wide
+    assert m.W_in.shape == (cfg.d, 3 * cfg.n_h * cfg.d_h + cfg.n_h)
 
 
 # ---------------------------------------------------------------------------
