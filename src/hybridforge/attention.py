@@ -296,7 +296,7 @@ def _rows_so_far(
     if not cache.t:
         return new_rows, grown
     past = cache.rows.reshape((b, cache.t) + new_rows.shape[2:])
-    return nk.concat([Tensor(past), new_rows], axis=1), grown
+    return nk.concat([Tensor(past, op="cache"), new_rows], axis=1), grown
 
 
 def _attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:

@@ -535,8 +535,12 @@ def load_manifest(path: str) -> PipelineManifest:
         for key in (k for k in argv_keys if k in entry):
             val = _resolve(path, _str(entry, key, where)) if key in _PATH_FLAGS else entry[key]
             argv += [f"--{key}", str(val)]
-        outputs = tuple(_resolve(path, p) for p in entry.get("outputs", []))
-        done = bool(entry.get("done", False))
+        outputs, done = entry.get("outputs", []), entry.get("done", False)
+        if not isinstance(outputs, list) or not all(isinstance(p, str) for p in outputs):
+            raise StageError(f"{where}: outputs must be a list of strings")
+        if not isinstance(done, bool):
+            raise StageError(f"{where}: done must be true or false")
+        outputs = tuple(_resolve(path, p) for p in outputs)
         if done and not outputs:
             raise StageError(f"{where}: marked done but lists no outputs")
         for p in outputs if done else ():

@@ -130,9 +130,6 @@ class HybridModel:
             store.add(name, t)
         return store
 
-    def param_count(self) -> int:
-        return sum(t.data.size for _, t in self.named_tensors())
-
     def astype(self, dtype) -> "HybridModel":
         return self._map(lambda t: Tensor(t.data.astype(dtype)))
 

@@ -244,10 +244,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
 
 def eval_model(
     model: HybridModel,

@@ -6,8 +6,9 @@ RMS normalization, causal depthwise 1-d convolution, rotary rotation, the
 gated state-space recurrence, and shape surgery (slice / reshape / transpose /
 concat / repeat / gather).
 Each primitive records its inputs and a vector-Jacobian closure so that
-``backward`` can return exact gradients, which are in turn checked against
-``finite_diff_grad`` in the test suite.
+``backward`` can return exact gradients. Ops that make values check them for
+finiteness; ops that only move checked values (slice, reshape, transpose,
+concat) do not.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "check_shapes",
     "svd_truncated",
     "backward",
-    "finite_diff_grad",
 ]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -79,6 +79,12 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
+# Ops whose output only moves values that were checked when they were made, so
+# a Tensor built by one skips the check. "cache" wraps decode-cache rows, each
+# checked by the op that made it before it was cached.
+_MOVES = frozenset({"getitem", "reshape", "transpose", "concat", "cache"})
+
+
 class Tensor:
     """A float32/float64 ndarray plus the graph edge that produced it."""
 
@@ -88,7 +94,8 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        _check_finite(arr, op)
+        if op not in _MOVES:
+            _check_finite(arr, op)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -512,6 +519,7 @@ def ssm_scan(
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    """A slice of ``a``: a view of it under no-grad, a contiguous copy when recorded."""
     out = a.data[idx]
     shape, dtype = a.shape, a.dtype
 
@@ -520,7 +528,9 @@ def getitem(a: Tensor, idx) -> Tensor:
         ga[idx] += g
         return (ga,)
 
-    return _make(np.ascontiguousarray(out), (a,), vjp, "getitem")
+    if _recording((a,)):
+        out = np.ascontiguousarray(out)
+    return _make(out, (a,), vjp, "getitem")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -673,34 +683,6 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
     for path, t in params.trainable_items():
         g = grads.get(id(t))
         out[path] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.dtype)
-    return out
-
-
-def finite_diff_grad(
-    f: Callable[[ParamStore], float], params: ParamStore, eps: float = 1e-5
-) -> dict[str, np.ndarray]:
-    """Central-difference gradient estimate, one coordinate at a time.
-
-    The verification oracle for ``backward``: f is evaluated 2*n times with
-    each coordinate perturbed by +/-eps while everything else stays fixed.
-    """
-    if eps <= 0:
-        raise KernelError("eps must be positive")
-    out: dict[str, np.ndarray] = {}
-    for path, t in params.trainable_items():
-        flat = t.data.reshape(-1)
-        grad = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f(params)
-            flat[i] = orig - eps
-            lo = f(params)
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise KernelError(f"objective non-finite while probing {path}[{i}]")
-            grad[i] = (hi - lo) / (2.0 * eps)
-        out[path] = grad.reshape(t.shape)
     return out
 
 

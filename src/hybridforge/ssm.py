@@ -69,10 +69,6 @@ class Mamba2Weights(MixerWeights):
             "W_out": (cfg.n_h * cfg.d_h, cfg.d),
         }
 
-    def decay(self) -> np.ndarray:
-        """Per-head decay exponents, strictly negative by construction."""
-        return -np.exp(self.a_log.data)
-
 
 @dataclass
 class SsmState:

@@ -11,7 +11,35 @@ nothing else.
 
 import numpy as np
 
+from hybridforge.numkernel import KernelError
 from hybridforge.smart import LayoutError, gap_bounds
+
+
+def finite_diff_grad(f, params, eps: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central-difference gradient estimate, one coordinate at a time.
+
+    The verification oracle for ``backward``: f is evaluated 2*n times with
+    each coordinate of the ParamStore perturbed by +/-eps while everything
+    else stays fixed.
+    """
+    if eps <= 0:
+        raise KernelError("eps must be positive")
+    out: dict[str, np.ndarray] = {}
+    for path, t in params.trainable_items():
+        flat = t.data.reshape(-1)
+        grad = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = f(params)
+            flat[i] = orig - eps
+            lo = f(params)
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise KernelError(f"objective non-finite while probing {path}[{i}]")
+            grad[i] = (hi - lo) / (2.0 * eps)
+        out[path] = grad.reshape(t.shape)
+    return out
 
 
 def reconstruct_query(mla_w, cfg, mcfg) -> np.ndarray:

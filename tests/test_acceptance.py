@@ -44,8 +44,8 @@ from hybridforge.ssm import SsmState, mamba2_forward_seq
 from hybridforge.upcycle import init_mla_from_attention, init_random
 from hybridforge.cli import load_manifest
 
-from oracle_helpers import (enumerate_valid_configs, reconstruct_kv, reconstruct_query,
-                            reference_mamba2, reference_select)
+from oracle_helpers import (enumerate_valid_configs, finite_diff_grad, reconstruct_kv,
+                            reconstruct_query, reference_mamba2, reference_select)
 from test_cli import pipeline_workspace
 from test_upcycle import full_rank_mcfg, rand_attn
 
@@ -147,7 +147,7 @@ def test_criterion_03_svd_init_exactness(capsys):
 
 def _grad_worst(loss_fn, store) -> tuple[float, int]:
     analytic = nk.backward(loss_fn(store), store)
-    numeric = nk.finite_diff_grad(lambda p: loss_fn(p).item(), store, eps=1e-5)
+    numeric = finite_diff_grad(lambda p: loss_fn(p).item(), store, eps=1e-5)
     worst = 0.0
     coords = 0
     for path in analytic:

@@ -553,6 +553,21 @@ def test_manifest_done_flag_requires_outputs(tmp_path, capsys):
     assert run_manifest(manifest) == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("outputs", 5, "outputs must be a list of strings"),
+    ("outputs", [3], "outputs must be a list of strings"),
+    ("outputs", "out/a.npy", "outputs must be a list of strings"),
+    ("done", "yes", "done must be true or false"),
+    ("done", 1, "done must be true or false"),
+])
+def test_manifest_rejects_mistyped_outputs_and_done(tmp_path, capsys, field, value, message):
+    manifest = write_json(tmp_path / "m.json", {"stages": [
+        {"stage": "gen-data", "config": "d.json", field: value},
+    ]})
+    assert run_manifest(manifest) == 2
+    assert f"manifest stage 0: {message}" in capsys.readouterr().err
+
+
 def test_manifest_refuses_another_stages_flag_before_running(tmp_path, capsys):
     # --jobs belongs to sensitivity: the compose entry is refused at load, so
     # the smart-select entry before it never runs

@@ -78,7 +78,11 @@ def test_named_tensor_order_and_param_count():
     assert names[-1] == "head"
     assert names[1] == "layers.0.norm1"
     assert len(names) == len(set(names))
-    assert model.param_count() == sum(t.data.size for _, t in model.named_tensors())
+    # every parameter listed once: embed, head, final norm, and per MHA block
+    # two norms, four projections and a 2d-wide gated MLP
+    d, hd, kvd = 16, 4 * 4, 2 * 4
+    layer = 2 * d + (2 * d * hd + 2 * d * kvd) + 3 * d * 2 * d
+    assert sum(t.data.size for _, t in model.named_tensors()) == 2 * 32 * d + d + 4 * layer
 
 
 def test_mixer_records_share_one_convention():
@@ -284,6 +288,54 @@ def test_kernel_error_names_its_layer():
     hybrid.layers[3].norm2.data[:] = np.inf
     with pytest.raises(nk.KernelError, match=r"^layers\.3\.mlp: rms_norm produced"):
         hybrid.forward(ids)
+
+
+def test_nan_is_reported_where_a_value_is_made():
+    # W_UK passes through a reshape and a transpose, which only move values,
+    # before its first matmul: that matmul reports the NaN, behind its layer
+    _, mla, _ = converted_pair()
+    mla.layers[2].mixer.W_UK.data[0, 0] = np.nan
+    ids = np.arange(6) % 32
+    with pytest.raises(nk.KernelError, match=r"^layers\.2\.mixer: matmul produced"):
+        mla.forward(ids)
+    with pytest.raises(nk.KernelError, match=r"^layers\.2\.mixer: matmul produced"):
+        mla.forward_cached(ids, mla.init_caches(np.float64))
+
+
+def test_decode_checks_only_the_values_a_step_makes(monkeypatch):
+    # a cached row adds only its score and softmax entry per head to the
+    # elements a single-token MLA step checks; the rows were checked when made
+    cfg = toy_cfg(layer_kinds=[KIND_MLA] * 4)
+    model = build_model(cfg, toy_mcfg(), seed=5)
+    ids = np.random.default_rng(7).integers(0, cfg.vocab, size=513)
+    checked = []
+    check = nk._check_finite
+
+    def counting(arr, op):
+        checked.append(arr.size)
+        return check(arr, op)
+
+    monkeypatch.setattr(nk, "_check_finite", counting)
+
+    def step_elements(rows):
+        with nk.no_grad():
+            _, caches = model.forward_cached(ids[:rows], model.init_caches())
+            checked.clear()
+            model.forward_cached(ids[rows : rows + 1], caches)
+        return sum(checked)
+
+    per_row_per_layer = (step_elements(512) - step_elements(64)) / (448 * cfg.L)
+    assert per_row_per_layer <= 2 * cfg.n_h
+
+
+def test_moves_share_memory_only_outside_the_graph():
+    a = nk.tensor(np.arange(24.0).reshape(2, 3, 4))
+    with nk.no_grad():
+        assert np.shares_memory(nk.getitem(a, (..., slice(1, 3))).data, a.data)
+        assert not np.shares_memory(nk.transpose(a, (0, 2, 1)).data, a.data)
+    p = nk.tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    assert not np.shares_memory(nk.getitem(p, (..., slice(1, 3))).data, p.data)
+    assert not np.shares_memory(nk.transpose(p, (0, 2, 1)).data, p.data)
 
 
 # -- cache budget report ----------------------------------------------------------

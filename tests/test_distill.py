@@ -19,7 +19,8 @@ from hybridforge.distill import (
     run_ild,
     run_kd,
 )
-from hybridforge.numkernel import ParamStore, Tensor, backward, finite_diff_grad, tensor
+from hybridforge.numkernel import ParamStore, Tensor, backward, tensor
+from oracle_helpers import finite_diff_grad
 
 
 def check_grads(f, params, tol=1e-4, eps=1e-5):

@@ -1,5 +1,7 @@
 """Harness tests: stream determinism, teacher training, evaluation, bench."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ def test_eval_model_validation():
 
 def test_eval_report_json_round_trip():
     report = EvalReport(perplexity=12.5, mean_kl_to_teacher=0.25)
-    again = EvalReport.from_json(report.to_json())
+    again = EvalReport(**json.loads(report.to_json()))
     assert again == report
     assert "null" in report.to_json()  # unset fields serialize explicitly
 

@@ -10,12 +10,11 @@ from hybridforge.numkernel import (
     ParamStore,
     Tensor,
     backward,
-    finite_diff_grad,
     no_grad,
     svd_truncated,
     tensor,
 )
-from oracle_helpers import reference_ssm_scan
+from oracle_helpers import finite_diff_grad, reference_ssm_scan
 
 
 def rel_err(a, b):
