@@ -4,9 +4,13 @@ Both mixers are one computation: causal softmax attention over per-token
 cache rows, where a group of query heads shares one set of keys and values.
 They differ only in what a row holds. An MHA row holds each kv head's
 [key | value]; an MLA row holds the compressed latent and the shared rotary
-key, [c_kv | k_r], which the queries score directly. Each mixer runs on
-(batch, t, d) input, both in a whole-sequence pass used in training and in
-cached decode over a ``RowCache`` with the same batch. Byte accounting for
+key, [c_kv | k_r], which the queries score directly. Both hand their
+queries, keys and values to one kernel, ``numkernel.attend``: MHA passes
+(b, n_kv, g, t, d_h) queries against (b, n_kv, 1, T, d_h) keys, MLA
+(b, n_h, t, dk) queries against one (b, 1, T, dk) set of rows. Each mixer
+runs on (batch, t, d) input, both in a whole-sequence pass used in training
+and in cached decode over a ``RowCache`` with the same batch; a decode step
+under no-grad reads the cached rows in place. Byte accounting for
 every layer kind lives here as well (``row_width``, ``kv_bytes``), since
 cache size is the quantity the rest of the toolkit budgets against.
 """
@@ -257,14 +261,6 @@ def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     return nk.rope_rotate(x, positions, base)
 
 
-def _causal_mask(t_new: int, t_total: int, dtype) -> np.ndarray:
-    # query row i (absolute position t_total - t_new + i) may see keys 0..abs(i)
-    offset = t_total - t_new
-    rows = np.arange(t_new)[:, None] + offset
-    cols = np.arange(t_total)[None, :]
-    return np.where(cols > rows, np.array(nk.NEG_MASK, dtype), np.array(0, dtype))
-
-
 def _start(H: Tensor, cache: Optional[RowCache]) -> np.ndarray:
     """The absolute positions of the tokens of the (b, t, d) input H."""
     if H.ndim != 3:
@@ -285,36 +281,21 @@ def _rows_so_far(
 ) -> tuple[Tensor, Optional[RowCache]]:
     """Rows of every position seen so far, (b, T, ...), and the grown cache.
 
-    new_rows is (b, t, ...), one cache row per token. The new rows join the
-    cached ones through a recorded concat rather than being read back from
-    the cache, so their gradient reaches the projections.
+    new_rows is (b, t, ...), one cache row per token. Under no-grad the rows
+    are a view of the grown cache's buffer, read in place. Otherwise the new
+    rows join the cached ones through a concat, so the gradient of a
+    recorded pass reaches the projections.
     """
     if cache is None:
         return new_rows, None
-    b, t = new_rows.shape[:2]
+    b, t, per_row = new_rows.shape[0], new_rows.shape[1], new_rows.shape[2:]
     grown = cache.appended(new_rows.data.reshape(b, t, -1))
+    if not nk.grad_enabled():
+        return Tensor(grown.rows.reshape((b, grown.t) + per_row), op="cache"), grown
     if not cache.t:
         return new_rows, grown
-    past = cache.rows.reshape((b, cache.t) + new_rows.shape[2:])
+    past = cache.rows.reshape((b, cache.t) + per_row)
     return nk.concat([Tensor(past, op="cache"), new_rows], axis=1), grown
-
-
-def _attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
-    """Causal softmax attention of grouped queries over shared keys and values.
-
-    q is (b, heads..., t, dk), already scaled. keys (b, heads..., T, dk) and
-    values (b, heads..., T, dv) have size 1 on the head axes along which
-    query heads share them: MHA passes (b, n_kv, g, t, d_h) queries against
-    (b, n_kv, 1, T, d_h) keys, MLA (b, n_h, t, dk) queries against one
-    (b, 1, T, dk) set of rows. The t queries are the last t of the T
-    positions. Returns the (b, heads..., t, dv) context.
-    """
-    t, T, n = q.shape[-2], keys.shape[-2], keys.ndim
-    scores = nk.matmul(q, nk.transpose(keys, tuple(range(n - 2)) + (n - 1, n - 2)))
-    if t > 1:  # a single query is the newest position and sees every key
-        scores = nk.add(scores, Tensor(_causal_mask(t, T, scores.dtype)))
-    attn = nk.softmax(scores, axis=-1)
-    return nk.matmul(attn, values)
 
 
 def mha_forward(
@@ -347,7 +328,7 @@ def mha_forward(
 
     rows, new_cache = _rows_so_far(new_rows, cache)
     kv = nk.transpose(rows, (0, 2, 3, 1, 4))                 # (b, n_kv, 1, T, 2*d_h)
-    ctx = _attend(q, nk.getitem(kv, (..., slice(0, d_h))), nk.getitem(kv, (..., slice(d_h, None))))
+    ctx = nk.attend(q, nk.getitem(kv, (..., slice(0, d_h))), nk.getitem(kv, (..., slice(d_h, None))))
     return _finish(ctx, w.W_O), new_cache
 
 
@@ -393,7 +374,7 @@ def mla_forward(
 
     rows, new_cache = _rows_so_far(new_rows, cache)
     rows = nk.reshape(rows, (b, 1, rows.shape[1], width))   # shared by all n_h heads
-    ctx = _attend(q, rows, nk.getitem(rows, (..., slice(0, r_kv))))  # (b, n_h, t, r_kv)
+    ctx = nk.attend(q, rows, nk.getitem(rows, (..., slice(0, r_kv))))  # (b, n_h, t, r_kv)
     ctx = nk.matmul(nk.reshape(ctx, (b, n_kv, g * t, r_kv)), w_uv)
     return _finish(nk.reshape(ctx, (b, cfg.n_h, t, mcfg.d_v)), w.W_O), new_cache
 

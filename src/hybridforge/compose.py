@@ -187,23 +187,27 @@ class HybridModel:
         kind, weights and MLA config) between this model's norms and MLP.
         A ``KernelError`` is re-raised behind its sublayer's path:
         ``layers.{i}.mixer`` for the mixer, ``layers.{i}.mlp`` for norms and MLP.
+        Overflow and invalid-value warnings are silenced; the finiteness
+        checks report such values instead.
         """
         layer, part = self.layers[i], "mlp"
         try:
-            z = nk.rms_norm(x, layer.norm1)
-            part = "mixer"
-            mixed, c = (mixer_from or self)._mix(z, i, cache)
-            part = "mlp"
-            x = nk.add(x, mixed)
-            z = nk.rms_norm(x, layer.norm2)
-            gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
-            return nk.add(x, nk.matmul(gated, layer.mlp_down)), c, mixed
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = nk.rms_norm(x, layer.norm1)
+                part = "mixer"
+                mixed, c = (mixer_from or self)._mix(z, i, cache)
+                part = "mlp"
+                x = nk.add(x, mixed)
+                z = nk.rms_norm(x, layer.norm2)
+                gated = nk.mul(nk.silu(nk.matmul(z, layer.mlp_gate)), nk.matmul(z, layer.mlp_up))
+                return nk.add(x, nk.matmul(gated, layer.mlp_down)), c, mixed
         except nk.KernelError as exc:
             raise type(exc)(f"layers.{i}.{part}: {exc}") from exc
 
     def logits(self, x: Tensor) -> Tensor:
         """Final norm and output head over the stream leaving the last block."""
-        return nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
 
     def init_caches(self, dtype=np.float32) -> list:
         caches = []

@@ -2,13 +2,14 @@
 
 Everything downstream (attention, SSM, distillation losses) is built from the
 small set of primitives here: matmul, elementwise arithmetic, softmax family,
-RMS normalization, causal depthwise 1-d convolution, rotary rotation, the
-gated state-space recurrence, and shape surgery (slice / reshape / transpose /
-concat / repeat / gather).
+RMS normalization, causal depthwise 1-d convolution, rotary rotation, causal
+softmax attention (``attend``), the gated state-space recurrence, and shape
+surgery (slice / reshape / transpose / concat / repeat / gather).
 Each primitive records its inputs and a vector-Jacobian closure so that
 ``backward`` can return exact gradients. Ops that make values check them for
 finiteness; ops that only move checked values (slice, reshape, transpose,
-concat) do not.
+concat) do not. Under no-grad a slice or transpose is a view of its input;
+a recorded one is a contiguous copy.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def mul(a, b) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise KernelError("matmul requires operands with ndim >= 2")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a.data @ b.data
+    out = a.data @ b.data
     ad, bd = a.data, b.data
 
     def vjp(g):
@@ -309,11 +309,52 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), vjp, "log_softmax")
 
 
+def _causal_mask(t: int, T: int, dtype) -> np.ndarray:
+    """(t, T) additive mask: query i, at position T - t + i, sees keys 0 .. T - t + i."""
+    rows = np.arange(t)[:, None] + (T - t)
+    return np.where(np.arange(T)[None, :] > rows, np.array(NEG_MASK, dtype), np.array(0, dtype))
+
+
+def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
+    """Causal softmax attention, softmax(q keys^T + mask) values, as one op.
+
+    q is (..., t, dk), keys (..., T, dk) and values (..., T, dv); the leading
+    axes broadcast, so a size-1 head axis of keys and values is shared by the
+    query heads along it. The t queries are the last t of the T positions. The
+    scores are masked, exponentiated and normalized in place in one (..., t, T)
+    array, and those probabilities are all the vjp keeps. Only the scores and
+    the output are checked: finite scores give probabilities in [0, 1] over a
+    sum >= 1.
+    """
+    qd, kd, vd = q.data, keys.data, values.data
+    t, T = qd.shape[-2], kd.shape[-2]
+    if t > T or vd.shape[-2] != T or kd.shape[-1] != qd.shape[-1]:
+        raise KernelError(f"attend: mismatched shapes q {q.shape}, keys {keys.shape}, "
+                          f"values {values.shape}")
+    p = _check_finite(qd @ np.swapaxes(kd, -1, -2), "attend")
+    if t > 1:  # a single query is the newest position and sees every key
+        p += _causal_mask(t, T, p.dtype)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gs = g @ np.swapaxes(vd, -1, -2)  # d/dp, then in place d/dscores
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gk = np.swapaxes(np.swapaxes(qd, -1, -2) @ gs, -1, -2)
+        return (_unbroadcast(gs @ kd, q.shape), _unbroadcast(gk, keys.shape),
+                _unbroadcast(np.swapaxes(p, -1, -2) @ g, values.shape))
+
+    return _make(p @ vd, (q, keys, values), vjp, "attend")
+
+
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by ``gain``."""
     xd = x.data
     d = xd.shape[-1]
-    ms = (xd * xd).mean(axis=-1, keepdims=True)
+    # a square that overflows would make r = 0 and the output a finite 0
+    ms = _check_finite((xd * xd).mean(axis=-1, keepdims=True), "rms_norm")
     r = 1.0 / np.sqrt(ms + eps)
     out = xd * r * gain.data
 
@@ -544,12 +585,15 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
+    """Permuted axes of ``a``: a view of it under no-grad, a contiguous copy when recorded."""
     axes = tuple(axes)
-    out = np.ascontiguousarray(a.data.transpose(axes))
+    out = a.data.transpose(axes)
 
     def vjp(g):
         return (g.transpose(np.argsort(axes)),)
 
+    if _recording((a,)):
+        out = np.ascontiguousarray(out)
     return _make(out, (a,), vjp, "transpose")
 
 

@@ -166,6 +166,27 @@ def reference_ssm_scan(x, b, c, log_decay, D, h0=None, dt=None):
     return y, h_last
 
 
+def reference_attend(q, keys, values):
+    """Straight-line causal softmax attention, one query at a time, in float64.
+
+    q is (..., t, dk), keys (..., T, dk) and values (..., T, dv), their
+    leading axes broadcast against each other; query i of t sits at position
+    T - t + i and attends to keys 0 .. T - t + i. Returns (..., t, dv).
+    """
+    q, keys, values = (np.asarray(a, dtype=np.float64) for a in (q, keys, values))
+    t, T = q.shape[-2], keys.shape[-2]
+    lead = np.broadcast_shapes(q.shape[:-2], keys.shape[:-2], values.shape[:-2])
+    q, keys, values = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (q, keys, values))
+    out = np.zeros(lead + (t, values.shape[-1]))
+    for idx in np.ndindex(*lead):
+        for i in range(t):
+            seen = T - t + i + 1
+            s = keys[idx][:seen] @ q[idx][i]
+            a = np.exp(s - s.max())
+            out[idx][i] = (a / a.sum()) @ values[idx][:seen]
+    return out
+
+
 def _reference_rope(x, positions, base):
     """Rotate adjacent pairs of x's last axis by pos * base**(-2i/d), row by row."""
     d = x.shape[-1]

@@ -14,6 +14,7 @@ from hybridforge.attention import (
     MLAWeights,
     ModelConfig,
     RowCache,
+    _rows_so_far,
     kv_bytes,
     mha_forward,
     mla_forward,
@@ -521,6 +522,22 @@ def test_cache_objects_report_bytes():
     latent = RowCache.empty(row_width(KIND_MLA, cfg, mcfg), dtype=np.float32)
     latent = latent.appended(np.zeros((1, 100, 128 + 32), dtype=np.float32))
     assert latent.byte_size() == (128 + 32) * 100 * 4 == 64000
+
+
+def test_no_grad_decode_reads_cached_rows_in_place():
+    # under no-grad a step attends over the grown cache's own buffer; a
+    # recorded step joins the rows by a concat, so gradients reach the new rows
+    rng = np.random.default_rng(16)
+    cache = RowCache.empty(6, dtype=np.float64).appended(rng.standard_normal((2, 3, 6)))
+    new = tensor(rng.standard_normal((2, 1, 2, 3)), dtype=np.float64, requires_grad=True)
+    want = np.concatenate([cache.rows.reshape(2, 3, 2, 3), new.data], axis=1)
+    with nk.no_grad():
+        rows, grown = _rows_so_far(new, cache)
+    assert np.shares_memory(rows.data, grown.buf.data)
+    assert np.array_equal(rows.data, want) and grown.t == 4
+    rows, grown = _rows_so_far(new, cache)
+    assert not np.shares_memory(rows.data, grown.buf.data) and rows._parents
+    assert np.array_equal(rows.data, want)
 
 
 # ---------------------------------------------------------------------------

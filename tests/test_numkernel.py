@@ -14,7 +14,7 @@ from hybridforge.numkernel import (
     svd_truncated,
     tensor,
 )
-from oracle_helpers import finite_diff_grad, reference_ssm_scan
+from oracle_helpers import finite_diff_grad, reference_attend, reference_ssm_scan
 
 
 def rel_err(a, b):
@@ -358,6 +358,62 @@ def test_grad_ssm_scan():
             return nk.tsum(nk.mul(nk.mul(y, y), w))
 
         check_grads(f, store)
+
+
+# (q, keys, values) leading axes: MHA's grouped queries over per-kv-head rows,
+# and MLA's heads over one shared set of rows
+ATTEND_LAYOUTS = {"mha": ((2, 2, 2), (2, 2, 1), (2, 2, 1)), "mla": ((2, 4), (2, 1), (2, 1))}
+
+
+def attend_inputs(rng, layout, t, T, dk=3, dv=2):
+    q_lead, k_lead, v_lead = ATTEND_LAYOUTS[layout]
+    return (rng.standard_normal(q_lead + (t, dk)), rng.standard_normal(k_lead + (T, dk)),
+            rng.standard_normal(v_lead + (T, dv)))
+
+
+@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
+def test_attend_matches_per_query_loop(layout):
+    # one decode query, a whole sequence, and a prefill that continues a cache
+    rng = np.random.default_rng(22)
+    for t, T in ((1, 1), (1, 6), (5, 5), (3, 7)):
+        arrays = attend_inputs(rng, layout, t, T)
+        with no_grad():
+            out = nk.attend(*(tensor(a, dtype=np.float64) for a in arrays))
+        assert out.shape == np.broadcast_shapes(*(a.shape[:-2] for a in arrays)) + (t, 2)
+        assert np.abs(out.data - reference_attend(*arrays)).max() <= 1e-12, (t, T)
+
+
+@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
+def test_grad_attend(layout):
+    # gradients reach q, keys and values, summed over the shared head axes
+    rng = np.random.default_rng(23)
+    for t, T in ((3, 5), (1, 4)):
+        store = ParamStore()
+        q, keys, values = (store.add(n, tensor(a, dtype=np.float64)) for n, a in
+                           zip(("q", "keys", "values"), attend_inputs(rng, layout, t, T)))
+        w = rng.standard_normal(np.broadcast_shapes(q.shape[:-2], keys.shape[:-2]) + (t, 2))
+
+        def f(p):
+            out = nk.attend(q, keys, values)
+            return nk.tsum(nk.mul(nk.mul(out, out), w))
+
+        check_grads(f, store)
+
+
+def test_attend_refuses_mismatched_shapes():
+    q, k, v = (tensor(np.zeros(s)) for s in ((4, 3), (3, 3), (3, 2)))
+    with pytest.raises(KernelError, match="attend: mismatched shapes"):
+        nk.attend(q, k, v)  # more queries than positions
+    with pytest.raises(KernelError, match="attend: mismatched shapes"):
+        nk.attend(k, k, tensor(np.zeros((2, 2))))
+
+
+def test_attend_reports_a_non_finite_query():
+    rng = np.random.default_rng(24)
+    q, keys, values = (tensor(a) for a in attend_inputs(rng, "mla", 2, 4))
+    q.data[0, 1, 0, 0] = np.nan
+    with pytest.raises(KernelError, match="^attend produced non-finite values$"):
+        nk.attend(q, keys, values)
 
 
 def test_grad_sum_mean_axes():
