@@ -289,15 +289,13 @@ def cmd_upcycle(args) -> int:
     return 0
 
 
-def _distill_stage(args, split_name: str, runner, student_producer: str,
-                   default_suffix: str) -> int:
-    cfg = _stage_config(args, ("teacher", "student", "data"), ("train", "save_as"))
-    where = f"{args.command} config"
-    tc = _read_config(TrainConfig, cfg.get("train", {}), f"{where}: train", args.seed)
+def _distill_stage(args, split_name: str, runner, student_producer: str, suffix: str) -> int:
+    cfg = _stage_config(args, ("teacher", "student", "data"), ("train",))
+    tc = _read_config(TrainConfig, cfg.get("train", {}), f"{args.command} config: train",
+                      args.seed)
     teacher_path = _config_path(args, cfg, "teacher")
     student_path = _config_path(args, cfg, "student")
     data_dir = _config_path(args, cfg, "data")
-    save_as = _str(cfg, "save_as", where) if "save_as" in cfg else None
     out = _out_dir(args)
 
     teacher = _load_model(teacher_path, "train-teacher", "teacher checkpoint")
@@ -305,10 +303,8 @@ def _distill_stage(args, split_name: str, runner, student_producer: str,
     _, splits = _load_data(data_dir)
     trained = runner(teacher, student, _cycle(splits[split_name], tc.steps), tc,
                      log=sys.stderr)
-    if save_as is None:
-        stem = os.path.splitext(os.path.basename(student_path))[0]
-        save_as = f"{stem}{default_suffix}.hfrg"
-    _save_model(trained, out, save_as)
+    stem = os.path.splitext(os.path.basename(student_path))[0]
+    _save_model(trained, out, f"{stem}{suffix}.hfrg")
     return 0
 
 
@@ -327,7 +323,7 @@ def cmd_sensitivity(args) -> int:
     out = _out_dir(args)
 
     teacher = _load_model(paths["teacher"], "train-teacher", "teacher checkpoint")
-    full_mla = _load_model(paths["full_mla"], "ild", "full-MLA checkpoint")
+    donor = _load_model(paths["full_mla"], "ild", "donor checkpoint")
     full_mamba = _load_model(paths["full_mamba"], "ild", "full-Mamba checkpoint")
     meta, splits = _load_data(paths["data"])
     data = splits["eval"]
@@ -340,7 +336,7 @@ def cmd_sensitivity(args) -> int:
 
     cap = thread_cap()
     jobs = args.jobs if cap is None else min(args.jobs, cap)
-    profile = score_sensitivity(teacher, full_mamba, full_mla, data, jobs=jobs,
+    profile = score_sensitivity(teacher, full_mamba, donor, data, jobs=jobs,
                                 provenance={"data": os.path.basename(paths["data"])})
     _write_text(os.path.join(out, "sensitivity.json"), profile.to_json())
     return 0
@@ -370,9 +366,9 @@ def cmd_compose(args) -> int:
     paths = {k: _config_path(args, cfg, k) for k in ("mla", "mamba", "layout")}
     out = _out_dir(args)
 
-    mla_model = _load_model(paths["mla"], "ild", "full-MLA checkpoint")
+    donor = _load_model(paths["mla"], "ild", "donor checkpoint")
     mamba_model = _load_model(paths["mamba"], "ild", "full-Mamba checkpoint")
-    hybrid = assemble(mla_model, mamba_model, _load_layout(paths["layout"]))
+    hybrid = assemble(donor, mamba_model, _load_layout(paths["layout"]))
     _save_model(hybrid, out, "hybrid.hfrg")
     return 0
 
@@ -466,7 +462,7 @@ STAGES = (
           {"scores": dict(default=None, help="sensitivity profile JSON"),
            "n": dict(type=_int_arg(0), default=None,
                      help="number of attention layers to place")}),
-    Stage("compose", cmd_compose, "assemble a hybrid from two students and a layout"),
+    Stage("compose", cmd_compose, "place a donor's mixers in the all-SSM student by a layout"),
     Stage("distill", cmd_distill, "end-to-end KL distillation of a student"),
     Stage("eval", cmd_eval, "perplexity and KL-to-teacher on held-out data"),
     Stage("kv-report", cmd_kv_report, "per-layer cache budget vs full-attention",

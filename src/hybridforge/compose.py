@@ -41,7 +41,7 @@ from .attention import (
     row_width,
 )
 from .numkernel import ParamStore, Tensor
-from .smart import HybridLayout
+from .smart import HybridLayout, check_skeleton
 from .ssm import Mamba2Weights, SsmState, mamba2_forward_seq
 
 __all__ = [
@@ -340,41 +340,38 @@ def convert_model(
 # hybrid assembly
 
 
-def _layer_kinds(layout: HybridLayout, L: int) -> list[str]:
-    """The kind of each of L layers: MLA at the layout's indices, Mamba2 elsewhere."""
+def _layer_kinds(layout: HybridLayout, L: int, placed: str) -> list[str]:
+    """The kind of each of L layers: ``placed`` at the layout's indices, Mamba2 elsewhere."""
     layout.validate(L)
     chosen = set(layout.mla_indices)
-    return [KIND_MLA if i in chosen else KIND_MAMBA2 for i in range(L)]
+    return [placed if i in chosen else KIND_MAMBA2 for i in range(L)]
 
 
 def assemble(
-    mla_model: HybridModel,
+    donor: HybridModel,
     mamba_model: HybridModel,
     layout: HybridLayout,
 ) -> HybridModel:
     """Per-layer mixer pick by layout; every shared path comes from the SSM source.
 
     The all-SSM student supplies the embedding, each layer's norms and MLP,
-    the final norm and the head; the all-MLA student supplies only the mixers
-    at ``layout.mla_indices``. ``smart.score_sensitivity`` follows the same
-    rule, so each score describes a hybrid this function builds. The hybrid
-    shares no memory with either source.
+    the final norm and the head. The donor, a single-kind attention model
+    (the all-MLA student or the all-MHA teacher), supplies only the mixers at
+    ``layout.mla_indices``, which keep its kind. ``smart.score_sensitivity``
+    follows the same rule, so each score describes a hybrid this function
+    builds. The hybrid shares no memory with either source.
     """
-    a, b = mla_model.cfg, mamba_model.cfg
-    skeleton = ("L", "d", "n_h", "n_kv", "d_h", "vocab", "rope_base")
-    for f in skeleton:
-        if getattr(a, f) != getattr(b, f):
-            raise ValueError(f"source models disagree on cfg.{f}")
-    kinds = _layer_kinds(layout, a.L)
-    if any(k != KIND_MLA for k in a.layer_kinds):
-        raise ValueError("first source must be all-MLA")
-    if any(k != KIND_MAMBA2 for k in b.layer_kinds):
+    check_skeleton(donor, mamba_model)
+    if set(donor.cfg.layer_kinds) not in ({KIND_MHA}, {KIND_MLA}):
+        raise ValueError("donor must be all-MHA or all-MLA")
+    if any(k != KIND_MAMBA2 for k in mamba_model.cfg.layer_kinds):
         raise ValueError("second source must be all-Mamba2")
+    kinds = _layer_kinds(layout, donor.cfg.L, donor.cfg.layer_kinds[0])
 
-    cfg = dataclasses.replace(a, layer_kinds=kinds)
-    mla_paths, mamba_paths = dict(mla_model.named_tensors()), dict(mamba_model.named_tensors())
+    cfg = dataclasses.replace(donor.cfg, layer_kinds=kinds)
+    donor_paths, mamba_paths = dict(donor.named_tensors()), dict(mamba_model.named_tensors())
     # the mixer kinds share no tensor names, so the SSM side wins exactly the shared paths
-    return from_tensors(cfg, mla_model.mcfg, {**mla_paths, **mamba_paths}).clone()
+    return from_tensors(cfg, donor.mcfg, {**donor_paths, **mamba_paths}).clone()
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +381,26 @@ def assemble(
 def kv_report(
     cfg: ModelConfig,
     layout: HybridLayout,
-    mcfg: MLAConfig,
+    mcfg: Optional[MLAConfig],
     t: int,
     elem_bytes: int = 4,
     conv_k: int = 4,
 ) -> dict:
     """Per-layer cache bytes vs an all-attention baseline of the same shape.
 
-    The headline percentage counts only per-token cache (latent + rotary-key
-    rows); constant-size SSM state is reported separately and excluded from
-    the ratio, matching the convention that pure-SSM stacks score 0%.
+    The placed layers are MLA when ``mcfg`` is given and MHA (an all-MHA
+    donor's hybrid) when it is None. The headline percentage counts only
+    per-token cache rows; constant-size SSM state is reported separately and
+    excluded from the ratio, matching the convention that pure-SSM stacks
+    score 0%.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    kinds = _layer_kinds(layout, cfg.L)
-    per_layer = [
-        kv_bytes(kind, cfg, mcfg if kind == KIND_MLA else None, t, elem_bytes)
-        for kind in kinds
-    ]
+    kinds = _layer_kinds(layout, cfg.L, KIND_MHA if mcfg is None else KIND_MLA)
+    per_layer = [kv_bytes(kind, cfg, mcfg, t, elem_bytes) for kind in kinds]
     total = sum(per_layer)
     baseline = cfg.L * kv_bytes(KIND_MHA, cfg, None, t, elem_bytes)
-    # exact ratio: (sum over MLA layers of r_kv + d_r) / (L * 2 * n_kv * d_h)
+    # exact ratio: N * (r_kv + d_r) / (L * 2 * n_kv * d_h) for MLA, N / L for MHA
     percent = round(100.0 * total / baseline, 2)
     # per SSM layer: the (n_h, d_h, d_h) hidden state and k-1 raw rows of the conv's channels
     state = SsmState.empty(cfg, conv_k)

@@ -40,7 +40,6 @@ __all__ = [
     "batches",
     "stream_splits",
     "is_copy_position",
-    "gen_data",
     "cross_entropy",
     "train_teacher",
     "unigram_perplexity",
@@ -175,12 +174,6 @@ def stream_splits(count: int) -> dict[str, tuple[int, int]]:
     n_align = count // 5
     return {"ild": (0, n_align), "kd": (n_align, count - n_align),
             "eval": (count, max(count // 10, 1))}
-
-
-def gen_data(spec: SynthSpec, count: int, batch_size: int) -> dict:
-    """Materialize each split of ``stream_splits`` as batches."""
-    return {name: batches(spec, start, n, batch_size)
-            for name, (start, n) in stream_splits(count).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def _unchunked(a: np.ndarray, t: int) -> np.ndarray:
 
 def ssm_scan(
     x: Tensor, b: Tensor, c: Tensor, log_decay: Tensor, D: Tensor,
-    h0: np.ndarray | None = None, dt: Tensor | None = None,
+    h0: np.ndarray | None = None, *, dt: Tensor,
 ) -> tuple[Tensor, np.ndarray]:
     """Gated linear recurrence over per-head (d_h x d_h) state matrices:
 
@@ -464,16 +464,16 @@ def ssm_scan(
 
     ``c`` is (batch, t, heads, d_h); ``x`` and ``b`` are (batch, t, groups, d_h),
     head k reading group k // (heads / groups). ``log_decay`` (< 0; finite where
-    its exp underflows) and ``dt`` (default ones) are (batch, t, heads), ``D`` is
-    (heads,), and ``h0``, a graph constant, broadcasts to (batch, heads, d_h, d_h)
-    (default zeros). Returns (y, h_t). Chunks of at most ``SCAN_CHUNK`` steps run
-    as matmuls (the SSD form, Dao & Gu 2024, arXiv 2405.21060): with S the
+    its exp underflows) and ``dt`` are (batch, t, heads), ``D`` is (heads,), and
+    ``h0``, a graph constant, broadcasts to (batch, heads, d_h, d_h) (default
+    zeros). Returns (y, h_t). Chunks of at most ``SCAN_CHUNK`` steps run as matmuls
+    (the SSD form, Dao & Gu 2024, arXiv 2405.21060): with S the
     cumulative log-decay in a chunk, y = ((C B^T) o exp(S_t - S_s) dt_s [s <= t]) X
     + exp(S) (C h_in), and a closing update carries h_out on. The vjp is the
     reverse chunked scan over the chunk-boundary states, the only states kept.
     """
     got = {"x": x, "b": b, "c": c, "log_decay": log_decay, "D": D, "dt": dt}
-    shapes = {k: v.shape for k, v in got.items() if v is not None}
+    shapes = {k: v.shape for k, v in got.items()}
     if x.ndim != 4 or c.ndim != 4:
         raise KernelError(f"ssm_scan: mismatched shapes {shapes}")
     n, t, groups, d_h = x.shape
@@ -483,9 +483,8 @@ def ssm_scan(
     if t < 1 or heads % groups or any(want[k] != v for k, v in shapes.items()):
         raise KernelError(f"ssm_scan: mismatched shapes {shapes}")
     r = heads // groups
-    xd, bd, cd, ld, Dd = x.data, b.data, c.data, log_decay.data, D.data
-    dtd = np.ones_like(ld) if dt is None else dt.data
-    parents = (x, b, c, log_decay, D) + (() if dt is None else (dt,))
+    parents = (x, b, c, log_decay, D, dt)
+    xd, bd, cd, ld, Dd, dtd = (p.data for p in parents)
     nc = -(-t // SCAN_CHUNK)
     q = -(-t // nc)  # balanced chunks: fewer than nc padded steps
     hs = np.zeros((n, nc + 1, groups, r, d_h, d_h), dtype=xd.dtype)  # chunk-boundary states
@@ -550,7 +549,7 @@ def ssm_scan(
                  _unchunked(gb.sum(axis=3, keepdims=True), t), _unchunked(gc, t),
                  _unchunked(np.cumsum(gS[..., ::-1], axis=-1)[..., ::-1], t), gD,
                  _unchunked(gdt, t)]
-        return tuple(grads[:len(parents)])
+        return tuple(grads)
 
     return _make(y.reshape(n, t, heads, d_h), parents, vjp, "ssm_scan"), h_last
 

@@ -2,15 +2,16 @@
 
 Which layers should stay attention-like? Each candidate layer gets a score:
 how much the KL gap to the teacher shrinks when that single layer of the
-all-SSM student is swapped for its latent-attention counterpart. One
-no-grad pass per evaluation batch scores the all-SSM student and all L swaps
-at once: the variants ride on the batch axis and share the SSM layers below
-their swap, and the teacher runs once. Batches fan out over threads. Placement
-then keeps one endpoint in the first and one in the last L/N-sized stretch
-of the stack, constrains consecutive picks to near-uniform gaps, and solves
-for the interior picks with the largest cumulative score by a dynamic
-program over the bounded gaps, in O(L*N). Ties break toward the
-lexicographically smallest index set so runs are reproducible.
+all-SSM student is swapped for the donor's attention mixer: the all-MLA
+student's, or the teacher's own. One no-grad pass per evaluation batch scores
+the all-SSM student and all L swaps at once: the variants ride on the batch
+axis and share the SSM layers below their swap, and the teacher runs once.
+Batches fan out over threads. Placement then keeps one endpoint in the first
+and one in the last L/N-sized stretch of the stack, constrains consecutive
+picks to near-uniform gaps, and solves for the interior picks with the
+largest cumulative score by a dynamic program over the bounded gaps, in
+O(L*N). Ties break toward the lexicographically smallest index set so runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "gap_bounds",
     "smart_select",
     "score_sensitivity",
+    "check_skeleton",
 ]
 
 class LayoutError(ValueError):
@@ -70,7 +72,7 @@ class SensitivityProfile:
 
 @dataclass
 class HybridLayout:
-    """Sorted set of layer indices that keep latent attention."""
+    """Sorted set of layer indices that keep the donor's attention kind (MLA or MHA)."""
 
     mla_indices: list[int]
 
@@ -201,36 +203,45 @@ def _batch_kls(teacher, base, donor, inputs: np.ndarray) -> list[float]:
                 for k in range(base.cfg.L + 1)]
 
 
+def check_skeleton(donor, full_mamba) -> None:
+    """Refuse, naming the field, a donor whose mixers cannot run in full_mamba's blocks."""
+    for f in ("L", "d", "n_h", "n_kv", "d_h", "vocab", "rope_base"):
+        if getattr(donor.cfg, f) != getattr(full_mamba.cfg, f):
+            raise ValueError(f"donor and all-SSM models disagree on cfg.{f}")
+
+
 def score_sensitivity(
     teacher,
     full_mamba,
-    full_mla,
+    donor,
     data: Sequence[Batch],
     jobs: int = 1,
     provenance: Optional[dict] = None,
 ) -> SensitivityProfile:
-    """Per-layer KL reduction from swapping in the attention-like layer.
+    """Per-layer KL reduction from swapping in the donor's attention mixer.
 
     s_i = KL(teacher || all-SSM student) - KL(teacher || student with layer i
     swapped), both teacher-forced over the same batches. Larger means the
     swap at i recovers more of the teacher. The swap takes only layer i's
-    mixer (and kind) from full_mla; norms, MLPs, embedding and head stay
-    full_mamba's. ``compose.assemble`` follows the same rule, so s_i scores
-    the hybrid it builds for the layout [i]. Each batch is one stacked pass
-    that yields all L+1 KLs; with jobs > 1 the batches fan out across
-    threads, and the KLs are summed in batch order, so the scores do not
-    depend on jobs.
+    mixer (and kind) from the donor, the all-MLA student or the all-MHA
+    teacher; norms, MLPs, embedding and head stay full_mamba's.
+    ``compose.assemble`` follows the same rule and checks the donor against
+    full_mamba the same way (``check_skeleton``), so s_i scores the hybrid it
+    builds for the layout [i]. Each batch is one stacked pass that yields all
+    L+1 KLs; with jobs > 1 the batches fan out across threads, and the KLs are
+    summed in batch order, so the scores do not depend on jobs.
     """
     for f in ("L", "d", "vocab"):
-        if not (getattr(teacher.cfg, f) == getattr(full_mamba.cfg, f) == getattr(full_mla.cfg, f)):
+        if not (getattr(teacher.cfg, f) == getattr(full_mamba.cfg, f) == getattr(donor.cfg, f)):
             raise ValueError(f"models disagree on cfg.{f}")
+    check_skeleton(donor, full_mamba)
     data = list(data)
     if not data:
         raise ValueError("need at least one evaluation batch")
     L = teacher.cfg.L
 
     def one(batch: Batch) -> list[float]:
-        return _batch_kls(teacher, full_mamba, full_mla, batch.inputs)
+        return _batch_kls(teacher, full_mamba, donor, batch.inputs)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -152,11 +152,13 @@ def test_config_bad_json_exits_2(capsys, tmp_path):
     ("gen-data", {"count": 20, "typo_field": 1}),
     ("compose", {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json",
                  "divergence_tol": 1e-6}),
+    # the artifact is always <student stem>_ild.hfrg
+    ("ild", {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d", "save_as": "x.hfrg"}),
     # batches are packed by the data directory's batch_size, so train has none
     ("train-teacher", {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4,
                                  "vocab": 32},
                        "data": "data", "train": {"steps": 1, "batch_size": 4}}),
-], ids=["gen-data", "compose", "train-batch_size"])
+], ids=["gen-data", "compose", "train-batch_size", "ild-save_as"])
 def test_config_unknown_field_exits_2(capsys, tmp_path, stage, cfg_obj):
     cfg = write_json(tmp_path / "c.json", cfg_obj)
     assert main([stage, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -422,6 +424,25 @@ def test_kv_report_requires_layout_and_tokens(capsys, tmp_path):
     layout = tmp_path / "l.json"
     layout.write_text(json.dumps({"mla_indices": [0]}))
     assert main(["kv-report", "--config", cfg, "--layout", str(layout)]) == 1
+
+
+def test_compose_places_the_donors_kind(tmp_path, capsys):
+    # "mla" names the donor: the teacher places its own MHA; an all-SSM model is refused
+    from hybridforge import compose
+
+    teacher_path = saved_teacher(tmp_path)
+    ssm = compose.convert_model(compose.load_checkpoint(str(teacher_path)), "mamba2")
+    compose.save_checkpoint(ssm, str(tmp_path / "ssm.hfrg"))
+    write_json(tmp_path / "layout.json", {"mla_indices": [0]})
+    out = tmp_path / "o"
+    for donor, rc in (("ssm.hfrg", 2), ("teacher.hfrg", 0)):
+        cfg = write_json(tmp_path / "c.json",
+                         {"mla": donor, "mamba": "ssm.hfrg", "layout": "layout.json"})
+        assert main(["compose", "--config", cfg, "--out", str(out)]) == rc
+        assert (out / "hybrid.hfrg").exists() == (rc == 0)
+    assert "donor must be all-MHA or all-MLA" in capsys.readouterr().err
+    hybrid = compose.load_checkpoint(str(out / "hybrid.hfrg"))
+    assert hybrid.cfg.layer_kinds == ["mha", "mamba2"]
 
 
 # -- full pipeline ---------------------------------------------------------------------

@@ -227,6 +227,11 @@ def test_assemble_input_validation():
                           KIND_MAMBA2)
     with pytest.raises(ValueError):
         assemble(mla, other, HybridLayout(mla_indices=[0]))
+    # the donor is a single-kind attention model: not a hybrid, not all-Mamba2
+    mixed = assemble(mla, mamba, HybridLayout(mla_indices=[0]))
+    for donor in (mixed, mamba):
+        with pytest.raises(ValueError, match="donor must be all-MHA or all-MLA"):
+            assemble(donor, mamba, HybridLayout(mla_indices=[1]))
 
 
 def test_assembled_hybrid_cached_decode_matches_full():
@@ -243,13 +248,14 @@ def test_assembled_hybrid_cached_decode_matches_full():
     assert np.abs(np.concatenate(parts) - full).max() < 1e-5
 
 
-@pytest.mark.parametrize("which", ["mha", "mla", "mamba2", "hybrid"])
+@pytest.mark.parametrize("which", ["mha", "mla", "mamba2", "hybrid", "mha-hybrid"])
 def test_batched_cached_decode_matches_single_sequences(which):
     # three equal-length prompts decode as one (3, t) batch: a prefill, then
     # single-token steps. Each row equals its own b=1 decode and the oracle.
     teacher, mla, mamba = converted_pair()
     model = {"mha": teacher, "mla": mla, "mamba2": mamba,
-             "hybrid": assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))}[which]
+             "hybrid": assemble(mla, mamba, HybridLayout(mla_indices=[0, 2])),
+             "mha-hybrid": assemble(teacher, mamba, HybridLayout(mla_indices=[0, 3]))}[which]
     ids = np.random.default_rng(61).integers(0, 32, size=(3, 9))
 
     def decode(rows, prefill=5):
@@ -443,16 +449,21 @@ def test_kv_report_ssm_state_matches_live_states():
 
 
 def test_kv_report_matches_live_cache_growth():
-    _, mla, mamba = converted_pair(dtype=np.float32)
-    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
-    t = 9
-    caches = hybrid.init_caches(np.float32)
-    with nk.no_grad():
-        _, caches = hybrid.forward_cached(np.arange(t) % 32, caches)
-    kv, ssm = hybrid.cache_bytes(caches)
-    report = kv_report(hybrid.cfg, HybridLayout(mla_indices=[0, 2]), hybrid.mcfg, t=t)
-    assert kv == report["total_kv_bytes"]
-    assert ssm == report["ssm_state_bytes"]
+    # an MLA donor's hybrid, and an MHA donor's, whose report takes mcfg=None
+    teacher, mla, mamba = converted_pair(dtype=np.float32)
+    layout, t = HybridLayout(mla_indices=[0, 2]), 9
+    for donor in (mla, teacher):
+        hybrid = assemble(donor, mamba, layout)
+        caches = hybrid.init_caches(np.float32)
+        with nk.no_grad():
+            _, caches = hybrid.forward_cached(np.arange(t) % 32, caches)
+        kv, ssm = hybrid.cache_bytes(caches)
+        report = kv_report(hybrid.cfg, layout, hybrid.mcfg, t=t)
+        assert report["layer_kinds"] == hybrid.cfg.layer_kinds
+        assert kv == report["total_kv_bytes"]
+        assert ssm == report["ssm_state_bytes"]
+    assert hybrid.mcfg is None
+    assert report["percent_of_baseline"] == 100 * layout.N / hybrid.cfg.L
 
 
 # -- checkpoints --------------------------------------------------------------------
@@ -464,17 +475,18 @@ def hybrid_model():
 
 
 def test_checkpoint_round_trip_every_tensor(tmp_path):
-    model = hybrid_model()
-    path = str(tmp_path / "model.hfrg")
-    save_checkpoint(model, path)
-    again = load_checkpoint(path)
-    assert again.cfg == model.cfg
-    assert again.mcfg == model.mcfg
-    for (name, a), (_, b) in zip(model.named_tensors(), again.named_tensors()):
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a.data, b.data), name
-    ids = np.arange(6) % 32
-    assert np.array_equal(model.forward(ids).data, again.forward(ids).data)
+    teacher, _, mamba = converted_pair(dtype=np.float32)
+    for model in (hybrid_model(), assemble(teacher, mamba, HybridLayout(mla_indices=[0, 3]))):
+        path = str(tmp_path / "model.hfrg")
+        save_checkpoint(model, path)
+        again = load_checkpoint(path)
+        assert again.cfg == model.cfg
+        assert again.mcfg == model.mcfg
+        for (name, a), (_, b) in zip(model.named_tensors(), again.named_tensors()):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a.data, b.data), name
+        ids = np.arange(6) % 32
+        assert np.array_equal(model.forward(ids).data, again.forward(ids).data)
 
 
 def test_checkpoint_bytes_stable_across_cycles(tmp_path):

@@ -17,10 +17,10 @@ from hybridforge.harness import (
     bench_rows,
     cross_entropy,
     eval_model,
-    gen_data,
     greedy_decode,
     is_copy_position,
     sequences,
+    stream_splits,
     toy_mla_config,
     toy_model_config,
     train_teacher,
@@ -103,7 +103,8 @@ def test_batches_and_split():
     spec = small_spec()
     parts = batches(spec, 0, 10, 4)
     assert [b.x.shape[0] for b in parts] == [4, 4, 2]
-    splits = gen_data(spec, 50, 5)
+    splits = {name: batches(spec, start, n, 5)
+              for name, (start, n) in stream_splits(50).items()}
     ild_tokens = np.concatenate([b.x for b in splits["ild"]])
     kd_tokens = np.concatenate([b.x for b in splits["kd"]])
     assert ild_tokens.shape[0] == 10  # leading 20% of the stream
@@ -114,9 +115,9 @@ def test_batches_and_split():
 
 def test_gen_data_held_out_is_disjoint():
     spec = small_spec()
-    splits = gen_data(spec, 20, 4)
+    splits = stream_splits(20)
     assert set(splits) == {"ild", "kd", "eval"}
-    eval_tokens = np.concatenate([b.x for b in splits["eval"]])
+    eval_tokens = np.concatenate([b.x for b in batches(spec, *splits["eval"], 4)])
     assert np.array_equal(eval_tokens, sequences(spec, 20, 2))
 
 

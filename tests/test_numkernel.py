@@ -55,8 +55,8 @@ def test_op_rejects_non_finite_result():
         nk.texp(big)  # exp(800) overflows float64
     x = tensor(np.full((1, 2, 1, 2), 1e200), dtype=np.float64)
     a = tensor(np.full((1, 2, 1), 0.5), dtype=np.float64)
-    with pytest.raises(KernelError, match="ssm_scan"):
-        nk.ssm_scan(x, x, x, a, tensor([1.0], dtype=np.float64))  # 1e400 overflows
+    with pytest.raises(KernelError, match="ssm_scan"):  # 1e400 overflows
+        nk.ssm_scan(x, x, x, a, tensor([1.0], dtype=np.float64), dt=tensor(np.ones((1, 2, 1))))
 
 
 def test_integer_input_promoted_to_float():

@@ -395,15 +395,19 @@ def test_sensitivity_swaps_only_the_mixer(jobs):
     assert np.abs(whole - want).min() > 1e-6
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sensitivity_scores_the_assembled_hybrid(jobs):
+@pytest.mark.parametrize("jobs,donor_kind", [(1, KIND_MLA), (2, KIND_MLA), (1, KIND_MHA),
+                                             (2, KIND_MHA)], ids=["1", "2", "1-mha", "2-mha"])
+def test_sensitivity_scores_the_assembled_hybrid(jobs, donor_kind):
     # s_i is the KL gain of the very hybrid that assemble builds for layout [i],
-    # even when the students' shared weights have drifted apart
+    # even when the students' shared weights have drifted apart; the donor is the
+    # MLA student or the teacher itself
     teacher, mamba, mla, data = drifted_family()
-    prof = score_sensitivity(teacher, mamba, mla, data, jobs=jobs)
+    donor = {KIND_MLA: mla, KIND_MHA: teacher}[donor_kind]
+    prof = score_sensitivity(teacher, mamba, donor, data, jobs=jobs)
     base_kl = plain_kl(teacher, mamba, data)
-    want = [base_kl - plain_kl(teacher, assemble(mla, mamba, HybridLayout([i])), data)
-            for i in range(mamba.cfg.L)]
+    hybrids = [assemble(donor, mamba, HybridLayout([i])) for i in range(mamba.cfg.L)]
+    assert [h.cfg.layer_kinds[i] for i, h in enumerate(hybrids)] == [donor_kind] * mamba.cfg.L
+    want = [base_kl - plain_kl(teacher, h, data) for h in hybrids]
     assert np.abs(prof.scores - want).max() <= 1e-12
 
 
@@ -445,3 +449,18 @@ def test_sensitivity_bad_inputs():
     other = build_model(ModelConfig(L=3, d=16, n_h=4, n_kv=2, d_h=4, vocab=64), seed=0)
     with pytest.raises(ValueError):
         score_sensitivity(other, mamba, mla, data)
+
+
+@pytest.mark.parametrize("field,change", [("rope_base", dict(rope_base=500.0)),
+                                          ("n_h", dict(n_h=2, d_h=8))], ids=["rope_base", "n_h"])
+def test_scoring_and_assembly_refuse_the_same_donors(field, change):
+    # a donor scoring accepts is one assemble builds: both check the same skeleton
+    teacher, mamba, _, data = family()
+    cfg = dataclasses.replace(teacher.cfg, **change)
+    donor = build_model(cfg, seed=5, dtype=np.float64)
+    if field == "rope_base":
+        donor = convert_model(donor, KIND_MLA, MLAConfig(r_q=8, r_kv=6, d_qk=2, d_v=4, d_r=2))
+    with pytest.raises(ValueError, match=f"cfg.{field}$"):
+        score_sensitivity(teacher, mamba, donor, data)
+    with pytest.raises(ValueError, match=f"cfg.{field}$"):
+        assemble(donor, mamba, HybridLayout([0]))

@@ -240,7 +240,7 @@ def test_chunked_rejects_bad_args():
     ]
     for args in bad:
         with pytest.raises(KernelError, match="ssm_scan"):
-            nk.ssm_scan(*args)
+            nk.ssm_scan(*args, dt=dt)
     with pytest.raises(KernelError, match="ssm_scan"):
         nk.ssm_scan(x, b, c, la, Dk, dt=dt[cut])
 
