@@ -80,9 +80,8 @@ class ModelConfig:
 class MixerWeights:
     """One layer's mixer: a record of the tensors ``NAMES`` lists, and nothing else.
 
-    Every dim comes from the model's configs. ``shapes(cfg, mcfg, k)`` gives
-    each tensor's shape; k is the SSM conv width, which no config carries, so
-    a record's own ``conv`` tensor supplies it.
+    Every dim comes from the model's configs: ``shapes(cfg, mcfg)`` gives each
+    tensor's shape (the SSM conv width is the constant ``ssm.CONV_K``).
     """
 
     NAMES: tuple[str, ...] = ()
@@ -92,10 +91,7 @@ class MixerWeights:
 
     def validate(self, cfg: ModelConfig, mcfg: Optional[MLAConfig] = None) -> None:
         """Raise ``ValueError`` naming the first tensor whose shape contradicts the configs."""
-        tensors = vars(self)
-        conv = tensors.get("conv")
-        k = None if conv is None else (conv.shape[-1] if conv.ndim else 0)
-        nk.check_shapes(tensors, self.shapes(cfg, mcfg, k))
+        nk.check_shapes(vars(self), self.shapes(cfg, mcfg))
 
 
 @dataclass
@@ -110,8 +106,8 @@ class AttentionWeights(MixerWeights):
     W_O: Tensor  # (n_h * d_h) x d
 
     @staticmethod
-    def shapes(cfg: ModelConfig, mcfg=None, k=None) -> dict:
-        """Expected shape of each tensor; the MLA config and conv width go unused."""
+    def shapes(cfg: ModelConfig, mcfg=None) -> dict:
+        """Expected shape of each tensor; the MLA config goes unused."""
         return {
             "W_Q": (cfg.d, cfg.n_h * cfg.d_h),
             "W_K": (cfg.d, cfg.n_kv * cfg.d_h),
@@ -159,8 +155,8 @@ class MLAWeights(MixerWeights):
     W_O: Tensor    # (n_h * d_v) x d
 
     @staticmethod
-    def shapes(cfg: ModelConfig, mcfg: Optional[MLAConfig], k=None) -> dict:
-        """Expected shape of each tensor; the conv width goes unused."""
+    def shapes(cfg: ModelConfig, mcfg: Optional[MLAConfig]) -> dict:
+        """Expected shape of each tensor."""
         if mcfg is None:
             raise ValueError("MLA weights need an MLAConfig")
         return {

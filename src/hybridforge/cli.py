@@ -172,8 +172,11 @@ def _config_path(args, cfg: dict, key: str) -> str:
 
 
 def _need(path: str, producer: str, what: str) -> str:
+    """``path``, if it exists; ``producer`` names the stage, or stages joined
+    by " or ", that write it."""
     if not os.path.exists(path):
-        raise StageError(f"missing {what}: {path} (run '{producer}' first)")
+        run = " or ".join(f"'{p}'" for p in producer.split(" or "))
+        raise StageError(f"missing {what}: {path} (run {run} first)")
     return path
 
 
@@ -274,17 +277,16 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_upcycle(args) -> int:
-    cfg = _stage_config(args, ("teacher",), ("mla", "conv_k", "random_seed"))
+    cfg = _stage_config(args, ("teacher",), ("mla", "random_seed"))
     if args.kind == KIND_MLA and "mla" not in cfg:
         raise StageError("upcycle config: --kind mla needs an 'mla' rank section")
     mcfg = _read_config(MLAConfig, cfg["mla"], "upcycle config: mla") if "mla" in cfg else None
-    conv_k = _int(cfg, "conv_k", "upcycle config", lo=1) if "conv_k" in cfg else 4
     rand = _int(cfg, "random_seed", "upcycle config", lo=0) if "random_seed" in cfg else None
     teacher_path = _config_path(args, cfg, "teacher")
     out = _out_dir(args)
 
     teacher = _load_model(teacher_path, "train-teacher", "teacher checkpoint")
-    student = convert_model(teacher, args.kind, mcfg, conv_k=conv_k, random_seed=rand)
+    student = convert_model(teacher, args.kind, mcfg, random_seed=rand)
     _save_model(student, out, f"student_{args.kind}.hfrg")
     return 0
 
@@ -323,7 +325,7 @@ def cmd_sensitivity(args) -> int:
     out = _out_dir(args)
 
     teacher = _load_model(paths["teacher"], "train-teacher", "teacher checkpoint")
-    donor = _load_model(paths["full_mla"], "ild", "donor checkpoint")
+    donor = _load_model(paths["full_mla"], "ild or train-teacher", "donor checkpoint")
     full_mamba = _load_model(paths["full_mamba"], "ild", "full-Mamba checkpoint")
     meta, splits = _load_data(paths["data"])
     data = splits["eval"]
@@ -366,7 +368,7 @@ def cmd_compose(args) -> int:
     paths = {k: _config_path(args, cfg, k) for k in ("mla", "mamba", "layout")}
     out = _out_dir(args)
 
-    donor = _load_model(paths["mla"], "ild", "donor checkpoint")
+    donor = _load_model(paths["mla"], "ild or train-teacher", "donor checkpoint")
     mamba_model = _load_model(paths["mamba"], "ild", "full-Mamba checkpoint")
     hybrid = assemble(donor, mamba_model, _load_layout(paths["layout"]))
     _save_model(hybrid, out, "hybrid.hfrg")
@@ -394,14 +396,13 @@ def cmd_kv_report(args) -> int:
         raise UsageError("kv-report requires --layout <file>")
     if args.tokens is None:
         raise UsageError("kv-report requires --tokens <t>")
-    cfg = _stage_config(args, ("model", "mla"), ("elem_bytes", "conv_k"))
+    cfg = _stage_config(args, ("model", "mla"), ("elem_bytes",))
     mc = _read_config(ModelConfig, cfg["model"], "kv-report config: model")
     mcfg = _read_config(MLAConfig, cfg["mla"], "kv-report config: mla")
     elem = _int(cfg, "elem_bytes", "kv-report config", lo=1) if "elem_bytes" in cfg else 4
-    conv_k = _int(cfg, "conv_k", "kv-report config", lo=1) if "conv_k" in cfg else 4
 
     layout = _load_layout(args.layout)
-    report = kv_report(mc, layout, mcfg, t=args.tokens, elem_bytes=elem, conv_k=conv_k)
+    report = kv_report(mc, layout, mcfg, t=args.tokens, elem_bytes=elem)
     print(f"{report['percent_of_baseline']:.2f}%")
     _write_result(args, "kv_report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0

@@ -210,13 +210,9 @@ class HybridModel:
             return nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
 
     def init_caches(self, dtype=np.float32) -> list:
-        caches = []
-        for kind, layer in zip(self.cfg.layer_kinds, self.layers):
-            if kind == KIND_MAMBA2:
-                caches.append(SsmState.empty(self.cfg, layer.mixer.conv.shape[1], dtype))
-            else:
-                caches.append(RowCache.empty(row_width(kind, self.cfg, self.mcfg), dtype))
-        return caches
+        return [SsmState.empty(self.cfg, dtype) if kind == KIND_MAMBA2
+                else RowCache.empty(row_width(kind, self.cfg, self.mcfg), dtype)
+                for kind in self.cfg.layer_kinds]
 
     def forward_cached(self, ids: np.ndarray, caches: list):
         """Incremental decode over the new (t,) or (b, t) ids of one or b
@@ -242,13 +238,16 @@ def from_tensors(
 
     Tensors are taken as they are, not copied; paths the configs do not name
     are ignored. A missing path raises ``KeyError``. A tensor whose shape
-    contradicts ``cfg``/``mcfg`` raises ``ValueError`` naming its path. An SSM
-    layer's conv width, which no config carries, is read from its ``conv``
-    (``MixerWeights.validate``); a width below 1 is refused the same way.
+    contradicts ``cfg``/``mcfg`` raises ``ValueError`` naming its path; an SSM
+    ``conv`` of a width other than ``ssm.CONV_K`` is refused the same way. A
+    model with no MLA layer keeps no ``mcfg``, so ``kv_report`` given its
+    ``mcfg`` places the kind it holds.
     """
-    if KIND_MLA in cfg.layer_kinds:
-        if mcfg is None:
-            raise ValueError("model with MLA layers needs an MLAConfig")
+    if KIND_MLA not in cfg.layer_kinds:
+        mcfg = None
+    elif mcfg is None:
+        raise ValueError("model with MLA layers needs an MLAConfig")
+    else:
         mcfg.validate(cfg)
     d, d_ff = cfg.d, mlp_width(cfg.d)
     top = {"embed": (cfg.vocab, d), "final_norm": (d,), "head": (d, cfg.vocab)}
@@ -273,7 +272,6 @@ def build_model(
     mcfg: Optional[MLAConfig] = None,
     seed: int = 0,
     dtype=np.float32,
-    conv_k: int = 4,
 ) -> HybridModel:
     """Random-init model matching cfg.layer_kinds; head zero so logits start flat."""
     rng = np.random.default_rng(seed)
@@ -288,8 +286,7 @@ def build_model(
     tensors = {}
     for i, kind in enumerate(cfg.layer_kinds):
         p = f"layers.{i}."
-        mixer = up.init_random(kind, cfg, mcfg, seed=int(rng.integers(2**31)),
-                               k=conv_k, dtype=dtype)
+        mixer = up.init_random(kind, cfg, mcfg, seed=int(rng.integers(2**31)), dtype=dtype)
         tensors.update({f"{p}mixer.{n}": t for n, t in mixer.items()})
         tensors.update({p + "norm1": ones(), p + "norm2": ones(),
                         p + "mlp_gate": gauss(cfg.d, cfg.d, d_ff),
@@ -305,7 +302,6 @@ def convert_model(
     teacher: HybridModel,
     kind: str,
     mcfg: Optional[MLAConfig] = None,
-    conv_k: int = 4,
     random_seed: Optional[int] = None,
 ) -> HybridModel:
     """Swap every attention mixer for the target kind; share-copy the rest.
@@ -324,13 +320,12 @@ def convert_model(
                if ".mixer." not in p}
     for i, layer in enumerate(teacher.layers):
         if random_seed is not None:
-            mixer = up.init_random(kind, teacher.cfg, mcfg,
-                                   seed=random_seed + i, k=conv_k,
+            mixer = up.init_random(kind, teacher.cfg, mcfg, seed=random_seed + i,
                                    dtype=teacher.embed.dtype)
         elif kind == KIND_MLA:
             mixer = up.init_mla_from_attention(layer.mixer, teacher.cfg, mcfg)
         else:
-            mixer = up.init_mamba2_from_attention(layer.mixer, teacher.cfg, conv_k)
+            mixer = up.init_mamba2_from_attention(layer.mixer, teacher.cfg)
         tensors.update({f"layers.{i}.mixer.{n}": t for n, t in mixer.items()})
     cfg = dataclasses.replace(teacher.cfg, layer_kinds=[kind] * teacher.cfg.L)
     return from_tensors(cfg, mcfg, tensors)
@@ -384,7 +379,6 @@ def kv_report(
     mcfg: Optional[MLAConfig],
     t: int,
     elem_bytes: int = 4,
-    conv_k: int = 4,
 ) -> dict:
     """Per-layer cache bytes vs an all-attention baseline of the same shape.
 
@@ -402,8 +396,8 @@ def kv_report(
     baseline = cfg.L * kv_bytes(KIND_MHA, cfg, None, t, elem_bytes)
     # exact ratio: N * (r_kv + d_r) / (L * 2 * n_kv * d_h) for MLA, N / L for MHA
     percent = round(100.0 * total / baseline, 2)
-    # per SSM layer: the (n_h, d_h, d_h) hidden state and k-1 raw rows of the conv's channels
-    state = SsmState.empty(cfg, conv_k)
+    # per SSM layer: the (n_h, d_h, d_h) hidden state and CONV_K-1 raw rows of the xBC channels
+    state = SsmState.empty(cfg)
     ssm_elems = state.h.size + state.tail.size
     n_mamba = kinds.count(KIND_MAMBA2)
     return {

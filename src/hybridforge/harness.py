@@ -29,6 +29,7 @@ from .attention import KIND_MHA, MLAConfig, ModelConfig
 from .compose import HybridModel, build_model
 from .distill import Batch, TrainConfig, kd_loss
 from .numkernel import Tensor
+from .ssm import CONV_K
 
 __all__ = [
     "SynthSpec",
@@ -50,10 +51,6 @@ __all__ = [
     "greedy_decode",
 ]
 
-# widest convolution kernel used anywhere in the model family; the planted
-# copy span must exceed it so no conv path can shortcut the dependency
-_MAX_CONV_WIDTH = 4
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -61,7 +58,6 @@ class SynthSpec:
 
     vocab: int = 256
     seq_len: int = 128
-    order: int = 2
     copy_span: int = 24
     copy_every: int = 6
     mix_uniform: float = 0.05
@@ -73,10 +69,9 @@ class SynthSpec:
             raise ValueError("vocab must be >= 2")
         if self.seq_len < 2:
             raise ValueError("seq_len must be >= 2")
-        if self.order != 2:
-            raise ValueError("only the order-2 process is implemented")
-        if self.copy_span <= _MAX_CONV_WIDTH:
-            raise ValueError(f"copy_span must exceed the conv width {_MAX_CONV_WIDTH}")
+        # the planted copy must lie beyond the conv's reach, so no conv path shortcuts it
+        if self.copy_span <= CONV_K:
+            raise ValueError(f"copy_span must exceed the conv width {CONV_K}")
         if self.copy_every < 2:
             raise ValueError("copy_every must be >= 2")
         if not 0.0 <= self.mix_uniform < 1.0:

@@ -7,7 +7,8 @@ convolution temporally fuses the concatenated ``xBC`` channels. A per-head
 gated recurrence then runs over (d_h x d_h) hidden matrices: every step
 decays the hidden matrix by an input-dependent factor in (0, 1) and writes a
 rank-1 outer product. Decode therefore needs only the hidden matrices plus
-the last k-1 raw ``xBC`` rows, regardless of how many tokens came before.
+the last ``CONV_K`` - 1 raw ``xBC`` rows, regardless of how many tokens came
+before. ``CONV_K`` is Mamba-2's fixed conv width, not a config field.
 
 The recurrence itself is one kernel primitive, ``numkernel.ssm_scan``: a
 chunked scan (a few matmuls per chunk of steps) with a hand-written vjp that
@@ -28,7 +29,10 @@ from . import numkernel as nk
 from .attention import MixerWeights, ModelConfig
 from .numkernel import Tensor
 
-__all__ = ["Mamba2Weights", "SsmState", "mamba2_forward_seq"]
+__all__ = ["CONV_K", "Mamba2Weights", "SsmState", "mamba2_forward_seq"]
+
+# width of the causal depthwise convolution over xBC (Mamba-2's d_conv)
+CONV_K = 4
 
 
 @dataclass
@@ -39,30 +43,26 @@ class Mamba2Weights(MixerWeights):
     n_kv*d_h, n_h*d_h and n_h: the value path, the input-gate path, the
     output-read path and the step-size projection. ``conv`` holds one
     depthwise kernel per channel of the first three blocks (``xBC``); the
-    ``dt`` columns skip the convolution. The dims come from ``ModelConfig``,
-    the conv width k from ``conv`` itself.
+    ``dt`` columns skip the convolution. The dims come from ``ModelConfig``
+    and the conv width is ``CONV_K``.
     """
 
     NAMES = ("W_in", "conv", "a_log", "delta_b", "D", "W_out")
 
     W_in: Tensor      # d x (2 * n_kv * d_h + n_h * d_h + n_h), blocks [x | B | C | dt]
-    conv: Tensor      # (2 * n_kv * d_h + n_h * d_h) x k depthwise kernels over xBC
+    conv: Tensor      # (2 * n_kv * d_h + n_h * d_h) x CONV_K depthwise kernels over xBC
     a_log: Tensor     # n_h log-magnitudes; decay exponent a = -exp(a_log) < 0
     delta_b: Tensor   # n_h step-size bias
     D: Tensor         # n_h skip coefficients
     W_out: Tensor     # (n_h * d_h) x d
 
     @staticmethod
-    def shapes(cfg: ModelConfig, mcfg=None, k: int = 4) -> dict:
-        """Expected shape of each tensor for conv width k; the MLA config goes unused.
-
-        A width below 1 raises ``ValueError``."""
-        if k < 1:
-            raise ValueError(f"conv width {k} must be >= 1")
+    def shapes(cfg: ModelConfig, mcfg=None) -> dict:
+        """Expected shape of each tensor; the MLA config goes unused."""
         xbc = (2 * cfg.n_kv + cfg.n_h) * cfg.d_h
         return {
             "W_in": (cfg.d, xbc + cfg.n_h),
-            "conv": (xbc, k),
+            "conv": (xbc, CONV_K),
             "a_log": (cfg.n_h,),
             "delta_b": (cfg.n_h,),
             "D": (cfg.n_h,),
@@ -77,14 +77,14 @@ class SsmState:
     An empty state has no batch axis; it broadcasts against its first input."""
 
     h: np.ndarray      # (b, n_h, d_h, d_h); (n_h, d_h, d_h) when empty
-    tail: np.ndarray   # (b, k-1, xbc_width) last pre-conv rows; (k-1, xbc_width) when empty
+    tail: np.ndarray   # (b, CONV_K-1, xbc) last pre-conv rows; (CONV_K-1, xbc) when empty
 
     @classmethod
-    def empty(cls, cfg: ModelConfig, k: int, dtype=np.float32) -> "SsmState":
-        """The zero state of an SSM layer of conv width k."""
-        xbc, k = Mamba2Weights.shapes(cfg, k=k)["conv"]
+    def empty(cls, cfg: ModelConfig, dtype=np.float32) -> "SsmState":
+        """The zero state of an SSM layer."""
+        xbc = Mamba2Weights.shapes(cfg)["conv"][0]
         return cls(h=np.zeros((cfg.n_h, cfg.d_h, cfg.d_h), dtype=dtype),
-                   tail=np.zeros((k - 1, xbc), dtype=dtype))
+                   tail=np.zeros((CONV_K - 1, xbc), dtype=dtype))
 
     def byte_size(self) -> int:
         return self.h.nbytes + self.tail.nbytes

@@ -27,7 +27,7 @@ from .attention import (
     ModelConfig,
 )
 from .numkernel import Tensor, svd_truncated
-from .ssm import Mamba2Weights
+from .ssm import CONV_K, Mamba2Weights
 
 __all__ = [
     "init_mla_from_attention",
@@ -97,16 +97,14 @@ def default_step_bias(n_h: int, dtype=np.float32) -> np.ndarray:
     return np.log(np.expm1(target)).astype(dtype)
 
 
-def identity_conv(channels: int, k: int, dtype=np.float32) -> np.ndarray:
+def identity_conv(channels: int, dtype=np.float32) -> np.ndarray:
     """Depthwise kernel whose only nonzero tap is the current token."""
-    kernel = np.zeros((channels, k), dtype=dtype)
-    kernel[:, k - 1] = 1.0
+    kernel = np.zeros((channels, CONV_K), dtype=dtype)
+    kernel[:, -1] = 1.0
     return kernel
 
 
-def init_mamba2_from_attention(
-    w: AttentionWeights, cfg: ModelConfig, k: int = 4
-) -> Mamba2Weights:
+def init_mamba2_from_attention(w: AttentionWeights, cfg: ModelConfig) -> Mamba2Weights:
     """Reuse attention projections as state-space paths, conv set to identity.
 
     The value/key/query projections are copied bitwise into the ``[x | B |
@@ -121,7 +119,7 @@ def init_mamba2_from_attention(
     dt_cols = np.zeros((cfg.d, cfg.n_h), dtype=dtype)
     out = Mamba2Weights(
         W_in=Tensor(np.concatenate([w.W_V.data, w.W_K.data, w.W_Q.data, dt_cols], axis=1)),
-        conv=Tensor(identity_conv(*Mamba2Weights.shapes(cfg, k=k)["conv"], dtype)),
+        conv=Tensor(identity_conv(Mamba2Weights.shapes(cfg)["conv"][0], dtype)),
         a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
         delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
         D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
@@ -136,7 +134,6 @@ def init_random(
     cfg: ModelConfig,
     mcfg: Optional[MLAConfig] = None,
     seed: int = 0,
-    k: int = 4,
     dtype=np.float32,
 ) -> MixerWeights:
     """Scaled Gaussian init (std = 1/sqrt(fan_in)) for any mixer kind."""
@@ -158,7 +155,7 @@ def init_random(
         # draw x, B, C, then their kernels, each block on its own
         widths = (cfg.n_kv * cfg.d_h, cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h)
         proj = [gauss(cfg.d, cfg.d, n).data for n in widths]
-        kernels = [gauss(k, n, k).data for n in widths]
+        kernels = [gauss(CONV_K, n, CONV_K).data for n in widths]
         out = Mamba2Weights(
             W_in=Tensor(np.concatenate(proj + [np.zeros((cfg.d, cfg.n_h), dtype)], axis=1)),
             conv=Tensor(np.concatenate(kernels, axis=0)),

@@ -184,7 +184,7 @@ def test_criterion_04_gradient_correctness(capsys):
     # chunked scan is an inference-only fast path covered by the equivalence
     # criterion below
     cfg_m = ModelConfig(L=1, d=6, n_h=2, n_kv=1, d_h=2, vocab=16)
-    sw = init_random(KIND_MAMBA2, cfg_m, seed=1, k=3, dtype=np.float64)
+    sw = init_random(KIND_MAMBA2, cfg_m, seed=1, dtype=np.float64)
     store_m = nk.ParamStore()
     for name, t in sw.items():
         store_m.add(name, t)
@@ -206,7 +206,7 @@ def test_criterion_04_gradient_correctness(capsys):
     teacher.head.data[...] = rng.standard_normal(teacher.head.data.shape) * 0.4
     ids = rng.integers(0, cfg_f.vocab, size=(1, 5))
 
-    mamba_student = convert_model(teacher, KIND_MAMBA2, conv_k=3).clone()
+    mamba_student = convert_model(teacher, KIND_MAMBA2).clone()
 
     def ild_student_loss(p):
         with nk.no_grad():
@@ -261,12 +261,12 @@ def test_criterion_05_cache_state_equivalence(capsys):
         # boundary, then two more pieces, against the straight-line oracle
         Q = nk.SCAN_CHUNK
         cfg_m = ModelConfig(L=1, d=8, n_h=2, n_kv=1, d_h=4, vocab=16)
-        w = init_random(KIND_MAMBA2, cfg_m, seed=case, k=3, dtype=np.float64)
+        w = init_random(KIND_MAMBA2, cfg_m, seed=case, dtype=np.float64)
         T2 = int(rng.integers(Q + 3, 3 * Q + 1))
         cuts = [int(rng.integers(Q + 1, T2 - 1))]
         cuts.append(int(rng.integers(cuts[0] + 1, T2)))
         h = rng.standard_normal((T2, 8))
-        state, rows = SsmState.empty(cfg_m, 3, dtype=np.float64), []
+        state, rows = SsmState.empty(cfg_m, dtype=np.float64), []
         with nk.no_grad():
             for lo, hi in zip([0] + cuts, cuts + [T2]):
                 out, state = mamba2_forward_seq(tensor(h[None, lo:hi], dtype=np.float64), w, cfg_m,

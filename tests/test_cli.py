@@ -148,20 +148,30 @@ def test_config_bad_json_exits_2(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stage,cfg_obj", [
-    ("gen-data", {"count": 20, "typo_field": 1}),
-    ("compose", {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json",
-                 "divergence_tol": 1e-6}),
-    # the artifact is always <student stem>_ild.hfrg
-    ("ild", {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d", "save_as": "x.hfrg"}),
+KV_MODEL = {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4, "vocab": 32},
+            "mla": {"r_q": 8, "r_kv": 6, "d_qk": 2, "d_v": 4, "d_r": 2}}
+
+
+@pytest.mark.parametrize("argv,cfg_obj", [
+    (["gen-data"], {"count": 20, "typo_field": 1}),
+    (["compose"], {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json",
+                   "divergence_tol": 1e-6}),
     # batches are packed by the data directory's batch_size, so train has none
-    ("train-teacher", {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4,
-                                 "vocab": 32},
-                       "data": "data", "train": {"steps": 1, "batch_size": 4}}),
-], ids=["gen-data", "compose", "train-batch_size", "ild-save_as"])
-def test_config_unknown_field_exits_2(capsys, tmp_path, stage, cfg_obj):
+    (["train-teacher"], {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4,
+                                   "vocab": 32},
+                         "data": "data", "train": {"steps": 1, "batch_size": 4}}),
+    # the artifact is always <student stem>_ild.hfrg
+    (["ild"], {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d", "save_as": "x.hfrg"}),
+    # the SSM conv width is the constant ssm.CONV_K
+    (["upcycle", "--kind", "mamba2"], {"teacher": "t.hfrg", "conv_k": 4}),
+    (["kv-report", "--layout", "l.json", "--tokens", "8"], {**KV_MODEL, "conv_k": 4}),
+    # the stream is always the order-2 process
+    (["gen-data"], {"count": 20, "spec": {"order": 2}}),
+], ids=["gen-data", "compose", "train-batch_size", "ild-save_as", "upcycle-conv_k",
+        "kv-report-conv_k", "gen-data-spec_order"])
+def test_config_unknown_field_exits_2(capsys, tmp_path, argv, cfg_obj):
     cfg = write_json(tmp_path / "c.json", cfg_obj)
-    assert main([stage, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown field" in capsys.readouterr().err
 
 
@@ -192,14 +202,25 @@ def test_validation_happens_before_compute(capsys, tmp_path):
         (("upcycle", "--kind", "mamba2", {"teacher": "missing.hfrg"}), "train-teacher"),
         (("ild", {"teacher": "missing.hfrg", "student": "s.hfrg", "data": "d",
                   }), "train-teacher"),
-        (("compose", {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json"}), "ild"),
+        # a donor is the ILD'd all-MLA student or the teacher: run 'ild' or 'train-teacher'
+        pytest.param(("compose", {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json"}),
+                     "ild' or 'train-teacher", id="compose-donor"),
         (("distill", {"teacher": "missing.hfrg", "student": "s.hfrg", "data": "d"}),
          "train-teacher"),
+        pytest.param(("sensitivity", {"teacher": "teacher.hfrg", "full_mla": "a.hfrg",
+                                      "full_mamba": "b.hfrg", "data": "d"}),
+                     "ild' or 'train-teacher", id="sensitivity-donor"),
     ],
 )
 def test_missing_upstream_names_stage(capsys, tmp_path, args_cfg, stage_named):
+    from hybridforge import compose
+    from hybridforge.attention import ModelConfig
+
     *argv_head, cfg_obj = args_cfg
     cfg = write_json(tmp_path / "c.json", cfg_obj)
+    # sensitivity loads its teacher first; with one present, the donor is what is missing
+    teacher = compose.build_model(ModelConfig(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=32))
+    compose.save_checkpoint(teacher, str(tmp_path / "teacher.hfrg"))
     rc = main([*argv_head, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"run '{stage_named}' first" in capsys.readouterr().err

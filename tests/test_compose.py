@@ -444,15 +444,17 @@ def test_kv_report_ssm_state_matches_live_states():
     _, mla, mamba = converted_pair(dtype=np.float32)
     hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
     report = kv_report(hybrid.cfg, HybridLayout(mla_indices=[0, 2]), hybrid.mcfg, t=5)
-    per_state = SsmState.empty(hybrid.cfg, hybrid.layers[1].mixer.conv.shape[1]).byte_size()
+    per_state = SsmState.empty(hybrid.cfg).byte_size()
     assert report["ssm_state_bytes"] == 2 * per_state
 
 
 def test_kv_report_matches_live_cache_growth():
-    # an MLA donor's hybrid, and an MHA donor's, whose report takes mcfg=None
+    # an MLA donor's hybrid, and MHA donors' (one built with an MLAConfig), whose
+    # hybrids keep no mcfg, so their reports take mcfg=None
     teacher, mla, mamba = converted_pair(dtype=np.float32)
+    mha_with_mcfg = build_model(toy_cfg(), toy_mcfg(), seed=4)
     layout, t = HybridLayout(mla_indices=[0, 2]), 9
-    for donor in (mla, teacher):
+    for donor in (mla, teacher, mha_with_mcfg):
         hybrid = assemble(donor, mamba, layout)
         caches = hybrid.init_caches(np.float32)
         with nk.no_grad():
@@ -625,17 +627,15 @@ def test_checkpoint_rejects_mis_shaped_tensors(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_round_trips_conv_width(tmp_path):
-    path = str(tmp_path / "model.hfrg")
-    save_checkpoint(build_model(toy_cfg(layer_kinds=[KIND_MAMBA2] * 4), conv_k=3), path)
-    assert [layer.mixer.conv.shape[1] for layer in load_checkpoint(path).layers] == [3] * 4
-
-
 def test_checkpoint_rejects_conv_width_below_one(tmp_path):
-    # the width is read from the conv tensor, so load refuses it by the tensor's path
+    # the width is ssm.CONV_K; load refuses any other, 3 included, by the tensor's path
     path = str(tmp_path / "model.hfrg")
     model = hybrid_model()
-    model.layers[1].mixer.conv = nk.Tensor(model.layers[1].mixer.conv.data[:, :0])
-    save_checkpoint(model, path)
-    with pytest.raises(CheckpointError, match=r"^layers\.1\.mixer\.conv width 0 must be >= 1"):
-        load_checkpoint(path)
+    conv = model.layers[1].mixer.conv.data
+    for width in (0, 3):
+        model.layers[1].mixer.conv = nk.Tensor(conv[:, :width])
+        save_checkpoint(model, path)
+        xbc = conv.shape[0]
+        want = rf"^layers\.1\.mixer\.conv shape \({xbc}, {width}\) != expected \({xbc}, 4\)"
+        with pytest.raises(CheckpointError, match=want):
+            load_checkpoint(path)

@@ -53,8 +53,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(copy_span=4)  # must exceed the widest conv kernel
     with pytest.raises(ValueError):
-        SynthSpec(order=3)
-    with pytest.raises(ValueError):
         SynthSpec(mix_uniform=1.0)
     with pytest.raises(ValueError):
         SynthSpec(copy_every=1)

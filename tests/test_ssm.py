@@ -6,11 +6,11 @@ import pytest
 import hybridforge.numkernel as nk
 from hybridforge.attention import ModelConfig
 from hybridforge.numkernel import KernelError, Tensor, tensor
-from hybridforge.ssm import Mamba2Weights, SsmState, mamba2_forward_seq
+from hybridforge.ssm import CONV_K, Mamba2Weights, SsmState, mamba2_forward_seq
 from oracle_helpers import finite_diff_grad, reference_mamba2
 from test_numkernel import scan_inputs
 
-D, N_H, N_KV, D_H, K = 12, 4, 2, 3, 4
+D, N_H, N_KV, D_H = 12, 4, 2, 3
 
 
 def ssm_cfg(d=D, n_h=N_H, n_kv=N_KV, d_h=D_H):
@@ -21,7 +21,7 @@ def ssm_cfg(d=D, n_h=N_H, n_kv=N_KV, d_h=D_H):
 CFG = ssm_cfg()
 
 
-def rand_weights(rng, cfg=CFG, k=K, scale=0.3):
+def rand_weights(rng, cfg=CFG, scale=0.3):
     def w(*shape):
         return rng.standard_normal(shape) * scale
 
@@ -29,7 +29,7 @@ def rand_weights(rng, cfg=CFG, k=K, scale=0.3):
     d, n_h, n_kv, d_h = cfg.d, cfg.n_h, cfg.n_kv, cfg.d_h
     widths = (n_kv * d_h, n_kv * d_h, n_h * d_h)
     proj = [w(d, n) for n in widths]
-    kernels = [w(n, k) for n in widths]
+    kernels = [w(n, CONV_K) for n in widths]
     a_log = rng.uniform(-1.5, 0.5, n_h)
     dt_cols = w(d, n_h)
     return Mamba2Weights(
@@ -61,13 +61,15 @@ def test_weight_validation():
     with pytest.raises(ValueError):
         w.validate(CFG)
     w.W_in = good
-    w.conv = tensor(np.zeros((w.conv.shape[0], K + 1)), dtype=np.float64)
-    w.validate(CFG)  # the conv width is the conv's own
     with pytest.raises(ValueError):
         w.validate(ssm_cfg(d_h=D_H + 1))
-    w.conv = tensor(np.zeros((w.conv.shape[0], 0)), dtype=np.float64)
-    with pytest.raises(ValueError, match="conv width 0"):
-        w.validate(CFG)
+    good = w.conv
+    for width in (0, CONV_K - 1, CONV_K + 1):  # the conv width is the constant, not the conv's own
+        w.conv = tensor(np.zeros((good.shape[0], width)), dtype=np.float64)
+        with pytest.raises(ValueError, match="conv shape"):
+            w.validate(CFG)
+    w.conv = good
+    w.validate(CFG)
 
 
 def test_decay_strictly_negative():
@@ -83,7 +85,7 @@ def test_zero_projections_zero_output():
     W_in[:, : w.conv.shape[0]] = 0.0  # x, B and C blocks; the dt columns stay
     w.W_in = tensor(W_in, dtype=np.float64)
     h = tensor(rng.standard_normal((2, 5, D)), dtype=np.float64)
-    out, state = mamba2_forward_seq(h, w, CFG, SsmState.empty(CFG, K, dtype=np.float64))
+    out, state = mamba2_forward_seq(h, w, CFG, SsmState.empty(CFG, dtype=np.float64))
     assert np.all(out.data == 0)
     assert state.h.shape == (2, N_H, D_H, D_H) and np.all(state.h == 0)
 
@@ -124,7 +126,7 @@ def test_streaming_two_chunks_matches_full_pass():
     w = rand_weights(rng)
     h = tensor(rng.standard_normal((1, 9, D)), dtype=np.float64)
     full, _ = mamba2_forward_seq(h, w, CFG)
-    state = SsmState.empty(CFG, K, dtype=np.float64)
+    state = SsmState.empty(CFG, dtype=np.float64)
     o1, state = mamba2_forward_seq(h[:, :4], w, CFG, state)
     o2, state = mamba2_forward_seq(h[:, 4:], w, CFG, state)
     merged = np.concatenate([o1.data, o2.data], axis=1)
@@ -138,7 +140,7 @@ def test_streaming_random_splits():
     full, _ = mamba2_forward_seq(h, w, CFG)
     for _ in range(8):
         cuts = sorted(rng.choice(np.arange(1, 12), size=2, replace=False).tolist())
-        state = SsmState.empty(CFG, K, dtype=np.float64)
+        state = SsmState.empty(CFG, dtype=np.float64)
         pieces = []
         for lo, hi in zip([0] + cuts, cuts + [12]):
             o, state = mamba2_forward_seq(h[:, lo:hi], w, CFG, state)
@@ -152,7 +154,7 @@ def test_token_by_token_decode_matches_full_pass():
     w = rand_weights(rng)
     h = tensor(rng.standard_normal((1, 8, D)), dtype=np.float64)
     full, _ = mamba2_forward_seq(h, w, CFG)
-    state = SsmState.empty(CFG, K, dtype=np.float64)
+    state = SsmState.empty(CFG, dtype=np.float64)
     outs = []
     with nk.no_grad():
         for i in range(8):
@@ -178,7 +180,7 @@ def test_state_bytes_independent_of_position():
     w32 = rand_weights(rng)
     # accounting only: stream 10 vs 10,000 tokens, state footprint unchanged
     with nk.no_grad():
-        state = SsmState.empty(CFG, K, dtype=np.float64)
+        state = SsmState.empty(CFG, dtype=np.float64)
         _, state = mamba2_forward_seq(
             tensor(rng.standard_normal((1, 10, D)), dtype=np.float64), w32, CFG, state
         )
@@ -273,7 +275,7 @@ def test_batched_matches_loop():
 def test_grad_check_small():
     rng = np.random.default_rng(15)
     cfg = ssm_cfg(d=6, n_h=2, n_kv=1, d_h=2)
-    w = rand_weights(rng, cfg, k=3)
+    w = rand_weights(rng, cfg)
     store = nk.ParamStore()
     for name, t in w.items():
         store.add(name, t)
@@ -299,7 +301,7 @@ def test_mamba2_matches_reference_oracle(n_kv):
     # batched without a state, and random prefill/decode splits with one
     rng = np.random.default_rng(50 + n_kv)
     cfg = ssm_cfg(d=16, n_h=4, n_kv=n_kv, d_h=3)
-    w = rand_weights(rng, cfg, k=4)
+    w = rand_weights(rng, cfg)
     hb = rng.standard_normal((3, 9, 16))
     want = np.stack([reference_mamba2(x, w, cfg) for x in hb])
     out, state = mamba2_forward_seq(tensor(hb, dtype=np.float64), w, cfg)
@@ -307,7 +309,7 @@ def test_mamba2_matches_reference_oracle(n_kv):
     assert np.abs(out.data - want).max() <= 1e-12
     for _ in range(6):
         cuts = np.sort(rng.choice(np.arange(1, 9), size=3, replace=False))
-        state = SsmState.empty(cfg, 4, dtype=np.float64)
+        state = SsmState.empty(cfg, dtype=np.float64)
         outs = []
         for lo, hi in zip((0, *cuts), (*cuts, 9)):
             o, state = mamba2_forward_seq(tensor(hb[:1, lo:hi], dtype=np.float64), w, cfg, state)
@@ -321,9 +323,9 @@ def test_decode_step_op_count(monkeypatch):
     from hybridforge.upcycle import init_random
 
     cfg = ModelConfig(L=1, d=64, n_h=4, n_kv=2, d_h=16, vocab=32)
-    w = init_random(KIND_MAMBA2, cfg, seed=0, k=4)
+    w = init_random(KIND_MAMBA2, cfg, seed=0)
     rng = np.random.default_rng(16)
-    state = SsmState.empty(cfg, 4)
+    state = SsmState.empty(cfg)
     with nk.no_grad():
         _, state = mamba2_forward_seq(tensor(rng.standard_normal((1, 5, 64))), w, cfg, state)
     ops = []

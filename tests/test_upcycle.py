@@ -14,7 +14,7 @@ from hybridforge.attention import (
     ModelConfig,
     mla_forward,
 )
-from hybridforge.ssm import mamba2_forward_seq
+from hybridforge.ssm import CONV_K, mamba2_forward_seq
 from hybridforge.upcycle import (
     default_decay_exponents,
     default_step_bias,
@@ -156,7 +156,7 @@ def test_mamba_init_copies_projections_bitwise():
     cfg = toy_cfg()
     rng = np.random.default_rng(8)
     w = rand_attn(cfg, rng)
-    m = init_mamba2_from_attention(w, cfg, k=4)
+    m = init_mamba2_from_attention(w, cfg)
     kv, q = cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h
     assert m.W_in.shape == (cfg.d, 2 * kv + q + cfg.n_h)
     assert np.array_equal(m.W_in.data[:, :kv], w.W_V.data)             # x
@@ -168,8 +168,8 @@ def test_mamba_init_copies_projections_bitwise():
 def test_mamba_init_identity_conv_and_defaults():
     cfg = toy_cfg()
     rng = np.random.default_rng(9)
-    m = init_mamba2_from_attention(rand_attn(cfg, rng), cfg, k=4)
-    assert m.conv.shape == ((2 * cfg.n_kv + cfg.n_h) * cfg.d_h, 4)  # every x, B, C channel
+    m = init_mamba2_from_attention(rand_attn(cfg, rng), cfg)
+    assert m.conv.shape == ((2 * cfg.n_kv + cfg.n_h) * cfg.d_h, CONV_K)  # every x, B, C channel
     assert np.all(m.conv.data[:, -1] == 1.0)
     assert np.all(m.conv.data[:, :-1] == 0.0)
     decay_factor = np.exp(-np.exp(m.a_log.data))  # exp(a) at unit step
@@ -184,7 +184,7 @@ def test_mamba_init_single_step_hand_oracle():
     cfg = toy_cfg()
     rng = np.random.default_rng(10)
     w = rand_attn(cfg, rng)
-    m = init_mamba2_from_attention(w, cfg, k=4)
+    m = init_mamba2_from_attention(w, cfg)
     h = rng.standard_normal((1, cfg.d))
     out, _ = mamba2_forward_seq(tensor(h[None], dtype=np.float64), m, cfg)
 
