@@ -9,8 +9,8 @@ queries, keys and values to one kernel, ``numkernel.attend``: MHA passes
 (b, n_kv, g, t, d_h) queries against (b, n_kv, 1, T, d_h) keys, MLA
 (b, n_h, t, dk) queries against one (b, 1, T, dk) set of rows. Each mixer
 runs on (batch, t, d) input, both in a whole-sequence pass used in training
-and in cached decode over a ``RowCache`` with the same batch; a decode step
-under no-grad reads the cached rows in place. Byte accounting for
+and in cached decode over a ``RowCache`` with the same batch; a cached call
+reads the cached rows in place, recorded or not. Byte accounting for
 every layer kind lives here as well (``row_width``, ``kv_bytes``), since
 cache size is the quantity the rest of the toolkit budgets against.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "MLAWeights",
     "RowCache",
     "row_width",
-    "rope_apply",
     "mha_forward",
     "mla_forward",
     "kv_bytes",
@@ -249,14 +248,6 @@ def row_width(kind: str, cfg: ModelConfig, mcfg: Optional[MLAConfig]) -> int:
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
-    """Rotary-rotate the last axis of (..., t, heads, dim) at the given positions."""
-    positions = np.asarray(positions)
-    if np.any(positions < 0):
-        raise ValueError("positions must be non-negative")
-    return nk.rope_rotate(x, positions, base)
-
-
 def _start(H: Tensor, cache: Optional[RowCache]) -> np.ndarray:
     """The absolute positions of the tokens of the (b, t, d) input H."""
     if H.ndim != 3:
@@ -277,21 +268,15 @@ def _rows_so_far(
 ) -> tuple[Tensor, Optional[RowCache]]:
     """Rows of every position seen so far, (b, T, ...), and the grown cache.
 
-    new_rows is (b, t, ...), one cache row per token. Under no-grad the rows
-    are a view of the grown cache's buffer, read in place. Otherwise the new
-    rows join the cached ones through a concat, so the gradient of a
-    recorded pass reaches the projections.
+    new_rows is (b, t, ...), one cache row per token. The rows are a view of
+    the grown cache's buffer (``nk.cached_rows``), read in place; the gradient
+    of a recorded pass reaches the projections through new_rows.
     """
     if cache is None:
         return new_rows, None
-    b, t, per_row = new_rows.shape[0], new_rows.shape[1], new_rows.shape[2:]
+    b, t = new_rows.shape[:2]
     grown = cache.appended(new_rows.data.reshape(b, t, -1))
-    if not nk.grad_enabled():
-        return Tensor(grown.rows.reshape((b, grown.t) + per_row), op="cache"), grown
-    if not cache.t:
-        return new_rows, grown
-    past = cache.rows.reshape((b, cache.t) + per_row)
-    return nk.concat([Tensor(past, op="cache"), new_rows], axis=1), grown
+    return nk.cached_rows(grown.rows.reshape((b, grown.t) + new_rows.shape[2:]), new_rows), grown
 
 
 def mha_forward(
@@ -315,10 +300,10 @@ def mha_forward(
     q = nk.reshape(nk.matmul(H, w.W_Q), (b, t, cfg.n_h, d_h))
     k = nk.reshape(nk.matmul(H, w.W_K), (b, t, n_kv, d_h))
     v = nk.reshape(nk.matmul(H, w.W_V), (b, t, n_kv, d_h))
-    q = nk.mul(rope_apply(q, positions, cfg.rope_base), 1.0 / np.sqrt(d_h))
+    q = nk.mul(nk.rope_rotate(q, positions, cfg.rope_base), 1.0 / np.sqrt(d_h))
     # a kv head's g query heads are adjacent: one group per kv head
     q = nk.transpose(nk.reshape(q, (b, t, n_kv, g, d_h)), (0, 2, 3, 1, 4))
-    k = rope_apply(k, positions, cfg.rope_base)
+    k = nk.rope_rotate(k, positions, cfg.rope_base)
     # one cache row per token: each kv head's [key | value]
     new_rows = nk.reshape(nk.concat([k, v], axis=-1), (b, t, n_kv, 1, 2 * d_h))
 
@@ -360,12 +345,12 @@ def mla_forward(
     q_c = nk.reshape(nk.transpose(q_c, (0, 2, 1, 3)), (b, n_kv, g * t, mcfg.d_qk))
     q_lat = nk.reshape(nk.matmul(q_c, w_uk), (b, cfg.n_h, t, r_kv))
     q_r = nk.reshape(nk.matmul(c_q, w.W_QR), (b, t, cfg.n_h, mcfg.d_r))
-    q_r = nk.transpose(rope_apply(q_r, positions, cfg.rope_base), (0, 2, 1, 3))
+    q_r = nk.transpose(nk.rope_rotate(q_r, positions, cfg.rope_base), (0, 2, 1, 3))
     q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
 
     c_kv = nk.matmul(H, w.W_DKV)                             # (b, t, r_kv)
     k_r = nk.reshape(nk.matmul(H, w.W_KR), (b, t, 1, mcfg.d_r))
-    k_r = rope_apply(k_r, positions, cfg.rope_base)          # rotated before caching
+    k_r = nk.rope_rotate(k_r, positions, cfg.rope_base)      # rotated before caching
     new_rows = nk.concat([c_kv, nk.reshape(k_r, (b, t, mcfg.d_r))], axis=-1)
 
     rows, new_cache = _rows_so_far(new_rows, cache)

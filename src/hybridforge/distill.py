@@ -44,8 +44,6 @@ class TrainConfig:
     learning_rate: float = 3e-3
     warmup_fraction: float = 0.01
     seed: int = 0
-    precision: str = "float32"
-    token_budget: int = 0  # 0 = no cap beyond steps
     log_every: int = 50
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup fraction must lie in [0, 1)")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError("precision must be float32 or float64")
 
 
 @dataclass
@@ -181,16 +177,7 @@ def _train(model, batches, tc, loss_fn, label, log):
     params = model.param_store()
     opt = AdamState()
     t0 = time.monotonic()
-    tokens_seen = 0
-    it = iter(batches)
-    for step in range(tc.steps):
-        try:
-            batch = next(it)
-        except StopIteration:
-            break
-        if tc.token_budget and tokens_seen >= tc.token_budget:
-            break
-        tokens_seen += batch.x.size
+    for step, batch in zip(range(tc.steps), batches):  # range first: no batch past the last step
         try:
             loss = loss_fn(model, batch)
             val = loss.item()

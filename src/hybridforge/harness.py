@@ -188,11 +188,10 @@ def train_teacher(
     tc: TrainConfig,
     log=None,
 ) -> HybridModel:
-    """Cross-entropy train a fresh attention-only stack on the stream."""
+    """Cross-entropy train a fresh float32 attention-only stack on the stream."""
     if any(kind != KIND_MHA for kind in cfg.layer_kinds):
         raise ValueError("teacher must be attention-only")
-    dtype = np.float32 if tc.precision == "float32" else np.float64
-    model = build_model(cfg, seed=tc.seed, dtype=dtype)
+    model = build_model(cfg, seed=tc.seed)
 
     def loss_fn(m, batch):
         return cross_entropy(m.forward(batch.inputs), batch.targets)

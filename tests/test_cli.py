@@ -167,8 +167,13 @@ KV_MODEL = {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4, "vocab": 3
     (["kv-report", "--layout", "l.json", "--tokens", "8"], {**KV_MODEL, "conv_k": 4}),
     # the stream is always the order-2 process
     (["gen-data"], {"count": 20, "spec": {"order": 2}}),
+    # a teacher always trains in float32; steps alone caps a training loop
+    (["ild"], {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d",
+               "train": {"steps": 1, "precision": "float64"}}),
+    (["distill"], {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d",
+                   "train": {"steps": 1, "token_budget": 40}}),
 ], ids=["gen-data", "compose", "train-batch_size", "ild-save_as", "upcycle-conv_k",
-        "kv-report-conv_k", "gen-data-spec_order"])
+        "kv-report-conv_k", "gen-data-spec_order", "ild-precision", "distill-token_budget"])
 def test_config_unknown_field_exits_2(capsys, tmp_path, argv, cfg_obj):
     cfg = write_json(tmp_path / "c.json", cfg_obj)
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

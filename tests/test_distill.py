@@ -196,8 +196,6 @@ def test_train_config_validation():
         TrainConfig(steps=-1)
     with pytest.raises(ValueError):
         TrainConfig(warmup_fraction=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(precision="float16")
 
 
 def test_batch_validation_and_views():
@@ -335,16 +333,6 @@ def test_training_is_deterministic():
 
 def count_logged_steps(log_text):
     return sum(1 for line in log_text.splitlines() if " step " in line)
-
-
-def test_token_budget_stops_early():
-    cfg, mcfg, teacher, rng = family()
-    student = teacher.clone()
-    log = io.StringIO()
-    # batches carry 18 tokens each; budget 40 admits steps 0, 1, 2
-    tc = TrainConfig(steps=50, learning_rate=1e-3, token_budget=40, log_every=1)
-    run_kd(teacher, student, batches(rng, 24, 50), tc, log=log)
-    assert count_logged_steps(log.getvalue()) == 3
 
 
 def test_data_exhaustion_stops_early():
