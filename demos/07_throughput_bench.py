@@ -3,7 +3,7 @@ Benchmarking decode throughput and cache ceilings
 =================================================
 
 The bench harness times greedy generation at several horizons and reports
-median prefill and decode throughput plus the peak cache footprint.  This
+median decode throughput plus the peak cache footprint.  This
 demo races an all-latent-attention stack against an all-state-space stack of
 the same width: the attention stack pays a growing cache, the SSM stack
 holds throughput flat with zero per-token cache.
@@ -29,15 +29,14 @@ stacks = {
 # Each row is one (prompt, horizon) measurement; medians over repeats absorb
 # scheduler noise.  The CSV is what the command-line bench writes.
 for name, model in stacks.items():
-    rows = bench_rows(model, prompt_len=16, gen_lens=(16, 64, 128), reps=3,
-                      seed=0)
+    rows = bench_rows(model, prompt_len=16, gen_lens=(16, 64, 128), seed=0)
     print(f"{name} stack:")
     print(bench_csv(rows))
 
 # The cache column is the story: the attention stack's peak grows linearly
 # with the horizon while the state-space stack stays at zero, which is what
 # lets hybrids with few attention layers serve long sequences cheaply.
-mla_rows = bench_rows(stacks["latent-attention"], 16, (16, 64, 128), reps=3)
+mla_rows = bench_rows(stacks["latent-attention"], 16, (16, 64, 128))
 per_token = (mcfg.r_kv + mcfg.d_r) * base.L * 4
 for row in mla_rows:
     t = 16 + row["gen_len"]

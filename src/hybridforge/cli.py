@@ -5,13 +5,13 @@ Conventions:
   - exit 0 success, 1 usage error, 2 runtime or validation error
   - paths inside a config or manifest resolve relative to that file's directory
   - every stage validates its config fully before touching compute
-  - HF_FORGE_THREADS caps worker counts requested via --jobs
 """
 
 import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -63,19 +63,6 @@ def log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def thread_cap() -> Optional[int]:
-    raw = os.environ.get("HF_FORGE_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise StageError(f"HF_FORGE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise StageError("HF_FORGE_THREADS must be >= 1")
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -118,8 +105,9 @@ def _int(obj: dict, name: str, where: str, lo=None) -> int:
 
 def _num(obj: dict, name: str, where: str) -> float:
     v = obj[name]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise StageError(f"{where}: {name} must be a number")
+    # json.load accepts the NaN and Infinity literals
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise StageError(f"{where}: {name} must be a finite number")
     return float(v)
 
 
@@ -336,9 +324,7 @@ def cmd_sensitivity(args) -> int:
                              f"eval split ({arr.shape[0]} sequences)")
         data = pack_batches(arr, meta["batch_size"])
 
-    cap = thread_cap()
-    jobs = args.jobs if cap is None else min(args.jobs, cap)
-    profile = score_sensitivity(teacher, full_mamba, donor, data, jobs=jobs,
+    profile = score_sensitivity(teacher, full_mamba, donor, data, jobs=args.jobs,
                                 provenance={"data": os.path.basename(paths["data"])})
     _write_text(os.path.join(out, "sensitivity.json"), profile.to_json())
     return 0
@@ -396,32 +382,28 @@ def cmd_kv_report(args) -> int:
         raise UsageError("kv-report requires --layout <file>")
     if args.tokens is None:
         raise UsageError("kv-report requires --tokens <t>")
-    cfg = _stage_config(args, ("model", "mla"), ("elem_bytes",))
+    cfg = _stage_config(args, ("model", "mla"))
     mc = _read_config(ModelConfig, cfg["model"], "kv-report config: model")
     mcfg = _read_config(MLAConfig, cfg["mla"], "kv-report config: mla")
-    elem = _int(cfg, "elem_bytes", "kv-report config", lo=1) if "elem_bytes" in cfg else 4
 
     layout = _load_layout(args.layout)
-    report = kv_report(mc, layout, mcfg, t=args.tokens, elem_bytes=elem)
+    report = kv_report(mc, layout, mcfg, t=args.tokens)
     print(f"{report['percent_of_baseline']:.2f}%")
     _write_result(args, "kv_report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def cmd_bench(args) -> int:
-    cfg = _stage_config(args, ("model", "prompt_len", "gen_lens"), ("reps", "seed"))
+    cfg = _stage_config(args, ("model", "prompt_len", "gen_lens"))
     model_path = _config_path(args, cfg, "model")
     prompt_len = _int(cfg, "prompt_len", "bench config", lo=1)
     gen_lens = cfg["gen_lens"]
     if (not isinstance(gen_lens, list) or not gen_lens
             or any(isinstance(g, bool) or not isinstance(g, int) or g < 1 for g in gen_lens)):
         raise StageError("bench config: gen_lens must be a non-empty list of positive ints")
-    reps = _int(cfg, "reps", "bench config", lo=3) if "reps" in cfg else 3
-    seed = args.seed if args.seed is not None else (
-        _int(cfg, "seed", "bench config", lo=0) if "seed" in cfg else 0)
 
     model = _load_model(model_path, "compose", "model checkpoint")
-    text = bench_csv(bench_rows(model, prompt_len, gen_lens, reps=reps, seed=seed))
+    text = bench_csv(bench_rows(model, prompt_len, gen_lens, seed=args.seed or 0))
     if not _write_result(args, "bench.csv", text):
         print(text, end="")
     return 0

@@ -56,7 +56,6 @@ __all__ = [
     "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
-    "read_checkpoint_header",
 ]
 
 MAGIC = b"HFRG"
@@ -455,6 +454,8 @@ def save_checkpoint(model: HybridModel, path: str) -> None:
     for name, t in named:
         if t.dtype.name not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {t.dtype.name} for {name}")
+        if not np.isfinite(t.data).all():  # optimizer steps update weights in place, unchecked
+            raise CheckpointError(f"{name}: non-finite values")
         raw = np.ascontiguousarray(t.data).astype(t.data.dtype.newbyteorder("<")).tobytes()
         offset = (offset + _ALIGN - 1) // _ALIGN * _ALIGN
         directory.append({
@@ -498,14 +499,6 @@ def _read_preamble(f) -> dict:
         return json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from None
-
-
-def read_checkpoint_header(path: str) -> dict:
-    """Parse magic, version, and JSON header; the payload stays untouched."""
-    with open(path, "rb") as f:
-        header = _read_preamble(f)
-    _validate_directory(header)
-    return header
 
 
 # The fields of one tensor directory entry and the JSON types they hold.
@@ -573,7 +566,10 @@ def load_checkpoint(path: str) -> HybridModel:
             raise CheckpointError(f"{entry['name']}: checksum mismatch")
         arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]).newbyteorder("<"))
         arr = arr.reshape(entry["shape"]).astype(entry["dtype"], copy=True)
-        tensors[entry["name"]] = Tensor(arr)
+        try:
+            tensors[entry["name"]] = Tensor(arr)
+        except nk.KernelError:
+            raise CheckpointError(f"{entry['name']}: non-finite values") from None
 
     cfg = _header_config(header, "cfg", ModelConfig)
     mcfg = None if header.get("mcfg") is None else _header_config(header, "mcfg", MLAConfig)

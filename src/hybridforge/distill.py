@@ -11,7 +11,7 @@ bit-deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import sys
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -33,6 +33,12 @@ __all__ = [
     "lr_at",
 ]
 
+# Adam moment decays, beta2 deliberately low, and the denominator's epsilon
+BETAS = (0.9, 0.8)
+ADAM_EPS = 1e-8
+# share of a run's steps spent in linear warmup; a run always warms up for one step or more
+WARMUP_FRACTION = 0.01
+
 
 class DivergenceError(Exception):
     """Training loss became non-finite; the run is aborted, not papered over."""
@@ -42,15 +48,14 @@ class DivergenceError(Exception):
 class TrainConfig:
     steps: int = 200
     learning_rate: float = 3e-3
-    warmup_fraction: float = 0.01
     seed: int = 0
     log_every: int = 50
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ValueError("warmup fraction must lie in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass
@@ -119,18 +124,15 @@ def kd_loss(teacher_logits: Tensor, student_logits: Tensor) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Adam moments per parameter path; beta = (0.9, 0.8), no weight decay."""
+    """Adam moments per parameter path; betas ``BETAS``, no weight decay."""
 
-    beta1: float = 0.9
-    beta2: float = 0.8
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     def update(self, params: ParamStore, grads: dict, lr: float) -> None:
         self.step += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         for path, t in params.trainable_items():
             g = grads[path]
             m = self.m.get(path)
@@ -145,13 +147,13 @@ class AdamState:
             v += (1 - b2) * g * g
             mhat = m / (1 - b1**self.step)
             vhat = v / (1 - b2**self.step)
-            t.data -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(t.dtype)
+            t.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(t.dtype)
 
 
 def lr_at(step: int, tc: TrainConfig) -> float:
-    """Linear warmup over the first warmup_fraction of steps, then cosine decay."""
-    warm = max(int(round(tc.steps * tc.warmup_fraction)), 1 if tc.warmup_fraction > 0 else 0)
-    if warm and step < warm:
+    """Linear warmup over the first WARMUP_FRACTION of steps, then cosine decay."""
+    warm = max(int(round(tc.steps * WARMUP_FRACTION)), 1)
+    if step < warm:
         return tc.learning_rate * (step + 1) / warm
     if tc.steps <= warm:
         return tc.learning_rate

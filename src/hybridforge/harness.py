@@ -51,6 +51,11 @@ __all__ = [
     "greedy_decode",
 ]
 
+# share of positions drawn uniformly at random instead of from the bucket table
+MIX_UNIFORM = 0.05
+# decode runs per bench row; the row reports their median throughput
+BENCH_REPS = 3
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -60,7 +65,6 @@ class SynthSpec:
     seq_len: int = 128
     copy_span: int = 24
     copy_every: int = 6
-    mix_uniform: float = 0.05
     buckets: int = 512
     seed: int = 0
 
@@ -74,8 +78,6 @@ class SynthSpec:
             raise ValueError(f"copy_span must exceed the conv width {CONV_K}")
         if self.copy_every < 2:
             raise ValueError("copy_every must be >= 2")
-        if not 0.0 <= self.mix_uniform < 1.0:
-            raise ValueError("mix_uniform must lie in [0, 1)")
         if self.buckets < 1:
             raise ValueError("buckets must be >= 1")
 
@@ -139,7 +141,7 @@ def sequences(spec: SynthSpec, start: int, count: int) -> np.ndarray:
         for t in range(2, spec.seq_len):
             if is_copy_position(spec, t):
                 x[t] = x[t - spec.copy_span]
-            elif u_mix[t] < spec.mix_uniform:
+            elif u_mix[t] < MIX_UNIFORM:
                 x[t] = uniform_draws[t]
             else:
                 bucket = _bucket_of(spec, x[t - 2], x[t - 1])
@@ -213,13 +215,10 @@ def unigram_perplexity(data: Sequence[Batch]) -> float:
 
 @dataclass
 class EvalReport:
-    """Quality and throughput summary; unset fields stay None."""
+    """Quality summary; a KL without a teacher stays None."""
 
     perplexity: Optional[float] = None
     mean_kl_to_teacher: Optional[float] = None
-    tokens_per_s_prefill: Optional[float] = None
-    tokens_per_s_decode: Optional[float] = None
-    peak_cache_bytes: Optional[int] = None
 
     def __post_init__(self):
         for name, value in asdict(self).items():
@@ -295,51 +294,27 @@ def greedy_decode(
     return out, times, prefill_s, caches
 
 
-def bench(
-    model: HybridModel,
-    prompt_len: int,
-    gen_len: int,
-    reps: int = 3,
-    seed: int = 0,
-) -> EvalReport:
-    """Median single-sequence throughput and the peak per-token cache footprint."""
-    if reps < 3:
-        raise ValueError("reps must be >= 3 for a stable median")
+def bench(model: HybridModel, prompt_len: int, gen_len: int, seed: int = 0) -> dict:
+    """One ``bench_csv`` row: median single-sequence decode throughput over
+    ``BENCH_REPS`` runs and the peak cache footprint."""
     if prompt_len < 1 or gen_len < 1:
         raise ValueError("prompt_len and gen_len must be >= 1")
     prompt = np.random.default_rng([seed, 0]).integers(0, model.cfg.vocab, size=prompt_len)
-    prefill_times = []
     decode_times = []
-    peak = None
-    for _ in range(reps):
-        _, times, prefill_s, caches = greedy_decode(model, prompt, gen_len)
-        prefill_times.append(prefill_s)
+    peak = 0
+    for _ in range(BENCH_REPS):
+        _, times, _, caches = greedy_decode(model, prompt, gen_len)
         decode_times.append(times.sum())
         kv, _ = model.cache_bytes(caches)
-        peak = kv if peak is None else max(peak, kv)  # caches only grow
-    return EvalReport(
-        tokens_per_s_prefill=prompt_len / float(np.median(prefill_times)),
-        tokens_per_s_decode=gen_len / float(np.median(decode_times)),
-        peak_cache_bytes=int(peak),
-    )
+        peak = max(peak, kv)  # caches only grow
+    return {"gen_len": int(gen_len),
+            "tokens_per_s": gen_len / float(np.median(decode_times)),
+            "peak_cache_bytes": int(peak)}
 
 
-def bench_rows(
-    model: HybridModel,
-    prompt_len: int,
-    gen_lens: Sequence[int],
-    reps: int = 3,
-    seed: int = 0,
-) -> list[dict]:
-    rows = []
-    for gen_len in gen_lens:
-        report = bench(model, prompt_len, gen_len, reps=reps, seed=seed)
-        rows.append({
-            "gen_len": int(gen_len),
-            "tokens_per_s": report.tokens_per_s_decode,
-            "peak_cache_bytes": report.peak_cache_bytes,
-        })
-    return rows
+def bench_rows(model: HybridModel, prompt_len: int, gen_lens: Sequence[int],
+               seed: int = 0) -> list[dict]:
+    return [bench(model, prompt_len, g, seed=seed) for g in gen_lens]
 
 
 def bench_csv(rows: Sequence[dict]) -> str:

@@ -41,6 +41,9 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # float32 (so tensors never carry inf, per the kernel finiteness invariant).
 NEG_MASK = -1e30
 
+# Added to rms_norm's mean square, so an all-zero row normalizes to zero, not NaN.
+RMS_EPS = 1e-6
+
 
 class KernelError(Exception):
     """A kernel produced or was handed non-finite / malformed data."""
@@ -349,13 +352,13 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     return _make(p @ vd, (q, keys, values), vjp, "attend")
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by ``gain``."""
     xd = x.data
     d = xd.shape[-1]
     # a square that overflows would make r = 0 and the output a finite 0
     ms = _check_finite((xd * xd).mean(axis=-1, keepdims=True), "rms_norm")
-    r = 1.0 / np.sqrt(ms + eps)
+    r = 1.0 / np.sqrt(ms + RMS_EPS)
     out = xd * r * gain.data
 
     def vjp(g):

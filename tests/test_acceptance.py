@@ -453,19 +453,19 @@ def test_criterion_10_bench_consistency(capsys):
     t_total = prompt_len + gen_len
 
     # full-attention stack: measured peak equals the all-attention baseline
-    mha_peak = bench(teacher, prompt_len, gen_len, reps=3).peak_cache_bytes
+    mha_peak = bench(teacher, prompt_len, gen_len)["peak_cache_bytes"]
     report = kv_report(cfg, HybridLayout(mla_indices=list(range(cfg.L))), mcfg,
                        t=t_total, elem_bytes=4)
     full_kv_ok = mha_peak == report["baseline_kv_bytes"]
 
     # latent-attention stack: measured peak equals the report exactly
     mla_model = convert_model(teacher, KIND_MLA, mcfg)
-    mla_peak = bench(mla_model, prompt_len, gen_len, reps=3).peak_cache_bytes
+    mla_peak = bench(mla_model, prompt_len, gen_len)["peak_cache_bytes"]
     latent_ok = mla_peak == report["total_kv_bytes"]
 
     # pure-SSM stack: zero KV bytes and flat per-token decode time
     mamba_model = convert_model(teacher, KIND_MAMBA2)
-    mamba_peak = bench(mamba_model, prompt_len, gen_len, reps=3).peak_cache_bytes
+    mamba_peak = bench(mamba_model, prompt_len, gen_len)["peak_cache_bytes"]
     zero_ok = mamba_peak == 0
 
     # Decode to absolute positions 200 and 2000 and keep both caches, then time

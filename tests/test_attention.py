@@ -106,13 +106,6 @@ def test_weight_shape_validation():
 # rotary
 
 
-def test_rope_position_zero_identity():
-    rng = np.random.default_rng(1)
-    x = tensor(rng.standard_normal((3, 2, 6)), dtype=np.float64)
-    out = nk.rope_rotate(x, np.zeros(3, dtype=int), 10000.0)
-    assert np.allclose(out.data, x.data, atol=1e-12)
-
-
 def test_rope_unit_pair_rotation():
     # lowest-frequency pair of a (1,0) vector at position p lands on (cos p, sin p)
     x = np.zeros((1, 1, 4))
@@ -121,15 +114,6 @@ def test_rope_unit_pair_rotation():
         out = nk.rope_rotate(tensor(x, dtype=np.float64), np.array([p]), 10000.0).data
         assert abs(out[0, 0, 0] - np.cos(p)) < 1e-12
         assert abs(out[0, 0, 1] - np.sin(p)) < 1e-12
-
-
-def test_rope_norm_preserved():
-    rng = np.random.default_rng(2)
-    x = tensor(rng.standard_normal((7, 3, 8)), dtype=np.float64)
-    out = nk.rope_rotate(x, np.arange(7) * 13, 10000.0)
-    assert np.allclose(
-        np.linalg.norm(out.data, axis=-1), np.linalg.norm(x.data, axis=-1), atol=1e-6
-    )
 
 
 # ---------------------------------------------------------------------------

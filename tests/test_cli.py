@@ -1,13 +1,20 @@
 """CLI tests: exit codes, schema validation, artifacts, manifest replay."""
 
+import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hybridforge.attention import MLAConfig, ModelConfig
 from hybridforge.cli import load_manifest, main, run_manifest
+from hybridforge.distill import TrainConfig
+from hybridforge.harness import SynthSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # sixteen per-layer scores with the familiar published shape: strong early
 # layers, mid-stack bumps, and a tail rise
@@ -172,12 +179,47 @@ KV_MODEL = {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4, "vocab": 3
                "train": {"steps": 1, "precision": "float64"}}),
     (["distill"], {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d",
                    "train": {"steps": 1, "token_budget": 40}}),
+    # the warmup share, the uniform-noise share, the element width, the bench
+    # repeat count and the bench seed (set by --seed) are constants
+    (["ild"], {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d",
+               "train": {"steps": 1, "warmup_fraction": 0.1}}),
+    (["gen-data"], {"count": 20, "spec": {"mix_uniform": 0.1}}),
+    (["kv-report", "--layout", "l.json", "--tokens", "8"], {**KV_MODEL, "elem_bytes": 2}),
+    (["bench"], {"model": "m.hfrg", "prompt_len": 4, "gen_lens": [2], "reps": 5}),
+    (["bench"], {"model": "m.hfrg", "prompt_len": 4, "gen_lens": [2], "seed": 3}),
 ], ids=["gen-data", "compose", "train-batch_size", "ild-save_as", "upcycle-conv_k",
-        "kv-report-conv_k", "gen-data-spec_order", "ild-precision", "distill-token_budget"])
+        "kv-report-conv_k", "gen-data-spec_order", "ild-precision", "distill-token_budget",
+        "ild-warmup_fraction", "gen-data-spec_mix_uniform", "kv-report-elem_bytes",
+        "bench-reps", "bench-seed"])
 def test_config_unknown_field_exits_2(capsys, tmp_path, argv, cfg_obj):
     cfg = write_json(tmp_path / "c.json", cfg_obj)
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_learning_rate_must_be_finite_and_positive(capsys, tmp_path, lr):
+    # json.load reads the NaN and Infinity literals that json.dumps writes
+    cfg = write_json(tmp_path / "c.json", {"teacher": "t.hfrg", "student": "s.hfrg", "data": "d",
+                                           "train": {"steps": 1, "learning_rate": lr}})
+    assert main(["ild", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert re.search(r"^error: ild config: train: learning_rate must be",
+                     capsys.readouterr().err, re.M)
+
+
+@pytest.mark.parametrize("key,cls", [("model", ModelConfig), ("mla", MLAConfig),
+                                     ("train", TrainConfig), ("spec", SynthSpec)])
+def test_readme_config_keys_are_the_dataclass_fields(key, cls):
+    # the keys a config section takes: the fields without a default if the
+    # class has any, else every field
+    fields = dataclasses.fields(cls)
+    want = ({f.name for f in fields if f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING} or {f.name for f in fields})
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    found = re.findall(rf"`{key}` (?:is )?(?:any of )?`\{{([^}}]*)\}}`", readme)
+    assert len(found) == 1, f"README states the {key} keys once"
+    assert {k.strip() for k in found[0].split(",")} == want
 
 
 def test_config_missing_field_exits_2(capsys, tmp_path):
@@ -320,9 +362,8 @@ def test_malformed_header_directory_exits_2_naming_its_field(capsys, tmp_path, e
 
     path = saved_teacher(tmp_path)
     rewrite_header(path, edit)
-    for read in (compose.read_checkpoint_header, compose.load_checkpoint):
-        with pytest.raises(compose.CheckpointError, match=f"^{message}$"):
-            read(str(path))
+    with pytest.raises(compose.CheckpointError, match=f"^{message}$"):
+        compose.load_checkpoint(str(path))
     refused_by_upcycle(capsys, tmp_path, message)
 
 
@@ -499,35 +540,19 @@ def test_pipeline_seed_changes_artifacts(tmp_path, capsys):
     assert (out_dir / "teacher.hfrg").read_bytes() != teacher_a
 
 
-# -- sensitivity thread cap ----------------------------------------------------------
+# -- sensitivity jobs ----------------------------------------------------------------
 
 
-def sensitivity_workspace(tmp_path):
-    manifest, out_dir = pipeline_workspace(tmp_path)
-    m = load_manifest(manifest)
-    for cmd in m.commands()[:6]:  # through both ild stages
+def test_sensitivity_jobs_write_identical_profiles(tmp_path, capsys):
+    manifest, _ = pipeline_workspace(tmp_path)
+    for cmd in load_manifest(manifest).commands()[:6]:  # through both ild stages
         assert main(cmd) == 0
-    return tmp_path / "configs" / "sensitivity.json", out_dir
-
-
-def test_thread_cap_env_limits_jobs_without_changing_results(tmp_path, capsys,
-                                                             monkeypatch):
-    cfg, out_dir = sensitivity_workspace(tmp_path)
+    cfg = str(tmp_path / "configs" / "sensitivity.json")
     out_a, out_b = tmp_path / "sa", tmp_path / "sb"
-    assert main(["sensitivity", "--config", str(cfg), "--jobs", "1",
-                 "--out", str(out_a)]) == 0
-    monkeypatch.setenv("HF_FORGE_THREADS", "1")
-    assert main(["sensitivity", "--config", str(cfg), "--jobs", "8",
-                 "--out", str(out_b)]) == 0
+    assert main(["sensitivity", "--config", cfg, "--jobs", "1", "--out", str(out_a)]) == 0
+    assert main(["sensitivity", "--config", cfg, "--jobs", "8", "--out", str(out_b)]) == 0
     assert (out_a / "sensitivity.json").read_bytes() == \
         (out_b / "sensitivity.json").read_bytes()
-
-
-def test_thread_cap_env_must_be_positive_int(tmp_path, capsys, monkeypatch):
-    cfg, _ = sensitivity_workspace(tmp_path)
-    monkeypatch.setenv("HF_FORGE_THREADS", "zero")
-    assert main(["sensitivity", "--config", str(cfg), "--jobs", "2",
-                 "--out", str(tmp_path / "s")]) == 2
 
 
 # -- eval and bench outputs ---------------------------------------------------------
@@ -552,7 +577,7 @@ def test_bench_csv_stdout_and_file(tmp_path, capsys):
         assert main(cmd) == 0
     cfg = write_json(tmp_path / "configs" / "bench.json", {
         "model": "../out/student_mamba2.hfrg",
-        "prompt_len": 6, "gen_lens": [2, 4], "reps": 3,
+        "prompt_len": 6, "gen_lens": [2, 4],
     })
     assert main(["bench", "--config", cfg]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from hybridforge.compose import (
     convert_model,
     kv_report,
     load_checkpoint,
-    read_checkpoint_header,
     save_checkpoint,
 )
 from hybridforge.smart import HybridLayout
@@ -476,6 +476,24 @@ def hybrid_model():
     return assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
 
 
+def read_raw(path):
+    """A checkpoint's JSON header and payload; the 16-byte preamble is the
+    magic, the u32 format version and the u64 header length."""
+    blob = open(path, "rb").read()
+    hlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    return json.loads(blob[16 : 16 + hlen]), blob[16 + hlen :]
+
+
+def write_raw(path, header, payload=b""):
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as f:
+        f.write(b"HFRG")
+        f.write(np.array([FORMAT_VERSION], dtype="<u4").tobytes())
+        f.write(np.array([len(blob)], dtype="<u8").tobytes())
+        f.write(blob)
+        f.write(payload)
+
+
 def test_checkpoint_round_trip_every_tensor(tmp_path):
     teacher, _, mamba = converted_pair(dtype=np.float32)
     for model in (hybrid_model(), assemble(teacher, mamba, HybridLayout(mla_indices=[0, 3]))):
@@ -505,7 +523,7 @@ def test_checkpoint_header_only_read(tmp_path):
     model = hybrid_model()
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(model, path)
-    header = read_checkpoint_header(path)
+    header, _ = read_raw(path)
     assert ModelConfig(**header["cfg"]) == model.cfg
     assert MLAConfig(**header["mcfg"]) == model.mcfg
     names = [e["name"] for e in header["tensors"]]
@@ -518,15 +536,33 @@ def test_checkpoint_detects_payload_corruption(tmp_path):
     model = hybrid_model()
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(model, path)
-    blob = bytearray(open(path, "rb").read())
-    header = read_checkpoint_header(path)
-    hlen = int(np.frombuffer(bytes(blob[8:16]), dtype="<u8")[0])
-    payload_start = 16 + hlen
-    target = payload_start + header["tensors"][3]["offset"]
-    blob[target] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
-    with pytest.raises(CheckpointError):
+    header, payload = read_raw(path)
+    payload = bytearray(payload)
+    payload[header["tensors"][3]["offset"]] ^= 0xFF
+    write_raw(path, header, bytes(payload))
+    with pytest.raises(CheckpointError, match=f"^{header['tensors'][3]['name']}: checksum"):
         load_checkpoint(path)
+
+
+def test_checkpoint_refuses_non_finite_tensors(tmp_path):
+    # an optimizer step writes weights in place, unchecked: save refuses what it
+    # left, writing nothing, and load names a non-finite tensor a file carries
+    path = tmp_path / "model.hfrg"
+    model = hybrid_model()
+    model.layers[1].mixer.W_in.data[0, 0] = np.inf
+    with pytest.raises(CheckpointError, match=r"^layers\.1\.mixer\.W_in: non-finite values$"):
+        save_checkpoint(model, str(path))
+    assert not list(tmp_path.iterdir())
+    save_checkpoint(hybrid_model(), str(path))
+    header, payload = read_raw(path)
+    entry = header["tensors"][3]
+    lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
+    payload = bytearray(payload)
+    payload[lo : lo + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    entry["crc32"] = zlib.crc32(payload[lo:hi])
+    write_raw(path, header, bytes(payload))
+    with pytest.raises(CheckpointError, match=f"^{entry['name']}: non-finite values$"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -535,8 +571,8 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     blob = bytearray(open(path, "rb").read())
     blob[0] = ord(b"X")
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(CheckpointError):
-        read_checkpoint_header(path)
+    with pytest.raises(CheckpointError, match="bad magic"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -549,8 +585,6 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         blob[4:8] = np.array([version], dtype="<u4").tobytes()
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match=f"format version {version} unsupported"):
-            read_checkpoint_header(path)
-        with pytest.raises(CheckpointError, match=f"format version {version} unsupported"):
             load_checkpoint(path)
 
 
@@ -559,56 +593,37 @@ def test_checkpoint_rejects_truncation(tmp_path):
     save_checkpoint(hybrid_model(), path)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:40])  # cut inside the header
-    with pytest.raises(CheckpointError):
-        read_checkpoint_header(path)
-
-
-def write_fake(path, tensors):
-    header = json.dumps({"tensors": tensors}, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(b"HFRG")
-        f.write(np.array([FORMAT_VERSION], dtype="<u4").tobytes())
-        f.write(np.array([len(header)], dtype="<u8").tobytes())
-        f.write(header)
+    with pytest.raises(CheckpointError, match="file truncated inside header"):
+        load_checkpoint(path)
 
 
 def test_directory_validation(tmp_path):
+    # load validates the whole directory before it reads any tensor
     path = str(tmp_path / "fake.hfrg")
-    write_fake(path, [{"name": "a", "dtype": "int8", "shape": [2],
-                       "offset": 0, "nbytes": 2, "crc32": 0}])
+    write_raw(path, {"tensors": [{"name": "a", "dtype": "int8", "shape": [2],
+                                  "offset": 0, "nbytes": 2, "crc32": 0}]})
     with pytest.raises(CheckpointError, match="unknown dtype int8"):
-        read_checkpoint_header(path)
-    write_fake(path, [{"name": "a", "dtype": "float32", "shape": [2],
-                       "offset": 0, "nbytes": 4, "crc32": 0}])
+        load_checkpoint(path)
+    write_raw(path, {"tensors": [{"name": "a", "dtype": "float32", "shape": [2],
+                                  "offset": 0, "nbytes": 4, "crc32": 0}]})
     with pytest.raises(CheckpointError, match="a: shape/nbytes mismatch"):
-        read_checkpoint_header(path)
-    write_fake(path, [
+        load_checkpoint(path)
+    write_raw(path, {"tensors": [
         {"name": "a", "dtype": "float32", "shape": [4], "offset": 0, "nbytes": 16, "crc32": 0},
         {"name": "b", "dtype": "float32", "shape": [4], "offset": 8, "nbytes": 16, "crc32": 0},
-    ])
+    ]})
     with pytest.raises(CheckpointError, match="overlapping tensors a and b"):
-        read_checkpoint_header(path)
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_tensor(tmp_path):
     model = hybrid_model()
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(model, path)
-    with open(path, "rb") as f:
-        f.read(4)
-        version = f.read(4)
-        hlen = int(np.frombuffer(f.read(8), dtype="<u8")[0])
-        header = json.loads(f.read(hlen))
-        payload = f.read()
+    header, payload = read_raw(path)
     header["tensors"] = [e for e in header["tensors"] if e["name"] != "embed"]
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(b"HFRG")
-        f.write(version)
-        f.write(np.array([len(blob)], dtype="<u8").tobytes())
-        f.write(blob)
-        f.write(payload)
-    with pytest.raises(CheckpointError):
+    write_raw(path, header, payload)
+    with pytest.raises(CheckpointError, match="missing tensor 'embed'"):
         load_checkpoint(path)
 
 

@@ -173,29 +173,24 @@ def test_adam_moments_follow_betas():
 
 
 def test_lr_schedule_shape():
-    tc = TrainConfig(steps=100, learning_rate=1.0, warmup_fraction=0.1)
+    tc = TrainConfig(steps=1000, learning_rate=1.0)  # warms up for 1% of steps: 10
     assert lr_at(0, tc) == pytest.approx(0.1)
     assert lr_at(9, tc) == pytest.approx(1.0)
     assert lr_at(10, tc) == pytest.approx(1.0)
-    assert lr_at(55, tc) == pytest.approx(0.5)  # cosine midpoint
+    assert lr_at(505, tc) == pytest.approx(0.5)  # cosine midpoint
     ramp = [lr_at(s, tc) for s in range(10)]
-    decay = [lr_at(s, tc) for s in range(10, 100)]
+    decay = [lr_at(s, tc) for s in range(10, 1000)]
     assert all(a < b for a, b in zip(ramp, ramp[1:]))
     assert all(a >= b for a, b in zip(decay, decay[1:]))
     assert decay[-1] >= 0.0
 
 
-def test_lr_no_warmup_starts_at_peak():
-    tc = TrainConfig(steps=50, learning_rate=2.0, warmup_fraction=0.0)
-    assert lr_at(0, tc) == pytest.approx(2.0)
-    assert lr_at(25, tc) < 2.0
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(warmup_fraction=1.0)
+    for lr in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
 
 
 def test_batch_validation_and_views():

@@ -53,8 +53,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(copy_span=4)  # must exceed the widest conv kernel
     with pytest.raises(ValueError):
-        SynthSpec(mix_uniform=1.0)
-    with pytest.raises(ValueError):
         SynthSpec(copy_every=1)
 
 
@@ -197,7 +195,8 @@ def test_eval_report_json_round_trip():
     report = EvalReport(perplexity=12.5, mean_kl_to_teacher=0.25)
     again = EvalReport(**json.loads(report.to_json()))
     assert again == report
-    assert "null" in report.to_json()  # unset fields serialize explicitly
+    assert json.loads(EvalReport(perplexity=12.5).to_json()) == {
+        "perplexity": 12.5, "mean_kl_to_teacher": None}  # a KL without a teacher is null
 
 
 def test_eval_report_rejects_bad_values():
@@ -206,7 +205,7 @@ def test_eval_report_rejects_bad_values():
     with pytest.raises(ValueError):
         EvalReport(mean_kl_to_teacher=float("nan"))
     with pytest.raises(ValueError):
-        EvalReport(tokens_per_s_decode=float("inf"))
+        EvalReport(perplexity=float("inf"))
 
 
 def test_distilled_student_closes_held_out_kl():
@@ -244,22 +243,22 @@ def bench_model(kind):
 def test_bench_validation():
     model = bench_model("mamba")
     with pytest.raises(ValueError):
-        bench(model, 8, 4, reps=2)
-    with pytest.raises(ValueError):
         bench(model, 0, 4)
+    with pytest.raises(ValueError):
+        bench(model, 8, 0)
 
 
 def test_bench_pure_ssm_stack_has_no_kv():
-    report = bench(bench_model("mamba"), prompt_len=8, gen_len=5, reps=3)
-    assert report.peak_cache_bytes == 0
-    assert report.tokens_per_s_decode > 0
-    assert report.tokens_per_s_prefill > 0
+    row = bench(bench_model("mamba"), prompt_len=8, gen_len=5)
+    assert row["gen_len"] == 5
+    assert row["peak_cache_bytes"] == 0
+    assert row["tokens_per_s"] > 0
 
 
 def test_bench_peak_matches_kv_report():
     model = bench_model("mla")
     prompt_len, gen_len = 8, 5
-    report = bench(model, prompt_len, gen_len, reps=3)
+    row = bench(model, prompt_len, gen_len)
     predicted = kv_report(
         model.cfg,
         HybridLayout(mla_indices=list(range(model.cfg.L))),
@@ -267,7 +266,7 @@ def test_bench_peak_matches_kv_report():
         t=prompt_len + gen_len,
         elem_bytes=4,
     )
-    assert report.peak_cache_bytes == predicted["total_kv_bytes"]
+    assert row["peak_cache_bytes"] == predicted["total_kv_bytes"]
 
 
 def test_greedy_decode_deterministic():
@@ -280,7 +279,7 @@ def test_greedy_decode_deterministic():
 
 def test_bench_csv_shape():
     model = bench_model("mamba")
-    rows = bench_rows(model, prompt_len=4, gen_lens=[2, 4], reps=3)
+    rows = bench_rows(model, prompt_len=4, gen_lens=[2, 4])
     text = bench_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "gen_len,tokens_per_s,peak_cache_bytes"

@@ -245,14 +245,19 @@ def test_grad_rope():
     check_grads(f, store)
 
 
-def test_rope_preserves_norm_and_position_zero():
+@pytest.mark.parametrize("shape,positions", [
+    ((1, 6, 2, 8), np.arange(6)),
+    ((3, 2, 6), np.arange(3)),
+    ((7, 3, 8), np.arange(7) * 13),
+], ids=["batched", "unbatched", "wide-positions"])
+def test_rope_preserves_norm_and_position_zero(shape, positions):
     rng = np.random.default_rng(11)
-    x = tensor(rng.standard_normal((1, 6, 2, 8)), dtype=np.float64)
-    out = nk.rope_rotate(x, np.arange(6), 10000.0)
+    x = tensor(rng.standard_normal(shape), dtype=np.float64)
+    out = nk.rope_rotate(x, positions, 10000.0)
     n_in = np.linalg.norm(x.data, axis=-1)
     n_out = np.linalg.norm(out.data, axis=-1)
     assert np.allclose(n_in, n_out, atol=1e-12)
-    out0 = nk.rope_rotate(x, np.zeros(6, dtype=int), 10000.0)
+    out0 = nk.rope_rotate(x, np.zeros(len(positions), dtype=int), 10000.0)
     assert np.allclose(out0.data, x.data, atol=1e-12)
 
 
