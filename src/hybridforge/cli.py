@@ -105,8 +105,12 @@ def _int(obj: dict, name: str, where: str, lo=None) -> int:
 
 def _num(obj: dict, name: str, where: str) -> float:
     v = obj[name]
-    # json.load accepts the NaN and Infinity literals
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    # json.load accepts the NaN and Infinity literals, and integers too large for a float
+    try:
+        ok = not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise StageError(f"{where}: {name} must be a finite number")
     return float(v)
 

@@ -41,7 +41,7 @@ WARMUP_FRACTION = 0.01
 
 
 class DivergenceError(Exception):
-    """Training loss became non-finite; the run is aborted, not papered over."""
+    """Training loss or weights became non-finite; the run is aborted, not papered over."""
 
 
 @dataclass
@@ -173,7 +173,12 @@ def _log(label: str, step: int, loss: float, lr: float, t0: float, log) -> None:
 
 
 def _train(model, batches, tc, loss_fn, label, log):
-    """Shared loop: forward, loss, backward, Adam step, divergence guard."""
+    """Shared loop: forward, loss, backward, Adam step, divergence guard.
+
+    The guard raises ``DivergenceError`` for a non-finite loss or gradient, and
+    for an update that leaves a parameter non-finite, naming the step and the
+    first such parameter path, so no caller gets a diverged model back.
+    """
     if tc.steps == 0:
         return model
     params = model.param_store()
@@ -190,7 +195,12 @@ def _train(model, batches, tc, loss_fn, label, log):
             # the kernel rejects non-finite values at the op that makes them
             raise DivergenceError(f"{label} step {step}: {exc}") from exc
         lr = lr_at(step, tc)
-        opt.update(params, grads, lr)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            opt.update(params, grads, lr)
+        bad = next((path for path, t in params.trainable_items()
+                    if not np.isfinite(t.data).all()), None)
+        if bad is not None:
+            raise DivergenceError(f"{label} step {step}: the update made {bad} non-finite")
         if tc.log_every and (step % tc.log_every == 0 or step == tc.steps - 1):
             _log(label, step, val, lr, t0, log)
     return model

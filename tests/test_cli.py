@@ -208,6 +208,16 @@ def test_learning_rate_must_be_finite_and_positive(capsys, tmp_path, lr):
                      capsys.readouterr().err, re.M)
 
 
+def test_learning_rate_too_large_for_a_float_exits_2(capsys, tmp_path):
+    # a JSON integer past float range: float() of it raises OverflowError
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"teacher": "t.hfrg", "student": "s.hfrg", "data": "d", '
+                   '"train": {"steps": 1, "learning_rate": 1' + "0" * 400 + '}}')
+    assert main(["ild", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert re.search(r"^error: ild config: train: learning_rate must be a finite number$",
+                     capsys.readouterr().err, re.M)
+
+
 @pytest.mark.parametrize("key,cls", [("model", ModelConfig), ("mla", MLAConfig),
                                      ("train", TrainConfig), ("spec", SynthSpec)])
 def test_readme_config_keys_are_the_dataclass_fields(key, cls):

@@ -248,6 +248,25 @@ def test_assembled_hybrid_cached_decode_matches_full():
     assert np.abs(np.concatenate(parts) - full).max() < 1e-5
 
 
+@pytest.mark.parametrize("which", ["mha", "mla"])
+def test_long_prefill_in_query_blocks_matches_full(which):
+    # a prefill that spans several of attend's query blocks, then single steps
+    teacher, mla, _ = converted_pair()
+    model = {"mha": teacher, "mla": mla}[which]
+    prefill = 150
+    assert prefill > 2 * nk.ATTEND_ROWS
+    ids = np.random.default_rng(62).integers(0, 32, size=prefill + 4)
+    with nk.no_grad():
+        full = model.forward(ids).data
+        logits, caches = model.forward_cached(ids[:prefill], model.init_caches(np.float64))
+        parts = [logits.data]
+        for t in range(prefill, ids.size):
+            logits, caches = model.forward_cached(ids[t : t + 1], caches)
+            parts.append(logits.data)
+    assert np.abs(np.concatenate(parts) - full).max() <= 1e-5
+    assert np.abs(full - reference_model(ids, model)).max() <= 1e-10
+
+
 @pytest.mark.parametrize("which", ["mha", "mla", "mamba2", "hybrid", "mha-hybrid"])
 def test_batched_cached_decode_matches_single_sequences(which):
     # three equal-length prompts decode as one (3, t) batch: a prefill, then

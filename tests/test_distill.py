@@ -19,6 +19,7 @@ from hybridforge.distill import (
     run_ild,
     run_kd,
 )
+from hybridforge.harness import train_teacher
 from hybridforge.numkernel import ParamStore, Tensor, backward, tensor
 from oracle_helpers import finite_diff_grad
 
@@ -345,3 +346,12 @@ def test_divergence_guard_aborts():
     tc = TrainConfig(steps=20, learning_rate=1e12, log_every=0)
     with pytest.raises(DivergenceError):
         run_kd(teacher, student, batches(rng, 24, 20), tc)
+
+
+def test_divergence_guard_checks_the_weights_after_each_update():
+    # the loss of step 0 is finite; its update leaves every weight non-finite
+    cfg = ModelConfig(L=2, d=16, n_h=4, n_kv=2, d_h=4, vocab=24)
+    data = batches(np.random.default_rng(10), 24, 1)
+    tc = TrainConfig(steps=1, learning_rate=1e39, log_every=0)
+    with pytest.raises(DivergenceError, match=r"^teacher step 0: the update made embed non-finite$"):
+        train_teacher(cfg, data, tc)

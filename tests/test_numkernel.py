@@ -1,5 +1,7 @@
 """Kernel tests: autodiff against central differences, SVD against oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,48 @@ def test_grad_attend(layout):
             return nk.tsum(nk.mul(nk.mul(out, out), w))
 
         check_grads(f, store)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
+def test_attend_in_query_blocks(monkeypatch, layout, rows):
+    # blocks of 2 or 3 queries: a decode query, whole sequences that split
+    # evenly and unevenly, and a prefill that continues a cache
+    monkeypatch.setattr(nk, "ATTEND_ROWS", rows)
+    rng = np.random.default_rng(25)
+    for t, T in ((1, 9), (7, 7), (6, 6), (5, 9)):
+        arrays = attend_inputs(rng, layout, t, T)
+        with no_grad():
+            out = nk.attend(*(tensor(a, dtype=np.float64) for a in arrays))
+        assert np.abs(out.data - reference_attend(*arrays)).max() <= 1e-12, (t, T)
+        store = ParamStore()
+        q, keys, values = (store.add(n, tensor(a, dtype=np.float64))
+                           for n, a in zip(("q", "keys", "values"), arrays))
+        w = rng.standard_normal(out.shape)
+
+        def f(p):
+            out = nk.attend(q, keys, values)
+            return nk.tsum(nk.mul(nk.mul(out, out), w))
+
+        check_grads(f, store)
+
+
+def test_attend_memory_is_bounded_by_its_query_block():
+    # the decode_long prefill's shape: 1024 MLA queries over 1024 shared rows.
+    # One (1, 4, 1024, 1024) float32 score array would be 16 MiB.
+    rng = np.random.default_rng(26)
+    q = tensor(rng.standard_normal((1, 4, 1024, 20)))
+    rows = tensor(rng.standard_normal((1, 1, 1024, 20)))
+    values = rows[..., :16]
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = nk.attend(q, rows, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 4, 1024, 16)
+    assert peak < 4 * 2**20, f"attend peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_attend_refuses_mismatched_shapes():
