@@ -17,7 +17,6 @@ concat, cached rows) do not. A slice or transpose is a view of its input, and
 
 from __future__ import annotations
 
-import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -323,20 +322,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 ATTEND_ROWS = 64
 
 
-@functools.lru_cache(maxsize=4)
-def _block_mask(n: int, dtype: np.dtype) -> np.ndarray:
-    """(n, n) additive mask, NEG_MASK above the diagonal: block query j sees key j."""
-    mask = np.triu(np.full((n, n), NEG_MASK, dtype), 1)
-    mask.flags.writeable = False  # shared by every call
-    return mask
-
-
 def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray):
     """Probabilities and output of n queries qb, the last n of kb's positions."""
     n = qb.shape[-2]
     p = _check_finite(qb @ np.swapaxes(kb, -1, -2), "attend")
     if n > 1:  # a single query is the newest position and sees every key
-        p[..., -n:] += _block_mask(n, p.dtype)
+        p[..., -n:] += np.triu(np.full((n, n), NEG_MASK, p.dtype), 1)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -371,29 +362,20 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     """
     qd, kd, vd = q.data, keys.data, values.data
     t, T = qd.shape[-2], kd.shape[-2]
-    if t > T or vd.shape[-2] != T or kd.shape[-1] != qd.shape[-1]:
+    if not 0 < t <= T or vd.shape[-2] != T or kd.shape[-1] != qd.shape[-1]:
         raise KernelError(f"attend: mismatched shapes q {q.shape}, keys {keys.shape}, "
                           f"values {values.shape}")
     parents = (q, keys, values)
-    if t <= ATTEND_ROWS:
-        p, out = _attend_block(qd, kd, vd)
-        kept = [p]
-    else:
-        recorded, kept, out = _recording(parents), [], None
-        for i0 in range(0, t, ATTEND_ROWS):
-            i1 = min(i0 + ATTEND_ROWS, t)
-            seen = T - t + i1
-            p, o = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :])
-            if out is None:
-                out = np.empty(o.shape[:-2] + (t, o.shape[-1]), o.dtype)
-            out[..., i0:i1, :] = o
-            if recorded:
-                kept.append(p)
+    recorded, kept, outs = _recording(parents), [], []
+    for i0 in range(0, t, ATTEND_ROWS):
+        i1 = min(i0 + ATTEND_ROWS, t)
+        seen = T - t + i1
+        p, o = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :])
+        outs.append(o)
+        if recorded:
+            kept.append(p)
 
     def vjp(g):
-        if len(kept) == 1:
-            gq, gk, gv = _attend_block_vjp(g, qd, kd, vd, kept[0])
-            return _unbroadcast(gq, q.shape), gk, gv
         gq = np.empty(g.shape[:-1] + qd.shape[-1:], g.dtype)
         gk, gv = np.zeros(kd.shape, g.dtype), np.zeros(vd.shape, g.dtype)
         for i0, p in zip(range(0, t, ATTEND_ROWS), kept):
@@ -405,7 +387,7 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
             gv[..., :seen, :] += bv
         return _unbroadcast(gq, q.shape), gk, gv
 
-    return _make(out, parents, vjp, "attend")
+    return _make(np.concatenate(outs, axis=-2), parents, vjp, "attend")
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:

@@ -378,11 +378,19 @@ def attend_inputs(rng, layout, t, T, dk=3, dv=2):
             rng.standard_normal(v_lead + (T, dv)))
 
 
-@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
-def test_attend_matches_per_query_loop(layout):
-    # one decode query, a whole sequence, and a prefill that continues a cache
+# each layout at the default ATTEND_ROWS, and in blocks of 2 and of 3 queries
+ATTEND_CASES = [pytest.param(layout, rows, id=layout + (f"-rows{rows}" if rows else ""))
+                for rows in (None, 2, 3) for layout in sorted(ATTEND_LAYOUTS)]
+
+
+@pytest.mark.parametrize("layout, rows", ATTEND_CASES)
+def test_attend_matches_per_query_loop(monkeypatch, layout, rows):
+    # decode queries, whole sequences that split into blocks evenly and
+    # unevenly, and prefills that continue a cache
+    if rows:
+        monkeypatch.setattr(nk, "ATTEND_ROWS", rows)
     rng = np.random.default_rng(22)
-    for t, T in ((1, 1), (1, 6), (5, 5), (3, 7)):
+    for t, T in ((1, 1), (1, 6), (5, 5), (3, 7), (1, 9), (7, 7), (6, 6), (5, 9)):
         arrays = attend_inputs(rng, layout, t, T)
         with no_grad():
             out = nk.attend(*(tensor(a, dtype=np.float64) for a in arrays))
@@ -390,39 +398,18 @@ def test_attend_matches_per_query_loop(layout):
         assert np.abs(out.data - reference_attend(*arrays)).max() <= 1e-12, (t, T)
 
 
-@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
-def test_grad_attend(layout):
+@pytest.mark.parametrize("layout, rows", ATTEND_CASES)
+def test_grad_attend(monkeypatch, layout, rows):
     # gradients reach q, keys and values, summed over the shared head axes
+    # and over the blocks that saw each key
+    if rows:
+        monkeypatch.setattr(nk, "ATTEND_ROWS", rows)
     rng = np.random.default_rng(23)
-    for t, T in ((3, 5), (1, 4)):
+    for t, T in ((3, 5), (1, 4), (1, 9), (7, 7), (6, 6), (5, 9)):
         store = ParamStore()
         q, keys, values = (store.add(n, tensor(a, dtype=np.float64)) for n, a in
                            zip(("q", "keys", "values"), attend_inputs(rng, layout, t, T)))
         w = rng.standard_normal(np.broadcast_shapes(q.shape[:-2], keys.shape[:-2]) + (t, 2))
-
-        def f(p):
-            out = nk.attend(q, keys, values)
-            return nk.tsum(nk.mul(nk.mul(out, out), w))
-
-        check_grads(f, store)
-
-
-@pytest.mark.parametrize("rows", [2, 3])
-@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
-def test_attend_in_query_blocks(monkeypatch, layout, rows):
-    # blocks of 2 or 3 queries: a decode query, whole sequences that split
-    # evenly and unevenly, and a prefill that continues a cache
-    monkeypatch.setattr(nk, "ATTEND_ROWS", rows)
-    rng = np.random.default_rng(25)
-    for t, T in ((1, 9), (7, 7), (6, 6), (5, 9)):
-        arrays = attend_inputs(rng, layout, t, T)
-        with no_grad():
-            out = nk.attend(*(tensor(a, dtype=np.float64) for a in arrays))
-        assert np.abs(out.data - reference_attend(*arrays)).max() <= 1e-12, (t, T)
-        store = ParamStore()
-        q, keys, values = (store.add(n, tensor(a, dtype=np.float64))
-                           for n, a in zip(("q", "keys", "values"), arrays))
-        w = rng.standard_normal(out.shape)
 
         def f(p):
             out = nk.attend(q, keys, values)
@@ -453,6 +440,8 @@ def test_attend_refuses_mismatched_shapes():
     q, k, v = (tensor(np.zeros(s)) for s in ((4, 3), (3, 3), (3, 2)))
     with pytest.raises(KernelError, match="attend: mismatched shapes"):
         nk.attend(q, k, v)  # more queries than positions
+    with pytest.raises(KernelError, match="attend: mismatched shapes"):
+        nk.attend(tensor(np.zeros((0, 3))), k, v)  # no queries
     with pytest.raises(KernelError, match="attend: mismatched shapes"):
         nk.attend(k, k, tensor(np.zeros((2, 2))))
 
