@@ -166,9 +166,11 @@ class HybridModel:
     def _blocks(self, ids, caches: list, keep_mixer_outs: bool = False):
         """Logits, new caches and (if kept) mixer outputs; a None cache runs its
         layer stateless. (t,) ids run as a batch of one, whose axis the logits
-        and mixer outputs drop."""
+        and mixer outputs drop. Empty ids raise ``ValueError``."""
         ids = np.asarray(ids)
-        x = nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
+        if ids.size == 0:
+            raise ValueError(f"empty input: ids of shape {ids.shape} hold no token")
+        x =nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
         new_caches, outs = [], []
         for i in range(len(self.layers)):
             x, c, mixed = self.block(x, i, caches[i])

@@ -9,10 +9,13 @@ surgery (slice / reshape / transpose / concat / repeat / gather).
 only the causal key prefix its last query sees, so a call over T keys holds at
 most ATTEND_ROWS x T scores per head, however long the prefill.
 Each primitive records its inputs and a vector-Jacobian closure so that
-``backward`` can return exact gradients. Ops that make values check them for
-finiteness; ops that only move checked values (slice, reshape, transpose,
-concat, cached rows) do not. A slice or transpose is a view of its input, and
-``cached_rows`` a view of a decode cache's buffer, whether recorded or not.
+``backward`` can return exact gradients. ``backward`` walks a graph once and
+frees it as it goes: a node drops its inputs and closure, and the arrays the
+closure saved, once it has passed its gradient on. Ops that make values check
+them for finiteness; ops that only move checked values (slice, reshape,
+transpose, concat, cached rows) do not. A slice or transpose is a view of its
+input, and ``cached_rows`` a view of a decode cache's buffer, whether recorded
+or not.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def _wrap(x, dtype) -> Tensor:
 
 
 def _recording(parents: tuple[Tensor, ...]) -> bool:
-    return _grad_state.enabled and any(p.requires_grad or p._parents for p in parents)
+    # a recorded node, or one a backward has walked, has a vjp
+    return _grad_state.enabled and any(p.requires_grad or p._vjp is not None for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
@@ -495,6 +499,16 @@ def _unchunked(a: np.ndarray, t: int) -> np.ndarray:
     return np.moveaxis(a, 4, 2).reshape((n, nc * q, groups * r) + a.shape[5:])[:, :t]
 
 
+def _decay(S: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """L[..., t, s] = exp(S_t - S_s), the decay from step s to step t >= s, and 0
+    for s > t, from a chunk's cumulative log-decay S and the (q, q) ones ``tri``."""
+    L = S[..., :, None] - S[..., None, :]  # in place from here: these arrays are big
+    L *= tri  # 0, not -inf, above the diagonal: exp(-inf) is a slow path
+    np.exp(L, out=L)
+    L *= tri
+    return L
+
+
 def ssm_scan(
     x: Tensor, b: Tensor, c: Tensor, log_decay: Tensor, D: Tensor,
     h0: np.ndarray | None = None, *, dt: Tensor,
@@ -511,7 +525,8 @@ def ssm_scan(
     (the SSD form, Dao & Gu 2024, arXiv 2405.21060): with S the
     cumulative log-decay in a chunk, y = ((C B^T) o exp(S_t - S_s) dt_s [s <= t]) X
     + exp(S) (C h_in), and a closing update carries h_out on. The vjp is the
-    reverse chunked scan over the chunk-boundary states, the only states kept.
+    reverse chunked scan over the chunk-boundary states, the only states kept;
+    it rebuilds the decay matrix exp(S_t - S_s) [s <= t] rather than keep it.
     """
     got = {"x": x, "b": b, "c": c, "log_decay": log_decay, "D": D, "dt": dt}
     shapes = {k: v.shape for k, v in got.items()}
@@ -544,12 +559,8 @@ def ssm_scan(
             cg, la, dg = (_chunked(v, nc, q, groups) for v in (cd, ld, dtd))
             S = np.cumsum(la, axis=-1)
             tri = np.tri(q, dtype=S.dtype)
-            L = S[..., :, None] - S[..., None, :]  # in place from here: these arrays are big
-            L *= tri  # 0, not -inf, above the diagonal: exp(-inf) is a slow path
-            np.exp(L, out=L)
-            L *= tri  # L[t, s]: the decay from step s to step t >= s
             M = cg @ np.swapaxes(bg, -1, -2)  # C B^T, then in place (C B^T) o L o dt_s
-            M *= L
+            M *= _decay(S, tri)  # L is dropped here; the vjp rebuilds it
             M *= dg[..., None, :]
             to_end = np.exp(S[..., -1:] - S)  # decay from each step to the chunk's end
             local = np.swapaxes(bg * (to_end * dg)[..., None], -1, -2) @ xg
@@ -569,7 +580,7 @@ def ssm_scan(
             gh[:, k - 1] = (np.exp(S[:, k, ..., -1, None, None]) * gh[:, k]
                             + np.swapaxes(cg[:, k] * eS[:, k, ..., None], -1, -2) @ gy[:, k])
         # y = M X + exp(S) (C h_in), with M = (C B^T) o L o dt_s
-        A = (gy @ np.swapaxes(xg, -1, -2)) * L
+        A = (gy @ np.swapaxes(xg, -1, -2)) * _decay(S, tri)
         gCB = A * dg[..., None, :]
         gdt = (A * CB).sum(axis=-2)
         E = gCB * CB
@@ -726,11 +737,21 @@ class ParamStore:
         return iter(self._entries.items())
 
 
+def _walked(g):
+    """The vjp a walked node keeps: its graph is gone, so it has no gradient to pass on."""
+    raise GraphError("graph node was already walked by an earlier backward")
+
+
 def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of a recorded scalar loss.
+    """Reverse-mode gradients of a recorded scalar loss, walking its graph once.
 
     Returns one gradient array per trainable parameter; parameters that do not
-    participate in the graph get zeros of the matching shape.
+    participate in the graph get zeros of the matching shape. The walk frees
+    the graph as it goes: once a node has passed its gradient on, it drops its
+    parents and its vjp closure, and with them the arrays the closure saved.
+    So the loss holds no graph when this returns, and a later ``backward``
+    that meets a walked node, as its loss or inside its graph, raises
+    ``GraphError`` rather than treat the node as a constant.
     """
     if loss.data.shape != ():
         raise GraphError("loss must be a scalar")
@@ -746,6 +767,8 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _walked:
+            _walked(None)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -753,16 +776,19 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    for node in reversed(topo):
+    while topo:  # popped in reverse topological order, so each node is freed once walked
+        node = topo.pop()
         if not node._parents:
             continue  # leaf: keep its accumulated grad for collection below
+        parents, vjp = node._parents, node._vjp
+        node._parents, node._vjp = (), _walked
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:
+        if vjp is None:
             raise GraphError("graph node has parents but no recorded primitive")
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        parent_grads = vjp(g)
+        for parent, pg in zip(parents, parent_grads):
             if pg is None:
                 continue
             acc = grads.get(id(parent))

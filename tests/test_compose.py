@@ -298,6 +298,17 @@ def test_batched_cached_decode_matches_single_sequences(which):
             model.forward_cached(ids[:2, :1], caches)
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+def test_empty_ids_are_refused_by_both_entry_points(shape):
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    ids = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^empty input: ids of shape"):
+        hybrid.forward(ids)
+    with pytest.raises(ValueError, match=r"^empty input: ids of shape"):
+        hybrid.forward_cached(ids, hybrid.init_caches(np.float64))
+
+
 def test_kernel_error_names_its_layer():
     # an overflowing decay exponent in SSM layer 1 is reported with that layer's path
     _, mla, mamba = converted_pair()

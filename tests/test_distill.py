@@ -1,11 +1,13 @@
 """Distillation tests: loss closed forms, optimizer behaviour, training loops."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hybridforge.numkernel as nk
+from hybridforge import distill
 from hybridforge.attention import KIND_MHA, KIND_MLA, KIND_MAMBA2, MLAConfig, ModelConfig
 from hybridforge.compose import build_model, convert_model
 from hybridforge.distill import (
@@ -19,7 +21,7 @@ from hybridforge.distill import (
     run_ild,
     run_kd,
 )
-from hybridforge.harness import train_teacher
+from hybridforge.harness import cross_entropy, train_teacher
 from hybridforge.numkernel import ParamStore, Tensor, backward, tensor
 from oracle_helpers import finite_diff_grad
 
@@ -355,3 +357,27 @@ def test_divergence_guard_checks_the_weights_after_each_update():
     tc = TrainConfig(steps=1, learning_rate=1e39, log_every=0)
     with pytest.raises(DivergenceError, match=r"^teacher step 0: the update made embed non-finite$"):
         train_teacher(cfg, data, tc)
+
+
+def test_training_holds_one_graph_at_a_time():
+    # backward frees each step's graph, so step k's graph is gone before step
+    # k + 1 records its own: three steps peak near one recorded step, not two
+    cfg = ModelConfig(L=4, d=32, n_h=4, n_kv=2, d_h=8, vocab=64)
+    model = build_model(cfg, seed=0)
+    data = batches(np.random.default_rng(11), 64, 3, shape=(4, 33))
+    params = model.param_store()  # makes every weight trainable, so forward records
+
+    def loss_fn(m, batch):
+        return cross_entropy(m.forward(batch.inputs), batch.targets)
+
+    tracemalloc.start()
+    try:
+        backward(loss_fn(model, data[0]), params)
+        one_step = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        distill._train(model, data, TrainConfig(steps=3, log_every=0), loss_fn, "teacher", None)
+        three_steps = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert three_steps <= 1.5 * one_step, (three_steps, one_step)

@@ -1,6 +1,7 @@
 """Kernel tests: autodiff against central differences, SVD against oracles."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -91,6 +92,50 @@ def test_unused_param_gets_zero_grad():
     assert grads["b"].shape == (1, 2)
     assert np.all(grads["b"] == 0)
     assert np.allclose(grads["a"], [4.0])
+
+
+def test_backward_frees_the_graph_it_walks():
+    store = ParamStore()
+    p = store.add("p", tensor([1.0, 2.0], dtype=np.float64))
+    mid = nk.sigmoid(p)  # its vjp closure saves its output
+    saved = weakref.ref(mid.data)
+    loss = nk.tsum(mid)
+    del mid
+    backward(loss, store)
+    assert loss._parents == () and saved() is None
+    assert loss.item() == pytest.approx(np.sum(1.0 / (1.0 + np.exp([-1.0, -2.0]))))
+    with pytest.raises(GraphError, match="already walked"):  # not zero gradients
+        backward(loss, store)
+
+
+def test_backward_refuses_a_graph_through_a_walked_node():
+    store = ParamStore()
+    p = store.add("p", tensor([1.0, 2.0], dtype=np.float64))
+    h = nk.mul(p, p)
+    backward(nk.tsum(h), store)
+    with pytest.raises(GraphError, match="already walked"):
+        backward(nk.tsum(nk.add(h, p)), store)
+    # an op whose only recorded input is walked still records, so it is refused too
+    with pytest.raises(GraphError, match="already walked"):
+        backward(nk.tsum(nk.mul(h, 2.0)), store)
+
+
+def test_fresh_forward_after_a_walk_gets_exact_gradients():
+    rng = np.random.default_rng(16)
+    store = ParamStore()
+    w = make_param(store, "w", (4, 3), rng)
+    g = store.add("g", tensor(np.abs(rng.standard_normal(3)) + 0.5, dtype=np.float64))
+    x = tensor(rng.standard_normal((2, 5, 4)), dtype=np.float64)
+
+    def f(p):
+        h = nk.rms_norm(nk.matmul(x, w), g)
+        return nk.tmean(nk.mul(nk.softmax(h, axis=-1), h))
+
+    first = backward(f(store), store)
+    check_grads(f, store)  # each forward records a graph of its own
+    again = backward(f(store), store)
+    for path in first:
+        assert np.array_equal(first[path], again[path]), path
 
 
 def test_param_store_rejects_duplicates():
