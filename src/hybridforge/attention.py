@@ -290,9 +290,10 @@ def mha_forward(
     H is (b, t, d); with a cache, H holds the new tokens of the cache's b
     sequences, and positions continue from cache.t. Each kv head's keys and
     values are shared by its n_h / n_kv adjacent query heads without being
-    copied per head.
+    copied per head. The weights are trusted: ``HybridModel`` checks their
+    shapes once, when the model is built (``w.validate(cfg)`` checks a bare
+    record).
     """
-    w.validate(cfg)
     positions = _start(H, cache)
     b, t = H.shape[0], H.shape[1]
     n_kv, g, d_h = cfg.n_kv, cfg.n_h // cfg.n_kv, cfg.d_h
@@ -327,9 +328,8 @@ def mla_forward(
     W_UK is folded into each head's query, which then scores the cached
     [c_kv | k_r] rows directly, and W_UV maps each head's attention-weighted
     latent (attn @ c_kv) before W_O. Scores scale by 1 / sqrt(d_qk + d_r).
-    Shapes and caching are as in ``mha_forward``.
+    Shapes, caching and the trust in ``w`` are as in ``mha_forward``.
     """
-    w.validate(cfg, mcfg)
     positions = _start(H, cache)
     b, t = H.shape[0], H.shape[1]
     n_kv, g = cfg.n_kv, cfg.n_h // cfg.n_kv

@@ -71,8 +71,8 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise StageError(f"{what} not found: {path}")
+    except OSError as exc:  # missing, a directory, or not readable
+        raise StageError(f"{what} cannot be read ({path}): {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise StageError(f"{what} is not valid JSON ({path}): {exc}")
 
@@ -582,6 +582,6 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except (StageError, ValueError, LayoutError, CheckpointError, DivergenceError,
-            nk.KernelError) as exc:
+            nk.KernelError, OSError) as exc:  # OSError: artifact IO, such as an --out file
         print(f"error: {exc}", file=sys.stderr)
         return 2

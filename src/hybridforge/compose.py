@@ -98,13 +98,31 @@ class HybridModel:
     head: Tensor            # (d, vocab)
 
     def __post_init__(self):
-        if len(self.layers) != self.cfg.L:
+        """The model contract, checked once, where every model is built: each
+        mixer is its layer kind's record and each tensor has the shape the configs
+        give its ``named_tensors`` path (``ValueError`` names the first that does
+        not). A model with no MLA layer keeps no ``mcfg``, so ``kv_report`` given
+        its ``mcfg`` places the kind it holds. The mixer functions trust the rest."""
+        cfg = self.cfg
+        if len(self.layers) != cfg.L:
             raise ValueError("layer count does not match cfg.L")
-        for i, (kind, layer) in enumerate(zip(self.cfg.layer_kinds, self.layers)):
+        if KIND_MLA not in cfg.layer_kinds:
+            self.mcfg = None
+        elif self.mcfg is None:
+            raise ValueError("model with MLA layers needs an MLAConfig")
+        else:
+            self.mcfg.validate(cfg)
+        d, d_ff = cfg.d, mlp_width(cfg.d)
+        want = {"embed": (cfg.vocab, d), "final_norm": (d,), "head": (d, cfg.vocab)}
+        for i, (kind, layer) in enumerate(zip(cfg.layer_kinds, self.layers)):
             if not isinstance(layer.mixer, MIXERS[kind]):
                 raise ValueError(f"layer {i}: kind {kind} vs mixer {type(layer.mixer).__name__}")
-        if any(k == KIND_MLA for k in self.cfg.layer_kinds) and self.mcfg is None:
-            raise ValueError("model with MLA layers needs an MLAConfig")
+            p = f"layers.{i}."
+            want.update({p + "norm1": (d,), p + "norm2": (d,), p + "mlp_gate": (d, d_ff),
+                         p + "mlp_up": (d, d_ff), p + "mlp_down": (d_ff, d)})
+            shapes = MIXERS[kind].shapes(cfg, self.mcfg)
+            want.update({f"{p}mixer.{n}": s for n, s in shapes.items()})
+        nk.check_shapes(dict(self.named_tensors()), want)
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -238,34 +256,17 @@ def from_tensors(
     """The model whose parameter at each ``named_tensors`` path is ``tensors[path]``.
 
     Tensors are taken as they are, not copied; paths the configs do not name
-    are ignored. A missing path raises ``KeyError``. A tensor whose shape
-    contradicts ``cfg``/``mcfg`` raises ``ValueError`` naming its path; an SSM
-    ``conv`` of a width other than ``ssm.CONV_K`` is refused the same way. A
-    model with no MLA layer keeps no ``mcfg``, so ``kv_report`` given its
-    ``mcfg`` places the kind it holds.
+    are ignored. A missing path raises ``KeyError``; ``HybridModel`` checks
+    the rest.
     """
-    if KIND_MLA not in cfg.layer_kinds:
-        mcfg = None
-    elif mcfg is None:
-        raise ValueError("model with MLA layers needs an MLAConfig")
-    else:
-        mcfg.validate(cfg)
-    d, d_ff = cfg.d, mlp_width(cfg.d)
-    top = {"embed": (cfg.vocab, d), "final_norm": (d,), "head": (d, cfg.vocab)}
-    block = {"norm1": (d,), "norm2": (d,), "mlp_gate": (d, d_ff), "mlp_up": (d, d_ff),
-             "mlp_down": (d_ff, d)}
-    nk.check_shapes(tensors, top)
+    block = ("norm1", "norm2", "mlp_gate", "mlp_up", "mlp_down")
     layers = []
     for i, kind in enumerate(cfg.layer_kinds):
         p, cls = f"layers.{i}.", MIXERS[kind]
-        nk.check_shapes(tensors, {p + n: s for n, s in block.items()})
         mixer = cls(**{n: tensors[f"{p}mixer.{n}"] for n in cls.NAMES})
-        try:
-            mixer.validate(cfg, mcfg)
-        except ValueError as exc:  # the message starts with the tensor's name
-            raise ValueError(f"{p}mixer.{exc}") from None
         layers.append(LayerParams(mixer=mixer, **{n: tensors[p + n] for n in block}))
-    return HybridModel(cfg=cfg, mcfg=mcfg, layers=layers, **{n: tensors[n] for n in top})
+    return HybridModel(cfg=cfg, mcfg=mcfg, layers=layers,
+                       **{n: tensors[n] for n in ("embed", "final_norm", "head")})
 
 
 def build_model(

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import numkernel as nk
-from .distill import Batch, kd_loss
+from .distill import Batch, _check_family, kd_loss
 
 __all__ = [
     "SensitivityProfile",
@@ -231,9 +231,7 @@ def score_sensitivity(
     L+1 KLs; with jobs > 1 the batches fan out across threads, and the KLs are
     summed in batch order, so the scores do not depend on jobs.
     """
-    for f in ("L", "d", "vocab"):
-        if not (getattr(teacher.cfg, f) == getattr(full_mamba.cfg, f) == getattr(donor.cfg, f)):
-            raise ValueError(f"models disagree on cfg.{f}")
+    _check_family(teacher, full_mamba)
     check_skeleton(donor, full_mamba)
     data = list(data)
     if not data:

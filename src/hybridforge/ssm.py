@@ -100,9 +100,9 @@ def mamba2_forward_seq(
 
     With a state, H continues the state's b streamed sequences, and the
     returned state carries them past H's last token. Without one, the pass
-    starts from zeros and returns None for the state.
+    starts from zeros and returns None for the state. The weights are
+    trusted, as in ``attention.mha_forward``.
     """
-    w.validate(cfg)
     if H.ndim != 3:
         raise ValueError(f"H must be (batch, t, d), got shape {H.shape}")
     b, t = H.shape[0], H.shape[1]

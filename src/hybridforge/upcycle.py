@@ -8,6 +8,9 @@ columns of the head-averaged key projection. A state-space layer is seeded
 by reusing the source projections directly (value -> state write, key ->
 input gate, query -> state read, output kept) with identity convolutions, so
 the freshly converted layer starts out computing attention-like scores.
+
+No weight record is shape-checked here: ``HybridModel`` checks them where
+``convert_model`` builds the student. An ``MLAConfig`` is validated on entry.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ def init_mla_from_attention(
     stacked [key, value] block. At truncated ranks the error equals the
     optimal rank-r Frobenius error, nothing more.
     """
-    w.validate(cfg)
     mcfg.validate(cfg)
     n_h, n_kv, d_h = cfg.n_h, cfg.n_kv, cfg.d_h
     d_qk, d_r, d_v = mcfg.d_qk, mcfg.d_r, mcfg.d_v
@@ -71,7 +73,7 @@ def init_mla_from_attention(
     k_mean = w.W_K.data.reshape(cfg.d, n_kv, d_h).mean(axis=1)
     w_kr = np.ascontiguousarray(k_mean[:, d_h - d_r :])
 
-    out = MLAWeights(
+    return MLAWeights(
         W_DQ=fq.U,
         W_UQ=Tensor(np.ascontiguousarray(w_uq)),
         W_QR=Tensor(np.ascontiguousarray(w_qr)),
@@ -81,8 +83,6 @@ def init_mla_from_attention(
         W_KR=Tensor(w_kr),
         W_O=Tensor(w.W_O.data.copy()),
     )
-    out.validate(cfg, mcfg)
-    return out
 
 
 def default_decay_exponents(n_h: int, dtype=np.float32) -> np.ndarray:
@@ -114,10 +114,9 @@ def init_mamba2_from_attention(w: AttentionWeights, cfg: ModelConfig) -> Mamba2W
     defaults. With the identity convolution the converted layer's first step
     reads exactly the projected source activations.
     """
-    w.validate(cfg)
     dtype = w.W_Q.dtype
     dt_cols = np.zeros((cfg.d, cfg.n_h), dtype=dtype)
-    out = Mamba2Weights(
+    return Mamba2Weights(
         W_in=Tensor(np.concatenate([w.W_V.data, w.W_K.data, w.W_Q.data, dt_cols], axis=1)),
         conv=Tensor(identity_conv(Mamba2Weights.shapes(cfg)["conv"][0], dtype)),
         a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
@@ -125,8 +124,6 @@ def init_mamba2_from_attention(w: AttentionWeights, cfg: ModelConfig) -> Mamba2W
         D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
         W_out=Tensor(w.W_O.data.copy()),
     )
-    out.validate(cfg)
-    return out
 
 
 def init_random(
@@ -156,7 +153,7 @@ def init_random(
         widths = (cfg.n_kv * cfg.d_h, cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h)
         proj = [gauss(cfg.d, cfg.d, n).data for n in widths]
         kernels = [gauss(CONV_K, n, CONV_K).data for n in widths]
-        out = Mamba2Weights(
+        return Mamba2Weights(
             W_in=Tensor(np.concatenate(proj + [np.zeros((cfg.d, cfg.n_h), dtype)], axis=1)),
             conv=Tensor(np.concatenate(kernels, axis=0)),
             a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
@@ -164,7 +161,5 @@ def init_random(
             D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
             W_out=gauss(cfg.n_h * cfg.d_h, cfg.n_h * cfg.d_h, cfg.d),
         )
-        out.validate(cfg)
-        return out
 
     raise ValueError(f"unknown mixer kind {kind!r}")

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hybridforge
 from hybridforge import numkernel as nk
@@ -157,6 +158,7 @@ def _grad_worst(loss_fn, store) -> tuple[float, int]:
     return worst, coords
 
 
+@pytest.mark.slow
 def test_criterion_04_gradient_correctness(capsys):
     rng = np.random.default_rng(4)
     worst = 0.0
@@ -286,6 +288,7 @@ def _mean_eval_kd(teacher, student, data) -> float:
     return float(np.mean(vals))
 
 
+@pytest.mark.slow
 def test_criterion_06_ordering_of_init_and_alignment(capsys):
     t_start = time.perf_counter()
     cfg = ModelConfig(L=4, d=32, n_h=4, n_kv=2, d_h=8, vocab=64)

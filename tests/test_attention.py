@@ -94,12 +94,19 @@ def test_mla_config_validation():
 
 
 def test_weight_shape_validation():
+    # the mixers trust their weights; the model that holds them refuses a bad shape
+    from hybridforge.compose import HybridModel, build_model
+
     cfg = toy_cfg()
-    rng = np.random.default_rng(0)
-    w = rand_attn(cfg, rng)
+    model = build_model(cfg, seed=0, dtype=np.float64)
+    w = rand_attn(cfg, np.random.default_rng(0))
     w.W_K = tensor(np.zeros((cfg.d, 3)), dtype=np.float64)
-    with pytest.raises(ValueError):
-        mha_forward(tensor(np.zeros((1, 2, cfg.d)), dtype=np.float64), w, cfg)
+    model.layers[1].mixer = w
+    with pytest.raises(ValueError, match=r"^layers\.1\.mixer\.W_K shape \(16, 3\) != expected"):
+        HybridModel(cfg=cfg, mcfg=None, embed=model.embed, layers=model.layers,
+                    final_norm=model.final_norm, head=model.head)
+    with pytest.raises(ValueError, match=r"^W_K shape"):
+        w.validate(cfg)  # a bare record is checked on request
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,43 @@ def test_config_bad_json_exits_2(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def refused_with_error(capsys, rc):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_out_path_that_is_a_file_exits_2(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {"count": 10})
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    err = refused_with_error(capsys, main(["gen-data", "--config", cfg, "--out", str(taken)]))
+    assert str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--config", "{dir}", "--out", "{dir}/o"],
+    ["smart-select", "--n", "2", "--scores", "{dir}"],
+])
+def test_json_input_that_is_a_directory_exits_2(capsys, tmp_path, argv):
+    err = refused_with_error(capsys, main([a.format(dir=tmp_path) for a in argv]))
+    assert f"({tmp_path}): " in err
+
+
+def test_manifest_that_is_a_directory_exits_2(capsys, tmp_path):
+    err = refused_with_error(capsys, run_manifest(str(tmp_path)))
+    assert f"manifest cannot be read ({tmp_path})" in err
+
+
+def test_checkpoint_path_that_is_a_directory_exits_2(capsys, tmp_path):
+    (tmp_path / "teacher.hfrg").mkdir()
+    cfg = write_json(tmp_path / "c.json", {"teacher": "teacher.hfrg"})
+    rc = main(["upcycle", "--kind", "mamba2", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert str(tmp_path / "teacher.hfrg") in refused_with_error(capsys, rc)
+
+
 KV_MODEL = {"model": {"L": 2, "d": 16, "n_h": 4, "n_kv": 2, "d_h": 4, "vocab": 32},
             "mla": {"r_q": 8, "r_kv": 6, "d_qk": 2, "d_v": 4, "d_r": 2}}
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 import zlib
 
@@ -99,6 +100,31 @@ def test_kind_mixer_mismatch_rejected():
     with pytest.raises(ValueError):
         HybridModel(cfg=bad_cfg, mcfg=None, embed=model.embed, layers=model.layers,
                     final_norm=model.final_norm, head=model.head)
+
+
+def test_direct_construction_checks_every_shape():
+    # the constructor is the one gate: a bad tensor is refused before any forward
+    model = build_model(toy_cfg(layer_kinds=[KIND_MHA, KIND_MLA, KIND_MAMBA2, KIND_MLA]),
+                        toy_mcfg(), seed=0)
+    for owner, name, shape, path in (
+        (lambda m: m.layers[0].mixer, "W_K", (16, 3), "layers.0.mixer.W_K"),
+        (lambda m: m.layers[1].mixer, "W_UK", (6, 5), "layers.1.mixer.W_UK"),
+        (lambda m: m.layers[2].mixer, "conv", (32, 3), "layers.2.mixer.conv"),
+        (lambda m: m.layers[3], "mlp_down", (32, 15), "layers.3.mlp_down"),
+        (lambda m: m, "head", (16, 31), "head"),
+    ):
+        bad = model.clone()
+        setattr(owner(bad), name, nk.Tensor(np.zeros(shape, dtype=np.float32)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)} shape {re.escape(str(shape))} "
+                                             r"!= expected"):
+            HybridModel(**vars(bad))
+    with pytest.raises(ValueError, match="needs an MLAConfig"):
+        HybridModel(**{**vars(model), "mcfg": None})
+    with pytest.raises(ValueError, match="r_q out of range"):
+        HybridModel(**{**vars(model), "mcfg": MLAConfig(r_q=99, r_kv=6, d_qk=2, d_v=4, d_r=2)})
+    # a model with no MLA layer keeps no MLA config
+    mha = build_model(toy_cfg(), seed=0)
+    assert HybridModel(**{**vars(mha), "mcfg": toy_mcfg()}).mcfg is None
 
 
 def test_clone_is_independent():

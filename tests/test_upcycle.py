@@ -122,6 +122,7 @@ def test_mla_init_deterministic():
         assert np.array_equal(t1.data, t2.data)
 
 
+@pytest.mark.slow
 def test_published_config_shapes():
     # 16-layer base with d=2048, 32 query / 8 kv heads of dim 64;
     # latent ranks 128 (kv) and 1344 (q), rotary slice 32
