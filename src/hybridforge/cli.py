@@ -386,9 +386,10 @@ def cmd_kv_report(args) -> int:
         raise UsageError("kv-report requires --layout <file>")
     if args.tokens is None:
         raise UsageError("kv-report requires --tokens <t>")
-    cfg = _stage_config(args, ("model", "mla"))
+    cfg = _stage_config(args, ("model",), ("mla",))
     mc = _read_config(ModelConfig, cfg["model"], "kv-report config: model")
-    mcfg = _read_config(MLAConfig, cfg["mla"], "kv-report config: mla")
+    # without an MLA rank section the placed layers are the teacher's MHA
+    mcfg = _read_config(MLAConfig, cfg["mla"], "kv-report config: mla") if "mla" in cfg else None
 
     layout = _load_layout(args.layout)
     report = kv_report(mc, layout, mcfg, t=args.tokens)

@@ -188,7 +188,7 @@ class HybridModel:
         ids = np.asarray(ids)
         if ids.size == 0:
             raise ValueError(f"empty input: ids of shape {ids.shape} hold no token")
-        x =nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
+        x = nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
         new_caches, outs = [], []
         for i in range(len(self.layers)):
             x, c, mixed = self.block(x, i, caches[i])

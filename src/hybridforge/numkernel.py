@@ -7,7 +7,9 @@ softmax attention (``attend``), the gated state-space recurrence, and shape
 surgery (slice / reshape / transpose / concat / repeat / gather).
 ``attend`` runs its queries in blocks of ``ATTEND_ROWS``, each scored against
 only the causal key prefix its last query sees, so a call over T keys holds at
-most ATTEND_ROWS x T scores per head, however long the prefill.
+most ATTEND_ROWS x T scores per head, however long the prefill; an unrecorded
+call scores every block in one array, the size of its largest block's scores.
+``silu`` and ``rms_norm`` write their temporaries in place.
 Each primitive records its inputs and a vector-Jacobian closure so that
 ``backward`` can return exact gradients. ``backward`` walks a graph once and
 frees it as it goes: a node drops its inputs and closure, and the arrays the
@@ -20,6 +22,7 @@ or not.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -253,7 +256,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = np.negative(a.data)  # 1 / (1 + exp(-a)), in one array
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
     out = a.data * s
 
     def vjp(g):
@@ -326,10 +332,19 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 ATTEND_ROWS = 64
 
 
-def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray):
-    """Probabilities and output of n queries qb, the last n of kb's positions."""
-    n = qb.shape[-2]
-    p = _check_finite(qb @ np.swapaxes(kb, -1, -2), "attend")
+def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray, buf: np.ndarray | None):
+    """Probabilities and output of n queries qb, the last n of kb's positions.
+
+    The scores are written into a prefix of ``buf`` when it holds them all,
+    else into a fresh array.
+    """
+    n, kt = qb.shape[-2], np.swapaxes(kb, -1, -2)
+    if buf is not None and n * kt.shape[-1] <= buf.shape[-2] * buf.shape[-1]:
+        shape = buf.shape[:-2] + (n, kt.shape[-1])  # every block has the same leading axes
+        p = np.matmul(qb, kt, out=buf.reshape(-1)[:math.prod(shape)].reshape(shape))
+    else:
+        p = qb @ kt
+    _check_finite(p, "attend")
     if n > 1:  # a single query is the newest position and sees every key
         p[..., -n:] += np.triu(np.full((n, n), NEG_MASK, p.dtype), 1)
     p -= p.max(axis=-1, keepdims=True)
@@ -359,10 +374,15 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     a call holds at most an (..., ATTEND_ROWS, T) score array, not an
     (..., t, T) one, and a long prefill skips about half the score and value
     work; a call of at most ``ATTEND_ROWS`` queries is one block. A block's
-    scores are exponentiated and normalized in place. An unrecorded call drops
-    them once they have weighted the values; a recorded call keeps each block's
-    probabilities, all its vjp keeps. Only the computed scores and the output
-    are checked: finite scores give probabilities in [0, 1] over a sum >= 1.
+    scores are exponentiated and normalized in place. An unrecorded call
+    scores every block in one array, the size of its largest block's scores:
+    it walks the blocks from last to first, the last one's fresh scores (or
+    the larger ones of the block before it) become that array, and each
+    smaller block writes into a prefix of it, so a long prefill does not
+    allocate, and fault in, fresh scores per block. A recorded call keeps
+    each block's probabilities in an array of their own, all its vjp keeps.
+    Only the computed scores and the output are checked: finite scores give
+    probabilities in [0, 1] over a sum >= 1.
     """
     qd, kd, vd = q.data, keys.data, values.data
     t, T = qd.shape[-2], kd.shape[-2]
@@ -370,19 +390,23 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
         raise KernelError(f"attend: mismatched shapes q {q.shape}, keys {keys.shape}, "
                           f"values {values.shape}")
     parents = (q, keys, values)
-    recorded, kept, outs = _recording(parents), [], []
-    for i0 in range(0, t, ATTEND_ROWS):
+    recorded, kept, outs, buf = _recording(parents), [], [], None
+    # last block first: it sees every key, so only the block before it can have more scores
+    for i0 in reversed(range(0, t, ATTEND_ROWS)):
         i1 = min(i0 + ATTEND_ROWS, t)
         seen = T - t + i1
-        p, o = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :])
+        p, o = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], buf)
         outs.append(o)
         if recorded:
             kept.append(p)
+        elif buf is None or p.size > buf.size:
+            buf = p
 
     def vjp(g):
         gq = np.empty(g.shape[:-1] + qd.shape[-1:], g.dtype)
         gk, gv = np.zeros(kd.shape, g.dtype), np.zeros(vd.shape, g.dtype)
-        for i0, p in zip(range(0, t, ATTEND_ROWS), kept):
+        # first block first, so each key's gradient sums its blocks in query order
+        for i0, p in zip(range(0, t, ATTEND_ROWS), reversed(kept)):
             i1 = i0 + p.shape[-2]
             seen = T - t + i1
             gq[..., i0:i1, :], bk, bv = _attend_block_vjp(
@@ -391,7 +415,7 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
             gv[..., :seen, :] += bv
         return _unbroadcast(gq, q.shape), gk, gv
 
-    return _make(np.concatenate(outs, axis=-2), parents, vjp, "attend")
+    return _make(np.concatenate(outs[::-1], axis=-2), parents, vjp, "attend")
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -401,7 +425,8 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     # a square that overflows would make r = 0 and the output a finite 0
     ms = _check_finite((xd * xd).mean(axis=-1, keepdims=True), "rms_norm")
     r = 1.0 / np.sqrt(ms + RMS_EPS)
-    out = xd * r * gain.data
+    out = xd * r
+    out *= gain.data
 
     def vjp(g):
         gg = g * gain.data

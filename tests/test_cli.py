@@ -540,6 +540,44 @@ def test_kv_report_requires_layout_and_tokens(capsys, tmp_path):
     assert main(["kv-report", "--config", cfg, "--layout", str(layout)]) == 1
 
 
+# kv-report of KV_MODEL with layout [1] at 8 tokens, as the stage wrote it
+# when 'mla' was a required key
+KV_REPORT_MLA = """{
+  "baseline_kv_bytes": 1024,
+  "elem_bytes": 4,
+  "layer_kinds": [
+    "mamba2",
+    "mla"
+  ],
+  "per_layer_bytes": [
+    0,
+    256
+  ],
+  "percent_of_baseline": 25.0,
+  "ssm_state_bytes": 640,
+  "t": 8,
+  "total_kv_bytes": 256
+}
+"""
+
+
+def test_kv_report_mla_is_optional(tmp_path, capsys):
+    # without 'mla' the placed layers are MHA, so the report reads N/L
+    layout = write_json(tmp_path / "l.json", {"mla_indices": [1]})
+    for name, cfg_obj, percent in (("mla", KV_MODEL, "25.00%"),
+                                   ("mha", {"model": KV_MODEL["model"]}, "50.00%")):
+        cfg = write_json(tmp_path / f"{name}.json", cfg_obj)
+        out = tmp_path / name
+        assert main(["kv-report", "--config", cfg, "--layout", layout, "--tokens", "8",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == percent
+    assert (tmp_path / "mla" / "kv_report.json").read_text() == KV_REPORT_MLA
+    report = json.loads((tmp_path / "mha" / "kv_report.json").read_text())
+    assert report["layer_kinds"] == ["mamba2", "mha"]
+    assert report["per_layer_bytes"] == [0, report["baseline_kv_bytes"] // 2]
+    assert report["ssm_state_bytes"] == 640
+
+
 def test_compose_places_the_donors_kind(tmp_path, capsys):
     # "mla" names the donor: the teacher places its own MHA; an all-SSM model is refused
     from hybridforge import compose

@@ -481,6 +481,83 @@ def test_attend_memory_is_bounded_by_its_query_block():
     assert peak < 4 * 2**20, f"attend peaked at {peak / 2**20:.1f} MiB"
 
 
+def spy_scores(monkeypatch):
+    """The list that every later attend block appends its score array to."""
+    scores, block = [], nk._attend_block
+
+    def spy(*args):
+        p, o = block(*args)
+        scores.append(p)
+        return p, o
+
+    monkeypatch.setattr(nk, "_attend_block", spy)
+    return scores
+
+
+def score_arrays(blocks):
+    """How many of the blocks' score arrays share memory with no earlier one."""
+    return sum(not any(np.shares_memory(p, e) for e in blocks[:i]) for i, p in enumerate(blocks))
+
+
+# (ATTEND_ROWS, t, T, score arrays of an unrecorded call). In the first three
+# the partial last block has fewer scores than the block before it; in the last
+# the full last block has the most.
+REUSE_CASES = [(3, 7, 9, 2), (None, 100, 100, 2), (None, 130, 160, 2), (None, 128, 200, 1)]
+
+
+@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
+@pytest.mark.parametrize("rows, t, T, arrays", REUSE_CASES)
+def test_unrecorded_attend_scores_every_block_in_one_array(monkeypatch, layout, rows, t, T,
+                                                          arrays):
+    # an unrecorded call writes each block's scores into a prefix of its
+    # largest block's; a recorded call keeps one array per block. Same bytes.
+    if rows:
+        monkeypatch.setattr(nk, "ATTEND_ROWS", rows)
+    inputs = attend_inputs(np.random.default_rng(27), layout, t, T)
+    scores = spy_scores(monkeypatch)
+    with no_grad():
+        free = nk.attend(*(tensor(a, dtype=np.float64) for a in inputs))
+    unrecorded = scores[:]
+    scores.clear()
+    store = ParamStore()
+    kept = nk.attend(*(store.add(n, tensor(a, dtype=np.float64)) for n, a in zip("qkv", inputs)))
+    assert kept._vjp is not None
+    assert free.data.tobytes() == kept.data.tobytes()
+    assert np.abs(free.data - reference_attend(*inputs)).max() <= 1e-12
+    assert score_arrays(unrecorded) == arrays
+    assert score_arrays(scores) == len(scores) == len(unrecorded)
+
+
+def test_attend_output_survives_a_second_call(monkeypatch):
+    # the output is an array of its own: no view of the scores or of the rows read
+    rng = np.random.default_rng(28)
+    inputs = [tensor(a, dtype=np.float64) for a in attend_inputs(rng, "mla", 130, 160)]
+    scores = spy_scores(monkeypatch)
+    with no_grad():
+        out = nk.attend(*inputs)
+        before = out.data.copy()
+        assert not any(np.shares_memory(out.data, a) for a in [*scores, *(x.data for x in inputs)])
+        nk.attend(*(tensor(a, dtype=np.float64) for a in attend_inputs(rng, "mla", 130, 160)))
+    assert out.data.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_and_rms_norm_in_place_keep_their_bytes(dtype):
+    # the same ufuncs in the same order as the plain expressions, and the inputs untouched
+    rng = np.random.default_rng(29)
+    a = (rng.standard_normal((2, 5, 16)) * 6).astype(dtype)
+    gain = rng.standard_normal(16).astype(dtype)
+    a0, gain0 = a.copy(), gain.copy()
+    x, g = tensor(a, dtype=dtype), tensor(gain, dtype=dtype)
+    assert np.shares_memory(x.data, a) and np.shares_memory(g.data, gain)
+    silu, normed = nk.silu(x).data, nk.rms_norm(x, g).data
+    r = 1.0 / np.sqrt((a * a).mean(axis=-1, keepdims=True) + nk.RMS_EPS)
+    assert silu.dtype == normed.dtype == dtype
+    assert silu.tobytes() == (a * (1.0 / (1.0 + np.exp(-a)))).tobytes()
+    assert normed.tobytes() == (a * r * gain).tobytes()
+    assert a.tobytes() == a0.tobytes() and gain.tobytes() == gain0.tobytes()
+
+
 def test_attend_refuses_mismatched_shapes():
     q, k, v = (tensor(np.zeros(s)) for s in ((4, 3), (3, 3), (3, 2)))
     with pytest.raises(KernelError, match="attend: mismatched shapes"):
