@@ -88,10 +88,6 @@ class MixerWeights:
     def items(self) -> list[tuple[str, Tensor]]:
         return [(n, getattr(self, n)) for n in self.NAMES]
 
-    def validate(self, cfg: ModelConfig, mcfg: Optional[MLAConfig] = None) -> None:
-        """Raise ``ValueError`` naming the first tensor whose shape contradicts the configs."""
-        nk.check_shapes(vars(self), self.shapes(cfg, mcfg))
-
 
 @dataclass
 class AttentionWeights(MixerWeights):
@@ -291,8 +287,7 @@ def mha_forward(
     sequences, and positions continue from cache.t. Each kv head's keys and
     values are shared by its n_h / n_kv adjacent query heads without being
     copied per head. The weights are trusted: ``HybridModel`` checks their
-    shapes once, when the model is built (``w.validate(cfg)`` checks a bare
-    record).
+    shapes once, when the model is built.
     """
     positions = _start(H, cache)
     b, t = H.shape[0], H.shape[1]

@@ -122,7 +122,10 @@ class HybridModel:
                          p + "mlp_up": (d, d_ff), p + "mlp_down": (d_ff, d)})
             shapes = MIXERS[kind].shapes(cfg, self.mcfg)
             want.update({f"{p}mixer.{n}": s for n, s in shapes.items()})
-        nk.check_shapes(dict(self.named_tensors()), want)
+        tensors = dict(self.named_tensors())
+        for name, shape in want.items():
+            if tensors[name].shape != shape:
+                raise ValueError(f"{name} shape {tensors[name].shape} != expected {shape}")
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -228,7 +231,9 @@ class HybridModel:
         with np.errstate(over="ignore", invalid="ignore"):
             return nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
 
-    def init_caches(self, dtype=np.float32) -> list:
+    def init_caches(self, dtype=None) -> list:
+        """Empty per-layer decode caches, in the model's dtype unless ``dtype`` is given."""
+        dtype = self.embed.dtype if dtype is None else dtype
         return [SsmState.empty(self.cfg, dtype) if kind == KIND_MAMBA2
                 else RowCache.empty(row_width(kind, self.cfg, self.mcfg), dtype)
                 for kind in self.cfg.layer_kinds]

@@ -276,8 +276,7 @@ def greedy_decode(
 
     Returns (generated ids, per-token decode seconds, prefill seconds, caches).
     """
-    dtype = model.embed.dtype
-    caches = model.init_caches(dtype)
+    caches = model.init_caches()
     out = np.empty(gen_len, dtype=np.int64)
     times = np.empty(gen_len)
     with nk.no_grad():

@@ -7,8 +7,9 @@ softmax attention (``attend``), the gated state-space recurrence, and shape
 surgery (slice / reshape / transpose / concat / repeat / gather).
 ``attend`` runs its queries in blocks of ``ATTEND_ROWS``, each scored against
 only the causal key prefix its last query sees, so a call over T keys holds at
-most ATTEND_ROWS x T scores per head, however long the prefill; an unrecorded
-call scores every block in one array, the size of its largest block's scores.
+most ATTEND_ROWS x T scores per head, however long the prefill. Its blocks run
+first to last, each writing its own rows of one output; an unrecorded call
+scores them all in one scratch array sized ATTEND_ROWS x T per head.
 ``silu`` and ``rms_norm`` write their temporaries in place.
 Each primitive records its inputs and a vector-Jacobian closure so that
 ``backward`` can return exact gradients. ``backward`` walks a graph once and
@@ -26,7 +27,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "SvdFactors",
     "no_grad",
     "tensor",
-    "check_shapes",
     "svd_truncated",
     "backward",
 ]
@@ -139,14 +139,6 @@ class Tensor:
 def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
     """Wrap array-like data as a Tensor of the given float dtype."""
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def check_shapes(tensors: Mapping[str, Tensor], want: Mapping[str, tuple]) -> None:
-    """Raise ``ValueError`` naming the first tensor whose shape differs from ``want``'s."""
-    for name, shape in want.items():
-        got = tensors[name].shape
-        if got != shape:
-            raise ValueError(f"{name} shape {got} != expected {shape}")
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -332,25 +324,20 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 ATTEND_ROWS = 64
 
 
-def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray, buf: np.ndarray | None):
-    """Probabilities and output of n queries qb, the last n of kb's positions.
-
-    The scores are written into a prefix of ``buf`` when it holds them all,
-    else into a fresh array.
-    """
-    n, kt = qb.shape[-2], np.swapaxes(kb, -1, -2)
-    if buf is not None and n * kt.shape[-1] <= buf.shape[-2] * buf.shape[-1]:
-        shape = buf.shape[:-2] + (n, kt.shape[-1])  # every block has the same leading axes
-        p = np.matmul(qb, kt, out=buf.reshape(-1)[:math.prod(shape)].reshape(shape))
-    else:
-        p = qb @ kt
+def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray, scores: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Probabilities of n queries qb, the last n of kb's positions, scored into
+    ``scores``; their output is written into ``out``."""
+    n = qb.shape[-2]
+    p = np.matmul(qb, np.swapaxes(kb, -1, -2), out=scores)
     _check_finite(p, "attend")
     if n > 1:  # a single query is the newest position and sees every key
         p[..., -n:] += np.triu(np.full((n, n), NEG_MASK, p.dtype), 1)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    return p, p @ vb
+    np.matmul(p, vb, out=out)
+    return p
 
 
 def _attend_block_vjp(g, qb, kb, vb, p):
@@ -373,12 +360,11 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     i1 - 1, and masks only the trailing (n, n) triangle above its diagonal. So
     a call holds at most an (..., ATTEND_ROWS, T) score array, not an
     (..., t, T) one, and a long prefill skips about half the score and value
-    work; a call of at most ``ATTEND_ROWS`` queries is one block. A block's
-    scores are exponentiated and normalized in place. An unrecorded call
-    scores every block in one array, the size of its largest block's scores:
-    it walks the blocks from last to first, the last one's fresh scores (or
-    the larger ones of the block before it) become that array, and each
-    smaller block writes into a prefix of it, so a long prefill does not
+    work; a call of at most ``ATTEND_ROWS`` queries is one block. The blocks
+    run first to last, and each writes its output rows straight into the one
+    output array. A block's scores are exponentiated and normalized in place.
+    An unrecorded call scores every block into a prefix of one scratch array
+    of min(t, ``ATTEND_ROWS``) x T per head, so a long prefill does not
     allocate, and fault in, fresh scores per block. A recorded call keeps
     each block's probabilities in an array of their own, all its vjp keeps.
     Only the computed scores and the output are checked: finite scores give
@@ -390,23 +376,27 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
         raise KernelError(f"attend: mismatched shapes q {q.shape}, keys {keys.shape}, "
                           f"values {values.shape}")
     parents = (q, keys, values)
-    recorded, kept, outs, buf = _recording(parents), [], [], None
-    # last block first: it sees every key, so only the block before it can have more scores
-    for i0 in reversed(range(0, t, ATTEND_ROWS)):
+    recorded, kept = _recording(parents), []
+    # broadcast one element of each: cheaper than np.broadcast_shapes, every decode step
+    lead = np.broadcast(qd[..., 0, 0], kd[..., 0, 0], vd[..., 0, 0]).shape
+    dtype = np.result_type(qd, kd, vd)
+    out = np.empty(lead + (t, vd.shape[-1]), dtype)
+    # np.empty: a block touches only the pages of the scratch that it writes
+    scratch = None if recorded else np.empty(math.prod(lead) * min(t, ATTEND_ROWS) * T, dtype)
+    for i0 in range(0, t, ATTEND_ROWS):
         i1 = min(i0 + ATTEND_ROWS, t)
         seen = T - t + i1
-        p, o = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], buf)
-        outs.append(o)
+        shape = lead + (i1 - i0, seen)
+        scores = np.empty(shape, dtype) if recorded else scratch[:math.prod(shape)].reshape(shape)
+        p = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], scores,
+                          out[..., i0:i1, :])
         if recorded:
             kept.append(p)
-        elif buf is None or p.size > buf.size:
-            buf = p
 
     def vjp(g):
         gq = np.empty(g.shape[:-1] + qd.shape[-1:], g.dtype)
         gk, gv = np.zeros(kd.shape, g.dtype), np.zeros(vd.shape, g.dtype)
-        # first block first, so each key's gradient sums its blocks in query order
-        for i0, p in zip(range(0, t, ATTEND_ROWS), reversed(kept)):
+        for i0, p in zip(range(0, t, ATTEND_ROWS), kept):
             i1 = i0 + p.shape[-2]
             seen = T - t + i1
             gq[..., i0:i1, :], bk, bv = _attend_block_vjp(
@@ -415,7 +405,7 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
             gv[..., :seen, :] += bv
         return _unbroadcast(gq, q.shape), gk, gv
 
-    return _make(np.concatenate(outs[::-1], axis=-2), parents, vjp, "attend")
+    return _make(out, parents, vjp, "attend")
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:

@@ -87,11 +87,10 @@ def test_named_tensor_order_and_param_count():
 
 
 def test_mixer_records_share_one_convention():
-    # plain tensor records: no dims of their own, one items() and one validate()
+    # plain tensor records: no dims of their own, and one items()
     for cls in MIXERS.values():
         assert [f.name for f in dataclasses.fields(cls)] == list(cls.NAMES)
         assert cls.items is MixerWeights.items
-        assert cls.validate is MixerWeights.validate
 
 
 def test_kind_mixer_mismatch_rejected():
@@ -272,6 +271,24 @@ def test_assembled_hybrid_cached_decode_matches_full():
         step, caches = hybrid.forward_cached(ids[t : t + 1], caches)
         parts.append(step.data)
     assert np.abs(np.concatenate(parts) - full).max() < 1e-5
+
+
+def test_default_caches_take_the_model_dtype():
+    # init_caches() with no dtype: a float64 hybrid keeps float64 cache rows
+    # and SSM state, so its cached decode matches its full forward to rounding
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    ids = np.random.default_rng(7).integers(0, 32, size=40)
+    with nk.no_grad():
+        full = hybrid.forward(ids).data
+        logits, caches = hybrid.forward_cached(ids[:30], hybrid.init_caches())
+        parts = [logits.data]
+        for t in range(30, ids.size):
+            logits, caches = hybrid.forward_cached(ids[t : t + 1], caches)
+            parts.append(logits.data)
+    assert np.abs(np.concatenate(parts) - full).max() <= 1e-12
+    assert {c.h.dtype if isinstance(c, SsmState) else c.rows.dtype for c in caches} == {
+        np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("which", ["mha", "mla"])

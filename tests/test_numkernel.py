@@ -463,11 +463,11 @@ def test_grad_attend(monkeypatch, layout, rows):
         check_grads(f, store)
 
 
-def test_attend_memory_is_bounded_by_its_query_block():
-    # the decode_long prefill's shape: 1024 MLA queries over 1024 shared rows.
-    # One (1, 4, 1024, 1024) float32 score array would be 16 MiB.
+def attend_peak(t):
+    """Output and tracemalloc peak of an unrecorded float32 MLA-shaped call:
+    t queries over 1024 shared rows, 4 heads."""
     rng = np.random.default_rng(26)
-    q = tensor(rng.standard_normal((1, 4, 1024, 20)))
+    q = tensor(rng.standard_normal((1, 4, t, 20)))
     rows = tensor(rng.standard_normal((1, 1, 1024, 20)))
     values = rows[..., :16]
     tracemalloc.start()
@@ -477,8 +477,23 @@ def test_attend_memory_is_bounded_by_its_query_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (1, 4, 1024, 16)
+    assert out.shape == (1, 4, t, 16)
+    return out, peak
+
+
+def test_attend_memory_is_bounded_by_its_query_block():
+    # the decode_long prefill's shape: 1024 MLA queries over 1024 shared rows.
+    # One (1, 4, 1024, 1024) float32 score array would be 16 MiB.
+    _, peak = attend_peak(1024)
     assert peak < 4 * 2**20, f"attend peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_attend_holds_one_block_of_scores_and_its_output():
+    # 100 queries in two blocks: one (1, 4, 64, 1024) float32 scratch of 1 MiB,
+    # the 32 kB output and the block's small temporaries, no second block's
+    # scores and no copy of the output
+    _, peak = attend_peak(100)
+    assert peak < 1.5 * 2**20, f"attend peaked at {peak / 2**20:.2f} MiB"
 
 
 def spy_scores(monkeypatch):
@@ -486,9 +501,9 @@ def spy_scores(monkeypatch):
     scores, block = [], nk._attend_block
 
     def spy(*args):
-        p, o = block(*args)
+        p = block(*args)
         scores.append(p)
-        return p, o
+        return p
 
     monkeypatch.setattr(nk, "_attend_block", spy)
     return scores
@@ -501,16 +516,16 @@ def score_arrays(blocks):
 
 # (ATTEND_ROWS, t, T, score arrays of an unrecorded call). In the first three
 # the partial last block has fewer scores than the block before it; in the last
-# the full last block has the most.
-REUSE_CASES = [(3, 7, 9, 2), (None, 100, 100, 2), (None, 130, 160, 2), (None, 128, 200, 1)]
+# the full last block has the most. Either way one array holds them all.
+REUSE_CASES = [(3, 7, 9, 1), (None, 100, 100, 1), (None, 130, 160, 1), (None, 128, 200, 1)]
 
 
 @pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
 @pytest.mark.parametrize("rows, t, T, arrays", REUSE_CASES)
 def test_unrecorded_attend_scores_every_block_in_one_array(monkeypatch, layout, rows, t, T,
                                                           arrays):
-    # an unrecorded call writes each block's scores into a prefix of its
-    # largest block's; a recorded call keeps one array per block. Same bytes.
+    # an unrecorded call writes each block's scores into a prefix of one
+    # scratch array; a recorded call keeps one array per block. Same bytes.
     if rows:
         monkeypatch.setattr(nk, "ATTEND_ROWS", rows)
     inputs = attend_inputs(np.random.default_rng(27), layout, t, T)
@@ -526,6 +541,28 @@ def test_unrecorded_attend_scores_every_block_in_one_array(monkeypatch, layout, 
     assert np.abs(free.data - reference_attend(*inputs)).max() <= 1e-12
     assert score_arrays(unrecorded) == arrays
     assert score_arrays(scores) == len(scores) == len(unrecorded)
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+def test_attend_blocks_write_into_the_returned_array(monkeypatch, recorded):
+    # each block's output rows are written in place into the one returned
+    # array, first block first: nothing is copied after the loop
+    monkeypatch.setattr(nk, "ATTEND_ROWS", 3)
+    outs, block = [], nk._attend_block
+
+    def spy(*args):
+        outs.append(args[-1])
+        return block(*args)
+
+    monkeypatch.setattr(nk, "_attend_block", spy)
+    inputs = attend_inputs(np.random.default_rng(30), "mha", 7, 9)
+    out = nk.attend(*(tensor(a, dtype=np.float64, requires_grad=recorded) for a in inputs))
+    assert (out._vjp is not None) == recorded
+    assert len(outs) == 3
+    for i0, o in zip(range(0, 7, 3), outs):
+        assert o.base is out.data
+        assert np.shares_memory(o, out.data[..., i0:i0 + 3, :])
+    assert np.abs(out.data - reference_attend(*inputs)).max() <= 1e-12
 
 
 def test_attend_output_survives_a_second_call(monkeypatch):

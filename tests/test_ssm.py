@@ -1,10 +1,13 @@
 """SSM mixer tests: recurrence semantics, streaming, the chunked scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hybridforge.numkernel as nk
-from hybridforge.attention import ModelConfig
+from hybridforge.attention import KIND_MAMBA2, ModelConfig
+from hybridforge.compose import build_model, from_tensors
 from hybridforge.numkernel import KernelError, Tensor, tensor
 from hybridforge.ssm import CONV_K, Mamba2Weights, SsmState, mamba2_forward_seq
 from oracle_helpers import finite_diff_grad, reference_mamba2
@@ -52,24 +55,31 @@ def blocks(w, cfg):
 
 
 def test_weight_validation():
-    rng = np.random.default_rng(0)
-    w = rand_weights(rng)
-    w.validate(CFG)
+    # the model gate names the SSM tensor whose shape contradicts the configs
+    cfg = dataclasses.replace(CFG, layer_kinds=[KIND_MAMBA2])
+    shared = dict(build_model(cfg, seed=0, dtype=np.float64).named_tensors())
+    w = rand_weights(np.random.default_rng(0))
     assert len(w.items()) == 6
+
+    def gate(cfg=cfg):
+        mixer = {f"layers.0.mixer.{n}": t for n, t in w.items()}
+        return from_tensors(cfg, None, {**shared, **mixer})
+
+    assert gate().layers[0].mixer.W_in is w.W_in
     good = w.W_in
     w.W_in = tensor(np.zeros((D, good.shape[1] - 1)), dtype=np.float64)
-    with pytest.raises(ValueError):
-        w.validate(CFG)
+    with pytest.raises(ValueError, match=r"^layers\.0\.mixer\.W_in shape \(12, 27\) != expected"):
+        gate()
     w.W_in = good
-    with pytest.raises(ValueError):
-        w.validate(ssm_cfg(d_h=D_H + 1))
+    with pytest.raises(ValueError, match=r"^layers\.0\.mixer\.W_in shape .* != expected"):
+        gate(dataclasses.replace(cfg, d_h=D_H + 1))
     good = w.conv
     for width in (0, CONV_K - 1, CONV_K + 1):  # the conv width is the constant, not the conv's own
         w.conv = tensor(np.zeros((good.shape[0], width)), dtype=np.float64)
-        with pytest.raises(ValueError, match="conv shape"):
-            w.validate(CFG)
+        with pytest.raises(ValueError, match=r"^layers\.0\.mixer\.conv shape .* != expected"):
+            gate()
     w.conv = good
-    w.validate(CFG)
+    gate()
 
 
 def test_decay_strictly_negative():
