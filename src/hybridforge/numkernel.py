@@ -16,9 +16,12 @@ Each primitive records its inputs and a vector-Jacobian closure so that
 frees it as it goes: a node drops its inputs and closure, and the arrays the
 closure saved, once it has passed its gradient on. Ops that make values check
 them for finiteness; ops that only move checked values (slice, reshape,
-transpose, concat, cached rows) do not. A slice or transpose is a view of its
-input, and ``cached_rows`` a view of a decode cache's buffer, whether recorded
-or not.
+transpose, concat, cached rows) do not. Inside ``checked_once`` no op checks
+what it makes: the FPU's overflow and invalid flags raise, and the pass checks
+what it returns once. On a flag or a non-finite result the pass runs again
+with every op checking, so the error names the op that made the value. A slice
+or transpose is a view of its input, and ``cached_rows`` a view of a decode
+cache's buffer, whether recorded or not.
 """
 
 from __future__ import annotations
@@ -62,9 +65,22 @@ class GraphError(KernelError):
     """The recorded computation graph cannot be differentiated as requested."""
 
 
+# Ops whose output only moves values that were checked when they were made, so
+# a Tensor built by one skips the check. "cache" is ``cached_rows``: decode-cache
+# rows, each checked by the op that made it before it was cached.
+_MOVES = frozenset({"getitem", "reshape", "transpose", "concat", "cache"})
+# Inside ``checked_once`` the ops that make values skip their check too; only
+# "tensor", data from outside, is still checked where it is wrapped.
+_FAST_UNCHECKED = _MOVES | {
+    "add", "neg", "mul", "matmul", "exp", "log", "sigmoid", "silu", "softplus", "sum",
+    "softmax", "log_softmax", "attend", "rms_norm", "conv1d_depthwise", "rope",
+    "ssm_scan", "repeat", "embedding", "take_last_axis"}
+
+
 class _GradState(threading.local):
     def __init__(self):
         self.enabled = True
+        self.unchecked = _MOVES  # the ops whose values skip the finiteness check
 
 
 _grad_state = _GradState()
@@ -92,10 +108,32 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-# Ops whose output only moves values that were checked when they were made, so
-# a Tensor built by one skips the check. "cache" is ``cached_rows``: decode-cache
-# rows, each checked by the op that made it before it was cached.
-_MOVES = frozenset({"getitem", "reshape", "transpose", "concat", "cache"})
+def checked_once(run: Callable, made: Callable):
+    """``run()``, its finiteness checked once instead of op by op.
+
+    The fast pass calls ``run()`` with no op on this thread checking what it
+    makes, under ``np.errstate(over="raise", invalid="raise")``, and then
+    checks each array that ``made(out)`` lists. On a ``FloatingPointError``
+    or a non-finite array it calls ``run()`` again, with every op checking
+    and with overflow and invalid warnings silenced. A fault then raises the
+    ``KernelError`` of the op that made it, and a benign flag gets the bytes
+    the fast pass would have given. So ``run()`` must be safe to repeat, and
+    ``made`` must list every array that leaves it: a NaN that only
+    propagates raises no flag.
+    """
+    prev = _grad_state.unchecked
+    _grad_state.unchecked = _FAST_UNCHECKED
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = run()
+        if all(np.isfinite(a).all() for a in made(out)):
+            return out
+    except FloatingPointError:
+        pass
+    finally:
+        _grad_state.unchecked = prev
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run()
 
 
 class Tensor:
@@ -107,7 +145,7 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        if op not in _MOVES:
+        if op not in _grad_state.unchecked:
             _check_finite(arr, op)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -219,8 +257,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
+    if "exp" in _grad_state.unchecked:  # in checked_once: a later exp(-inf) = 0 may hide
+        out = np.exp(a.data)            # the inf, so the overflow flag must raise here
+    else:
+        with np.errstate(over="ignore"):  # the check reports the inf
+            out = np.exp(a.data)
 
     def vjp(g):
         return (g * out,)
@@ -249,7 +290,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     s = np.negative(a.data)  # 1 / (1 + exp(-a)), in one array
-    np.exp(s, out=s)
+    with np.errstate(over="ignore"):  # exp(-a) = inf gives exactly 0
+        np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
     out = a.data * s
@@ -262,7 +304,8 @@ def silu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp(-a) = inf gives exactly 0
+        s = 1.0 / (1.0 + np.exp(-a.data))
 
     def vjp(g):
         return (g * s,)
@@ -330,7 +373,8 @@ def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray, scores: np.nda
     ``scores``; their output is written into ``out``."""
     n = qb.shape[-2]
     p = np.matmul(qb, np.swapaxes(kb, -1, -2), out=scores)
-    _check_finite(p, "attend")
+    if "attend" not in _grad_state.unchecked:
+        _check_finite(p, "attend")
     if n > 1:  # a single query is the newest position and sees every key
         p[..., -n:] += np.triu(np.full((n, n), NEG_MASK, p.dtype), 1)
     p -= p.max(axis=-1, keepdims=True)
@@ -349,12 +393,18 @@ def _attend_block_vjp(g, qb, kb, vb, p):
     return gs @ kb, _unbroadcast(gk, kb.shape), _unbroadcast(np.swapaxes(p, -1, -2) @ g, vb.shape)
 
 
+def _mismatched(q: Tensor, keys: Tensor, values: Tensor) -> KernelError:
+    return KernelError(f"attend: mismatched shapes q {q.shape}, keys {keys.shape}, "
+                       f"values {values.shape}")
+
+
 def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     """Causal softmax attention, softmax(q keys^T + mask) values, as one op.
 
     q is (..., t, dk), keys (..., T, dk) and values (..., T, dv); the leading
-    axes broadcast, so a size-1 head axis of keys and values is shared by the
-    query heads along it. The t queries are the last t of the T positions.
+    axes of keys and values broadcast to q's, so a size-1 head axis of keys
+    and values is shared by the query heads along it; other leading axes
+    raise ``KernelError``. The t queries are the last t of the T positions.
     They run in blocks of ``ATTEND_ROWS``: the block of queries i0 .. i1 - 1
     scores only the causal key prefix its last query sees, keys 0 .. T - t +
     i1 - 1, and masks only the trailing (n, n) triangle above its diagonal. So
@@ -372,26 +422,29 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     """
     qd, kd, vd = q.data, keys.data, values.data
     t, T = qd.shape[-2], kd.shape[-2]
-    if not 0 < t <= T or vd.shape[-2] != T or kd.shape[-1] != qd.shape[-1]:
-        raise KernelError(f"attend: mismatched shapes q {q.shape}, keys {keys.shape}, "
-                          f"values {values.shape}")
+    if (not 0 < t <= T or vd.shape[-2] != T or kd.shape[-1] != qd.shape[-1]
+            or max(kd.ndim, vd.ndim) > qd.ndim):
+        raise _mismatched(q, keys, values)
     parents = (q, keys, values)
     recorded, kept = _recording(parents), []
-    # broadcast one element of each: cheaper than np.broadcast_shapes, every decode step
-    lead = np.broadcast(qd[..., 0, 0], kd[..., 0, 0], vd[..., 0, 0]).shape
+    lead = qd.shape[:-2]
     dtype = np.result_type(qd, kd, vd)
     out = np.empty(lead + (t, vd.shape[-1]), dtype)
     # np.empty: a block touches only the pages of the scratch that it writes
     scratch = None if recorded else np.empty(math.prod(lead) * min(t, ATTEND_ROWS) * T, dtype)
-    for i0 in range(0, t, ATTEND_ROWS):
-        i1 = min(i0 + ATTEND_ROWS, t)
-        seen = T - t + i1
-        shape = lead + (i1 - i0, seen)
-        scores = np.empty(shape, dtype) if recorded else scratch[:math.prod(shape)].reshape(shape)
-        p = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], scores,
-                          out[..., i0:i1, :])
-        if recorded:
-            kept.append(p)
+    try:
+        for i0 in range(0, t, ATTEND_ROWS):
+            i1 = min(i0 + ATTEND_ROWS, t)
+            seen = T - t + i1
+            shape = lead + (i1 - i0, seen)
+            scores = (np.empty(shape, dtype) if recorded
+                      else scratch[:math.prod(shape)].reshape(shape))
+            p = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], scores,
+                              out[..., i0:i1, :])
+            if recorded:
+                kept.append(p)
+    except ValueError:  # numpy refuses to write a broadcast wider than q's into q's shape
+        raise _mismatched(q, keys, values) from None
 
     def vjp(g):
         gq = np.empty(g.shape[:-1] + qd.shape[-1:], g.dtype)
@@ -413,7 +466,9 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     xd = x.data
     d = xd.shape[-1]
     # a square that overflows would make r = 0 and the output a finite 0
-    ms = _check_finite((xd * xd).mean(axis=-1, keepdims=True), "rms_norm")
+    ms = (xd * xd).mean(axis=-1, keepdims=True)
+    if "rms_norm" not in _grad_state.unchecked:
+        _check_finite(ms, "rms_norm")
     r = 1.0 / np.sqrt(ms + RMS_EPS)
     out = xd * r
     out *= gain.data

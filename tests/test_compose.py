@@ -1,5 +1,6 @@
 """Model container tests: assembly, cache budgeting, checkpoint integrity."""
 
+import contextlib
 import dataclasses
 import json
 import re
@@ -440,6 +441,158 @@ def test_decode_checks_only_the_values_a_step_makes(monkeypatch):
 
     per_row_per_layer = (step_elements(512) - step_elements(64)) / (448 * cfg.L)
     assert per_row_per_layer <= cfg.n_h
+
+
+def test_a_single_token_step_reports_an_overflow_its_scan_would_squash():
+    # a decode step's scan turns exp(-inf) into a decay of exactly 0, so an exp
+    # overflow of the decay rate must be reported where exp makes it
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    ids = np.arange(7) % 32
+    with nk.no_grad():
+        _, caches = hybrid.forward_cached(ids[:6], hybrid.init_caches(np.float64))
+        hybrid.layers[1].mixer.a_log.data[:] = 1000.0
+        with pytest.raises(nk.KernelError,
+                           match=r"^layers\.1\.mixer: exp produced non-finite values$"):
+            hybrid.forward_cached(ids[6:], caches)
+
+
+def watch_block(monkeypatch, layer):
+    """Patch the kernel to watch the values block ``layer`` makes, on each run.
+
+    Returns a dict: ``seen`` maps each value-making op to the sublayer of the
+    first value it makes there; an op named in ``plant`` has the first value it
+    makes overflow, on every run of the block; ``runs`` counts the runs of
+    every block."""
+    make, sublayers, mix = nk._make, HybridModel._sublayers, HybridModel._mix
+    st = {"part": None, "planted": False, "seen": {}, "plant": None, "runs": 0}
+
+    def watched_sublayers(self, x, i, cache, mixer_from):
+        st["part"], st["planted"] = ("mlp" if i == layer else None), False
+        st["runs"] += 1
+        try:
+            return sublayers(self, x, i, cache, mixer_from)
+        finally:
+            st["part"] = None
+
+    def watched_mix(self, z, i, cache):
+        outer = st["part"]
+        st["part"] = outer and "mixer"
+        try:
+            return mix(self, z, i, cache)
+        finally:
+            st["part"] = outer
+
+    def watched_make(data, parents, vjp, op):
+        if st["part"] and op not in nk._MOVES:
+            st["seen"].setdefault(op, st["part"])
+            if op == st["plant"] and not st["planted"]:
+                st["planted"] = True
+                data = data.copy()
+                data.flat[0] = np.finfo(data.dtype).max
+                data *= 2  # a fast pass raises the overflow flag; a replay makes an inf
+        return make(data, parents, vjp, op)
+
+    monkeypatch.setattr(HybridModel, "_sublayers", watched_sublayers)
+    monkeypatch.setattr(HybridModel, "_mix", watched_mix)
+    monkeypatch.setattr(nk, "_make", watched_make)
+    return st
+
+
+BLOCK_OPS = {
+    KIND_MHA: {"rms_norm": "mlp", "matmul": "mixer", "rope": "mixer", "mul": "mixer",
+               "attend": "mixer", "add": "mlp", "silu": "mlp"},
+    KIND_MLA: {"rms_norm": "mlp", "matmul": "mixer", "rope": "mixer", "mul": "mixer",
+               "attend": "mixer", "add": "mlp", "silu": "mlp"},
+    KIND_MAMBA2: {"rms_norm": "mlp", "matmul": "mixer", "conv1d_depthwise": "mixer",
+                  "add": "mixer", "softplus": "mixer", "exp": "mixer", "neg": "mixer",
+                  "mul": "mixer", "ssm_scan": "mixer", "silu": "mlp"},
+}
+
+
+@pytest.mark.parametrize("layer, kind", [(0, KIND_MHA), (1, KIND_MLA), (2, KIND_MAMBA2)])
+def test_an_overflow_at_any_op_of_a_block_is_reported_by_that_op(monkeypatch, layer, kind):
+    # the fast pass of a block checks no op; an overflow planted at the first
+    # value each kind of op makes in the block raises a flag there, and the
+    # replay names the op behind its sublayer, in a recorded forward, a
+    # prefill and a single-token step, with no warning
+    cfg = toy_cfg(layer_kinds=[KIND_MHA, KIND_MLA, KIND_MAMBA2, KIND_MHA])
+    model = build_model(cfg, toy_mcfg(), seed=1, dtype=np.float64)
+    model.param_store()
+    ids = np.arange(7) % 32
+    watch = watch_block(monkeypatch, layer)
+    with nk.no_grad():
+        _, prefilled = model.forward_cached(ids[:6], model.init_caches())
+    assert watch["seen"] == BLOCK_OPS[kind]
+    recorded = lambda: model.forward(ids)  # noqa: E731
+    prefill = lambda: model.forward_cached(ids, model.init_caches())  # noqa: E731
+    step = lambda: model.forward_cached(ids[6:], prefilled)  # noqa: E731
+    for op, part in BLOCK_OPS[kind].items():
+        watch["plant"] = op
+        for call, mode in ((recorded, contextlib.nullcontext), (prefill, nk.no_grad),
+                           (step, nk.no_grad)):
+            watch["runs"] = 0
+            with warnings.catch_warnings(), mode():
+                warnings.simplefilter("error")
+                with pytest.raises(nk.KernelError, match=rf"^layers\.{layer}\.{part}: "
+                                                         rf"{op} produced non-finite values$"):
+                    call()
+            assert watch["runs"] == layer + 2  # the blocks before it, its fast pass, its replay
+
+
+def test_a_benign_overflow_keeps_the_fast_pass(monkeypatch):
+    # exp(-a) of a very negative a overflows in silu and softplus, and
+    # 1 / (1 + inf) = 0 is exact: the block runs once, warns of nothing and
+    # gives the bytes of a pass with every op checked
+    _, mla, mamba = converted_pair(dtype=np.float32)
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    hybrid.layers[1].mixer.delta_b.data[:] = -1e4  # every step size's softplus
+    hybrid.layers[3].mlp_gate.data[:, 0] = -1e4    # the gates of tokens whose sum(z) > 0
+    ids = np.random.default_rng(8).integers(0, 32, size=(2, 9))
+    silu, gates = nk.silu, []
+    monkeypatch.setattr(nk, "silu", lambda a: gates.append(a.data.min()) or silu(a))
+    watch = watch_block(monkeypatch, layer=None)
+
+    def both():
+        return hybrid.forward(ids).data, hybrid.forward_cached(ids, hybrid.init_caches())[0].data
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = both()
+    assert watch["runs"] == 2 * hybrid.cfg.L  # no replay
+    assert min(gates) < -np.log(np.finfo(np.float32).max)  # silu's exp did overflow
+    with np.errstate(over="ignore"):
+        monkeypatch.setattr(nk, "checked_once", lambda run, made: run())
+        eager = both()
+    assert all(f.tobytes() == e.tobytes() for f, e in zip(fast, eager))
+
+
+def test_a_replay_after_a_cache_append_keeps_the_cache(monkeypatch):
+    # the fast pass of MLA layer 0 appends its row to the cache's buffer in
+    # place, then raises a flag; the replay appends to a copy, and every later
+    # step still matches the whole-sequence forward
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    ids = np.random.default_rng(9).integers(0, 32, size=12)
+    full = hybrid.forward(ids).data
+    silu, armed = nk.silu, [False]
+
+    def flagged(a):
+        if armed[0] and "silu" in nk._grad_state.unchecked:
+            armed[0] = False
+            raise FloatingPointError("overflow encountered")
+        return silu(a)
+
+    monkeypatch.setattr(nk, "silu", flagged)
+    with nk.no_grad():
+        logits, caches = hybrid.forward_cached(ids[:6], hybrid.init_caches())
+        for k in range(6, 12):
+            armed[0] = k == 7
+            buf = caches[0].buf
+            step, caches = hybrid.forward_cached(ids[k:k + 1], caches)
+            if k > 6:  # step 6 doubles the buffer; step 7's replay copies it
+                assert (caches[0].buf is buf) == (k != 7)
+            assert np.abs(step.data - full[k]).max() <= 1e-12
 
 
 def test_moves_share_memory_in_both_grad_modes():

@@ -1,6 +1,8 @@
 """Kernel tests: autodiff against central differences, SVD against oracles."""
 
+import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -60,6 +62,47 @@ def test_op_rejects_non_finite_result():
     a = tensor(np.full((1, 2, 1), 0.5), dtype=np.float64)
     with pytest.raises(KernelError, match="ssm_scan"):  # 1e400 overflows
         nk.ssm_scan(x, x, x, a, tensor([1.0], dtype=np.float64), dt=tensor(np.ones((1, 2, 1))))
+
+
+def test_a_fast_pass_leaves_other_threads_checking():
+    # the check mode is per thread: while one thread is inside checked_once,
+    # an overflow on another is still reported by the op that made it
+    big = tensor(np.array([800.0]), dtype=np.float64)
+    entered, done, seen = threading.Event(), threading.Event(), []
+
+    def run():
+        entered.set()
+        assert done.wait(10)
+        seen.append(nk._grad_state.unchecked)
+        return nk.texp(tensor([1.0], dtype=np.float64))
+
+    worker = threading.Thread(target=nk.checked_once, args=(run, lambda out: (out.data,)))
+    worker.start()
+    assert entered.wait(10)
+    try:
+        with pytest.raises(KernelError, match="^exp produced non-finite values$"):
+            nk.texp(big)
+    finally:
+        done.set()
+        worker.join()
+    assert "exp" in seen[0] and "exp" not in nk._grad_state.unchecked
+
+
+def test_checked_once_replays_a_flag_with_checks_on():
+    # in the fast pass exp(800) raises its overflow flag; the replay checks
+    # every op, so the error names exp, and no warning escapes
+    big = tensor(np.array([800.0]), dtype=np.float64)
+    runs = []
+
+    def run():
+        runs.append(nk._grad_state.unchecked)
+        return nk.neg(nk.texp(big))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelError, match="^exp produced non-finite values$"):
+            nk.checked_once(run, lambda out: (out.data,))
+    assert len(runs) == 2 and "exp" in runs[0] and "exp" not in runs[1]
 
 
 def test_integer_input_promoted_to_float():
@@ -603,6 +646,15 @@ def test_attend_refuses_mismatched_shapes():
         nk.attend(tensor(np.zeros((0, 3))), k, v)  # no queries
     with pytest.raises(KernelError, match="attend: mismatched shapes"):
         nk.attend(k, k, tensor(np.zeros((2, 2))))
+    # leading axes of keys or values that do not broadcast to q's: keys' or
+    # values' 3 against q's 2, an axis q does not have, and 4 that q's 1 would
+    # have to grow to
+    q = tensor(np.zeros((2, 2, 3)))
+    for ks, vs in (((3, 3, 3), (2, 3, 2)), ((2, 3, 3), (3, 3, 2)), ((1, 2, 3, 3), (2, 3, 2))):
+        with pytest.raises(KernelError, match=r"^attend: mismatched shapes"):
+            nk.attend(q, tensor(np.zeros(ks)), tensor(np.zeros(vs)))
+    with pytest.raises(KernelError, match=r"^attend: mismatched shapes"):
+        nk.attend(tensor(np.zeros((1, 2, 3))), tensor(np.zeros((4, 3, 3))), tensor(np.zeros((4, 3, 2))))
 
 
 def test_attend_reports_a_non_finite_query():
