@@ -349,8 +349,8 @@ def cmd_smart_select(args) -> int:
 
 
 def _load_layout(path: str) -> HybridLayout:
-    with open(_need(path, "smart-select", "layout file"), encoding="utf-8") as fh:
-        return HybridLayout.from_json(fh.read())
+    raw = _load_json(_need(path, "smart-select", "layout file"), "layout file")
+    return HybridLayout.from_json(json.dumps(raw))
 
 
 def cmd_compose(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .attention import (
     row_width,
 )
 from .numkernel import ParamStore, Tensor
-from .smart import HybridLayout, check_skeleton
+from .smart import HybridLayout
 from .ssm import Mamba2Weights, SsmState, mamba2_forward_seq
 
 __all__ = [
@@ -160,6 +161,21 @@ class HybridModel:
         cfg = dataclasses.replace(self.cfg, layer_kinds=list(self.cfg.layer_kinds))
         return from_tensors(cfg, self.mcfg, {p: fn(t) for p, t in self.named_tensors()})
 
+    def with_mixers(self, donor: "HybridModel", indices) -> "HybridModel":
+        """This model with layer i's mixer, kind and MLA config taken from ``donor``
+        for each i in ``indices``, every tensor shared: the one mixer-swap rule. The
+        MLA config is the donor's when it has one; a donor whose config differs
+        outside ``layer_kinds`` is refused, naming the field."""
+        for f in dataclasses.fields(ModelConfig):
+            if f.name != "layer_kinds" and getattr(donor.cfg, f.name) != getattr(self.cfg, f.name):
+                raise ValueError(f"donor and all-SSM models disagree on cfg.{f.name}")
+        kinds, tensors = list(self.cfg.layer_kinds), dict(self.named_tensors())
+        for i in indices:
+            kinds[i] = donor.cfg.layer_kinds[i]
+            tensors.update({f"layers.{i}.mixer.{n}": t for n, t in donor.layers[i].mixer.items()})
+        cfg = dataclasses.replace(self.cfg, layer_kinds=kinds)
+        return from_tensors(cfg, donor.mcfg or self.mcfg, tensors)
+
     # -- forward passes -------------------------------------------------------
 
     def _mix(self, x: Tensor, i: int, cache):
@@ -202,11 +218,9 @@ class HybridModel:
             outs = [nk.reshape(o, o.shape[1:]) for o in outs]
         return outs[0], new_caches, outs[1:]
 
-    def block(self, x: Tensor, i: int, cache=None, mixer_from: Optional[HybridModel] = None):
+    def block(self, x: Tensor, i: int, cache=None):
         """Residual block i over the stream x: (new stream, new cache, mixer output).
 
-        With ``mixer_from``, the block runs that model's layer-i mixer (its
-        kind, weights and MLA config) between this model's norms and MLP.
         A ``KernelError`` is re-raised behind its sublayer's path:
         ``layers.{i}.mixer`` for the mixer, ``layers.{i}.mlp`` for norms and MLP.
         The block's finiteness is checked once (``nk.checked_once``): its ops
@@ -227,14 +241,14 @@ class HybridModel:
                 return y.data, mixed.data, c.rows[:, cache.t:]
             return y.data, mixed.data
 
-        return nk.checked_once(lambda: self._sublayers(x, i, cache, mixer_from), made)
+        return nk.checked_once(lambda: self._sublayers(x, i, cache), made)
 
-    def _sublayers(self, x: Tensor, i: int, cache, mixer_from: Optional[HybridModel]):
+    def _sublayers(self, x: Tensor, i: int, cache):
         layer, part = self.layers[i], "mlp"
         try:
             z = nk.rms_norm(x, layer.norm1)
             part = "mixer"
-            mixed, c = (mixer_from or self)._mix(z, i, cache)
+            mixed, c = self._mix(z, i, cache)
             part = "mlp"
             x = nk.add(x, mixed)
             z = nk.rms_norm(x, layer.norm2)
@@ -302,9 +316,6 @@ def build_model(
     rng = np.random.default_rng(seed)
     d_ff = mlp_width(cfg.d)
 
-    def gauss(fan_in, *shape):
-        return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype))
-
     def ones():
         return Tensor(np.ones(cfg.d, dtype=dtype))
 
@@ -314,10 +325,10 @@ def build_model(
         mixer = up.init_random(kind, cfg, mcfg, seed=int(rng.integers(2**31)), dtype=dtype)
         tensors.update({f"{p}mixer.{n}": t for n, t in mixer.items()})
         tensors.update({p + "norm1": ones(), p + "norm2": ones(),
-                        p + "mlp_gate": gauss(cfg.d, cfg.d, d_ff),
-                        p + "mlp_up": gauss(cfg.d, cfg.d, d_ff),
-                        p + "mlp_down": gauss(d_ff, d_ff, cfg.d)})
-    tensors["embed"] = Tensor(rng.standard_normal((cfg.vocab, cfg.d)).astype(dtype))
+                        p + "mlp_gate": up.gauss(rng, dtype, cfg.d, cfg.d, d_ff),
+                        p + "mlp_up": up.gauss(rng, dtype, cfg.d, cfg.d, d_ff),
+                        p + "mlp_down": up.gauss(rng, dtype, d_ff, d_ff, cfg.d)})
+    tensors["embed"] = up.gauss(rng, dtype, 1, cfg.vocab, cfg.d)
     tensors["final_norm"] = ones()
     tensors["head"] = Tensor(np.zeros((cfg.d, cfg.vocab), dtype=dtype))
     return from_tensors(cfg, mcfg, tensors)
@@ -360,13 +371,6 @@ def convert_model(
 # hybrid assembly
 
 
-def _layer_kinds(layout: HybridLayout, L: int, placed: str) -> list[str]:
-    """The kind of each of L layers: ``placed`` at the layout's indices, Mamba2 elsewhere."""
-    layout.validate(L)
-    chosen = set(layout.mla_indices)
-    return [placed if i in chosen else KIND_MAMBA2 for i in range(L)]
-
-
 def assemble(
     donor: HybridModel,
     mamba_model: HybridModel,
@@ -377,21 +381,17 @@ def assemble(
     The all-SSM student supplies the embedding, each layer's norms and MLP,
     the final norm and the head. The donor, a single-kind attention model
     (the all-MLA student or the all-MHA teacher), supplies only the mixers at
-    ``layout.mla_indices``, which keep its kind. ``smart.score_sensitivity``
-    follows the same rule, so each score describes a hybrid this function
-    builds. The hybrid shares no memory with either source.
+    ``layout.mla_indices``, which keep its kind: the hybrid is
+    ``mamba_model.with_mixers(donor, layout.mla_indices)``, the swap by which
+    ``smart.score_sensitivity`` scores each layer, so each score describes a
+    hybrid this function builds. The hybrid shares no memory with either source.
     """
-    check_skeleton(donor, mamba_model)
     if set(donor.cfg.layer_kinds) not in ({KIND_MHA}, {KIND_MLA}):
         raise ValueError("donor must be all-MHA or all-MLA")
     if any(k != KIND_MAMBA2 for k in mamba_model.cfg.layer_kinds):
         raise ValueError("second source must be all-Mamba2")
-    kinds = _layer_kinds(layout, donor.cfg.L, donor.cfg.layer_kinds[0])
-
-    cfg = dataclasses.replace(donor.cfg, layer_kinds=kinds)
-    donor_paths, mamba_paths = dict(donor.named_tensors()), dict(mamba_model.named_tensors())
-    # the mixer kinds share no tensor names, so the SSM side wins exactly the shared paths
-    return from_tensors(cfg, donor.mcfg, {**donor_paths, **mamba_paths}).clone()
+    layout.validate(donor.cfg.L)
+    return mamba_model.with_mixers(donor, layout.mla_indices).clone()
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,9 @@ def kv_report(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    kinds = _layer_kinds(layout, cfg.L, KIND_MHA if mcfg is None else KIND_MLA)
+    layout.validate(cfg.L)
+    placed = KIND_MHA if mcfg is None else KIND_MLA
+    kinds = [placed if i in layout.mla_indices else KIND_MAMBA2 for i in range(cfg.L)]
     per_layer = [kv_bytes(kind, cfg, mcfg, t, elem_bytes) for kind in kinds]
     total = sum(per_layer)
     baseline = cfg.L * kv_bytes(KIND_MHA, cfg, None, t, elem_bytes)
@@ -563,11 +565,26 @@ def _validate_directory(header) -> None:
             raise CheckpointError(f"overlapping tensors {n1} and {n2}")
 
 
+# The JSON value a header config field of each annotated type must hold; JSON
+# types are exact, so a bool is not an int and 4.0 is not a dim.
+_HEADER_TYPES = {
+    "int": ("a positive int", lambda v: type(v) is int and v >= 1),
+    "float": ("a finite number",
+              lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "list[str]": ("a list of strings",
+                  lambda v: type(v) is list and all(type(k) is str for k in v)),
+}
+
+
 def _header_config(header: dict, key: str, cls):
     """The ``cls`` config in ``header[key]``; a malformed one is refused by field."""
     raw = header.get(key)
     if not isinstance(raw, dict):
         raise CheckpointError(f"header {key}: expected an object")
+    for f in dataclasses.fields(cls):
+        want, ok = _HEADER_TYPES[f.type]
+        if f.name in raw and not ok(raw[f.name]):
+            raise CheckpointError(f"header {key}.{f.name}: expected {want}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:  # an unknown or missing field is named

@@ -3,10 +3,11 @@
 Which layers should stay attention-like? Each candidate layer gets a score:
 how much the KL gap to the teacher shrinks when that single layer of the
 all-SSM student is swapped for the donor's attention mixer: the all-MLA
-student's, or the teacher's own. One no-grad pass per evaluation batch scores
-the all-SSM student and all L swaps at once: the variants ride on the batch
-axis and share the SSM layers below their swap, and the teacher runs once.
-Batches fan out over threads. Placement then keeps one endpoint in the first
+student's, or the teacher's own. The swap is ``HybridModel.with_mixers``, the
+method ``compose.assemble`` builds hybrids by. One no-grad pass per evaluation
+batch scores the all-SSM student and all L swaps at once: the variants ride on
+the batch axis and share the SSM layers below their swap, and the teacher runs
+once. Batches fan out over threads. Placement then keeps one endpoint in the first
 and one in the last L/N-sized stretch of the stack, constrains consecutive
 picks to near-uniform gaps, and solves for the interior picks with the
 largest cumulative score by a dynamic program over the bounded gaps, in
@@ -33,7 +34,6 @@ __all__ = [
     "gap_bounds",
     "smart_select",
     "score_sensitivity",
-    "check_skeleton",
 ]
 
 class LayoutError(ValueError):
@@ -181,33 +181,27 @@ def smart_select(profile, N: int) -> HybridLayout:
 # sensitivity measurement
 
 
-def _batch_kls(teacher, base, donor, inputs: np.ndarray) -> list[float]:
+def _batch_kls(teacher, base, variants, inputs: np.ndarray) -> list[float]:
     """KL to the teacher of the all-SSM base and of each single-layer swap.
 
     One stacked pass over the batch: the streams ride on the batch axis as
     [base, swap 0, swap 1, ...]. At layer j every stream so far runs base
-    block j, and the base rows alone run block j with the donor's mixer to
-    become swap j's stream. Layers below i are the same in the base and in
-    swap i, so they run once. Returns L+1 values, the base first.
+    block j, and the base rows alone run block j of ``variants[j]``, the base
+    with layer j's mixer swapped, to become swap j's stream. Layers below i
+    are the same in the base and in swap i, so they run once. Returns L+1
+    values, the base first.
     """
     with nk.no_grad():  # grad mode is per thread; a pool worker sets its own
         t_logits = teacher.forward(inputs)
         x = nk.embedding(base.embed, inputs)
         b = x.shape[0]
-        for j in range(base.cfg.L):
-            swapped, _, _ = base.block(nk.getitem(x, slice(0, b)), j, mixer_from=donor)
+        for j, variant in enumerate(variants):
+            swapped, _, _ = variant.block(nk.getitem(x, slice(0, b)), j)
             x, _, _ = base.block(x, j)
             x = nk.concat([x, swapped], axis=0)
         logits = base.logits(x)
         return [kd_loss(t_logits, nk.getitem(logits, slice(k * b, (k + 1) * b))).item()
                 for k in range(base.cfg.L + 1)]
-
-
-def check_skeleton(donor, full_mamba) -> None:
-    """Refuse, naming the field, a donor whose mixers cannot run in full_mamba's blocks."""
-    for f in ("L", "d", "n_h", "n_kv", "d_h", "vocab", "rope_base"):
-        if getattr(donor.cfg, f) != getattr(full_mamba.cfg, f):
-            raise ValueError(f"donor and all-SSM models disagree on cfg.{f}")
 
 
 def score_sensitivity(
@@ -222,24 +216,24 @@ def score_sensitivity(
 
     s_i = KL(teacher || all-SSM student) - KL(teacher || student with layer i
     swapped), both teacher-forced over the same batches. Larger means the
-    swap at i recovers more of the teacher. The swap takes only layer i's
-    mixer (and kind) from the donor, the all-MLA student or the all-MHA
-    teacher; norms, MLPs, embedding and head stay full_mamba's.
-    ``compose.assemble`` follows the same rule and checks the donor against
-    full_mamba the same way (``check_skeleton``), so s_i scores the hybrid it
-    builds for the layout [i]. Each batch is one stacked pass that yields all
-    L+1 KLs; with jobs > 1 the batches fan out across threads, and the KLs are
-    summed in batch order, so the scores do not depend on jobs.
+    swap at i recovers more of the teacher. The student with layer i swapped
+    is ``full_mamba.with_mixers(donor, [i])``: only layer i's mixer (and kind)
+    comes from the donor, the all-MLA student or the all-MHA teacher; norms,
+    MLPs, embedding and head stay full_mamba's. ``compose.assemble`` builds
+    its hybrid by the same method, so s_i scores the hybrid it builds for the
+    layout [i]. Each batch is one stacked pass that yields all L+1 KLs; with
+    jobs > 1 the batches fan out across threads, and the KLs are summed in
+    batch order, so the scores do not depend on jobs.
     """
     _check_family(teacher, full_mamba)
-    check_skeleton(donor, full_mamba)
+    L = teacher.cfg.L
+    variants = [full_mamba.with_mixers(donor, [i]) for i in range(L)]
     data = list(data)
     if not data:
         raise ValueError("need at least one evaluation batch")
-    L = teacher.cfg.L
 
     def one(batch: Batch) -> list[float]:
-        return _batch_kls(teacher, full_mamba, donor, batch.inputs)
+        return _batch_kls(teacher, full_mamba, variants, batch.inputs)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -39,6 +39,7 @@ __all__ = [
     "default_decay_exponents",
     "default_step_bias",
     "identity_conv",
+    "gauss",
 ]
 
 def init_mla_from_attention(
@@ -104,6 +105,24 @@ def identity_conv(channels: int, dtype=np.float32) -> np.ndarray:
     return kernel
 
 
+def gauss(rng: np.random.Generator, dtype, fan_in: int, *shape) -> Tensor:
+    """One scaled Gaussian draw of ``shape``: std = 1/sqrt(fan_in)."""
+    return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype))
+
+
+def _mamba2(cfg: ModelConfig, dtype, xbc: list, conv: np.ndarray, w_out: np.ndarray):
+    """The record with ``W_in`` = ``[x | B | C | zero step-size block]``, the given
+    conv and output projection, and the standard decay, step and skip defaults."""
+    return Mamba2Weights(
+        W_in=Tensor(np.concatenate(xbc + [np.zeros((cfg.d, cfg.n_h), dtype)], axis=1)),
+        conv=Tensor(conv),
+        a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
+        delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
+        D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
+        W_out=Tensor(w_out),
+    )
+
+
 def init_mamba2_from_attention(w: AttentionWeights, cfg: ModelConfig) -> Mamba2Weights:
     """Reuse attention projections as state-space paths, conv set to identity.
 
@@ -115,15 +134,8 @@ def init_mamba2_from_attention(w: AttentionWeights, cfg: ModelConfig) -> Mamba2W
     reads exactly the projected source activations.
     """
     dtype = w.W_Q.dtype
-    dt_cols = np.zeros((cfg.d, cfg.n_h), dtype=dtype)
-    return Mamba2Weights(
-        W_in=Tensor(np.concatenate([w.W_V.data, w.W_K.data, w.W_Q.data, dt_cols], axis=1)),
-        conv=Tensor(identity_conv(Mamba2Weights.shapes(cfg)["conv"][0], dtype)),
-        a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
-        delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
-        D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
-        W_out=Tensor(w.W_O.data.copy()),
-    )
+    conv = identity_conv(Mamba2Weights.shapes(cfg)["conv"][0], dtype)
+    return _mamba2(cfg, dtype, [w.W_V.data, w.W_K.data, w.W_Q.data], conv, w.W_O.data.copy())
 
 
 def init_random(
@@ -135,10 +147,6 @@ def init_random(
 ) -> MixerWeights:
     """Scaled Gaussian init (std = 1/sqrt(fan_in)) for any mixer kind."""
     rng = np.random.default_rng(seed)
-
-    def gauss(fan_in: int, *shape) -> Tensor:
-        return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype))
-
     if kind == KIND_MLA:
         if mcfg is None:
             raise ValueError("random MLA init needs an MLAConfig")
@@ -146,20 +154,14 @@ def init_random(
     if kind in (KIND_MHA, KIND_MLA):
         cls = AttentionWeights if kind == KIND_MHA else MLAWeights
         # one draw per tensor in shape order; fan-in is the row count
-        return cls(**{n: gauss(s[0], *s) for n, s in cls.shapes(cfg, mcfg).items()})
+        return cls(**{n: gauss(rng, dtype, s[0], *s) for n, s in cls.shapes(cfg, mcfg).items()})
 
     if kind == KIND_MAMBA2:
-        # draw x, B, C, then their kernels, each block on its own
+        # draw x, B, C, then their kernels, each block on its own, then W_out
         widths = (cfg.n_kv * cfg.d_h, cfg.n_kv * cfg.d_h, cfg.n_h * cfg.d_h)
-        proj = [gauss(cfg.d, cfg.d, n).data for n in widths]
-        kernels = [gauss(CONV_K, n, CONV_K).data for n in widths]
-        return Mamba2Weights(
-            W_in=Tensor(np.concatenate(proj + [np.zeros((cfg.d, cfg.n_h), dtype)], axis=1)),
-            conv=Tensor(np.concatenate(kernels, axis=0)),
-            a_log=Tensor(default_decay_exponents(cfg.n_h, dtype)),
-            delta_b=Tensor(default_step_bias(cfg.n_h, dtype)),
-            D=Tensor(np.ones(cfg.n_h, dtype=dtype)),
-            W_out=gauss(cfg.n_h * cfg.d_h, cfg.n_h * cfg.d_h, cfg.d),
-        )
+        proj = [gauss(rng, dtype, cfg.d, cfg.d, n).data for n in widths]
+        kernels = [gauss(rng, dtype, CONV_K, n, CONV_K).data for n in widths]
+        w_out = gauss(rng, dtype, cfg.n_h * cfg.d_h, cfg.n_h * cfg.d_h, cfg.d).data
+        return _mamba2(cfg, dtype, proj, np.concatenate(kernels, axis=0), w_out)
 
     raise ValueError(f"unknown mixer kind {kind!r}")

@@ -11,7 +11,7 @@ nothing else.
 
 import numpy as np
 
-from hybridforge.numkernel import KernelError
+from hybridforge.numkernel import KernelError, backward
 from hybridforge.smart import LayoutError, gap_bounds
 
 
@@ -40,6 +40,19 @@ def finite_diff_grad(f, params, eps: float = 1e-5) -> dict[str, np.ndarray]:
             grad[i] = (hi - lo) / (2.0 * eps)
         out[path] = grad.reshape(t.shape)
     return out
+
+
+def check_grads(f, params, tol=1e-4, eps=1e-5):
+    """``backward`` against ``finite_diff_grad`` on the same parameters, compared
+    coordinate by coordinate; f maps the ParamStore to a scalar loss Tensor."""
+    loss = f(params)
+    analytic = backward(loss, params)
+    numeric = finite_diff_grad(lambda p: f(p).item(), params, eps=eps)
+    for path in analytic:
+        a, n = analytic[path], numeric[path]
+        scale = np.maximum(np.abs(n), 1.0)
+        worst = (np.abs(a - n) / scale).max()
+        assert worst <= tol, f"{path}: max rel grad error {worst:.3e}"
 
 
 def reconstruct_query(mla_w, cfg, mcfg) -> np.ndarray:

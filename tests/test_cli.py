@@ -368,7 +368,10 @@ def saved_teacher(tmp_path):
     (lambda h: h["cfg"].update(extra=1), r"header cfg: .*unexpected keyword argument 'extra'"),
     (lambda h: h["cfg"].pop("vocab"), r"header cfg: .*missing .*argument: 'vocab'"),
     (lambda h: h.update(mcfg=[1]), r"header mcfg: expected an object"),
-], ids=["unknown", "missing", "not-an-object"])
+    (lambda h: h["cfg"].update(n_h=4.0, n_kv=2.0), r"header cfg\.n_h: expected a positive int"),
+    (lambda h: h["cfg"].update(rope_base="10000"),
+     r"header cfg\.rope_base: expected a finite number"),
+], ids=["unknown", "missing", "not-an-object", "float-dims", "string-rope-base"])
 def test_bad_header_config_exits_2_naming_its_field(capsys, tmp_path, edit, message):
     from hybridforge import compose
 
@@ -527,6 +530,21 @@ def test_kv_report_refuses_malformed_layout(capsys, tmp_path, doc, message):
                  "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "kv_report.json").exists()
+
+
+def test_malformed_layout_file_is_named_by_its_path(capsys, tmp_path):
+    # kv-report and compose read the layout file the same way as every other JSON input
+    layout = tmp_path / "l.json"
+    layout.write_text("{not json")
+    kv = write_json(tmp_path / "kv.json", KV_MODEL)
+    compose_cfg = write_json(tmp_path / "c.json",
+                             {"mla": "a.hfrg", "mamba": "b.hfrg", "layout": "l.json"})
+    for path in ("a.hfrg", "b.hfrg"):
+        saved_teacher(tmp_path).rename(tmp_path / path)
+    for cmd in (["kv-report", "--config", kv, "--layout", str(layout), "--tokens", "8"],
+                ["compose", "--config", compose_cfg, "--out", str(tmp_path / "o")]):
+        assert main(cmd) == 2
+        assert f"error: layout file is not valid JSON ({layout}): " in capsys.readouterr().err
 
 
 def test_kv_report_requires_layout_and_tokens(capsys, tmp_path):

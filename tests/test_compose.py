@@ -216,11 +216,27 @@ def test_assemble_empty_layout_equals_mamba_source():
 
 
 def test_assemble_partial_layout_kind_pattern():
-    _, mla, mamba = converted_pair()
+    teacher, mla, mamba = converted_pair()
     hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
     assert hybrid.cfg.layer_kinds == [KIND_MLA, KIND_MAMBA2, KIND_MLA, KIND_MAMBA2]
     assert np.array_equal(hybrid.layers[0].mixer.W_DQ.data, mla.layers[0].mixer.W_DQ.data)
     assert np.array_equal(hybrid.layers[1].mixer.W_in.data, mamba.layers[1].mixer.W_in.data)
+    # assemble is with_mixers, cloned: the swap takes exactly the indexed mixers,
+    # their kinds and the donor's MLA config, and shares every tensor
+    other = mamba.clone()  # an all-Mamba2 donor with its own weights
+    for _, t in other.named_tensors():
+        t.data += 0.5
+    for donor, kinds, mcfg in (
+            (mla, [KIND_MLA, KIND_MAMBA2, KIND_MLA, KIND_MAMBA2], mla.mcfg),
+            (teacher, [KIND_MHA, KIND_MAMBA2, KIND_MHA, KIND_MAMBA2], None),
+            (other, [KIND_MAMBA2] * 4, None)):
+        swapped = mamba.with_mixers(donor, [0, 2])
+        assert swapped.cfg.layer_kinds == kinds and swapped.mcfg == mcfg
+        theirs, mine = dict(donor.named_tensors()), dict(mamba.named_tensors())
+        for path, t in swapped.named_tensors():
+            picked = path.startswith(("layers.0.mixer.", "layers.2.mixer."))
+            assert t is (theirs if picked else mine)[path], path
+    assert mamba.cfg.layer_kinds == [KIND_MAMBA2] * 4
 
 
 def test_assemble_takes_shared_paths_from_the_ssm_source():
@@ -467,11 +483,11 @@ def watch_block(monkeypatch, layer):
     make, sublayers, mix = nk._make, HybridModel._sublayers, HybridModel._mix
     st = {"part": None, "planted": False, "seen": {}, "plant": None, "runs": 0}
 
-    def watched_sublayers(self, x, i, cache, mixer_from):
+    def watched_sublayers(self, x, i, cache):
         st["part"], st["planted"] = ("mlp" if i == layer else None), False
         st["runs"] += 1
         try:
-            return sublayers(self, x, i, cache, mixer_from)
+            return sublayers(self, x, i, cache)
         finally:
             st["part"] = None
 

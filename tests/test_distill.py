@@ -23,18 +23,7 @@ from hybridforge.distill import (
 )
 from hybridforge.harness import cross_entropy, train_teacher
 from hybridforge.numkernel import ParamStore, Tensor, backward, tensor
-from oracle_helpers import finite_diff_grad
-
-
-def check_grads(f, params, tol=1e-4, eps=1e-5):
-    loss = f(params)
-    analytic = backward(loss, params)
-    numeric = finite_diff_grad(lambda p: f(p).item(), params, eps=eps)
-    for path in analytic:
-        a, n = analytic[path], numeric[path]
-        scale = np.maximum(np.abs(n), 1.0)
-        worst = (np.abs(a - n) / scale).max()
-        assert worst <= tol, f"{path}: max rel grad error {worst:.3e}"
+from oracle_helpers import check_grads
 
 
 # -- layer alignment loss ------------------------------------------------------

@@ -19,24 +19,12 @@ from hybridforge.numkernel import (
     svd_truncated,
     tensor,
 )
-from oracle_helpers import finite_diff_grad, reference_attend, reference_ssm_scan
+from oracle_helpers import check_grads, finite_diff_grad, reference_attend, reference_ssm_scan
 
 
 def rel_err(a, b):
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / denom
-
-
-def check_grads(f, params, tol=1e-4, eps=1e-5):
-    """Both routes on the same parameters, compared coordinate by coordinate."""
-    loss = f(params)
-    analytic = backward(loss, params)
-    numeric = finite_diff_grad(lambda p: f(p).item(), params, eps=eps)
-    for path in analytic:
-        a, n = analytic[path], numeric[path]
-        scale = np.maximum(np.abs(n), 1.0)
-        worst = (np.abs(a - n) / scale).max()
-        assert worst <= tol, f"{path}: max rel grad error {worst:.3e}"
 
 
 def make_param(store, name, shape, rng):

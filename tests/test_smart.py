@@ -384,14 +384,24 @@ def test_sensitivity_threaded_matches_serial():
     assert np.array_equal(serial.scores, threaded.scores)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sensitivity_swaps_only_the_mixer(jobs):
+@pytest.mark.parametrize("jobs,donor_kind", [(1, KIND_MLA), (2, KIND_MLA), (1, KIND_MAMBA2),
+                                             (2, KIND_MAMBA2)],
+                         ids=["1", "2", "1-mamba2", "2-mamba2"])
+def test_sensitivity_swaps_only_the_mixer(jobs, donor_kind):
+    # an all-Mamba2 donor with weights of its own lends its mixer, not the base's
     teacher, mamba, mla, data = drifted_family()
-    prof = score_sensitivity(teacher, mamba, mla, data, jobs=jobs)
-    want = straight_line_scores(teacher, mamba, mla, data)
+    donor = mla
+    if donor_kind == KIND_MAMBA2:
+        donor = mamba.clone()
+        rng = np.random.default_rng(22)
+        for _, t in donor.named_tensors():
+            t.data[...] += rng.normal(size=t.shape) * 0.2
+    prof = score_sensitivity(teacher, mamba, donor, data, jobs=jobs)
+    want = straight_line_scores(teacher, mamba, donor, data)
     assert np.abs(prof.scores - want).max() <= 1e-12
+    assert np.abs(want).min() > 1e-6
     # the drift is large enough that a whole-block swap scores differently
-    whole = straight_line_scores(teacher, mamba, mla, data, whole_block=True)
+    whole = straight_line_scores(teacher, mamba, donor, data, whole_block=True)
     assert np.abs(whole - want).min() > 1e-6
 
 
