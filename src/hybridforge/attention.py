@@ -65,6 +65,10 @@ class ModelConfig:
             self.layer_kinds = [KIND_MHA] * self.L
         if self.L < 1:
             raise ValueError("L must be >= 1")
+        if min(self.d, self.n_h, self.n_kv, self.d_h) < 1 or self.vocab < 2:
+            raise ValueError("dims and vocab must be positive (vocab >= 2)")
+        if not self.rope_base > 0:  # base**(-2i/d) needs a positive base
+            raise ValueError(f"rope_base must be > 0, got {self.rope_base}")
         if len(self.layer_kinds) != self.L:
             raise ValueError("layer_kinds length must equal L")
         for kind in self.layer_kinds:
@@ -72,8 +76,6 @@ class ModelConfig:
                 raise ValueError(f"unknown layer kind {kind!r}")
         if self.n_h % self.n_kv != 0:
             raise ValueError("n_h must be divisible by n_kv")
-        if self.d < 1 or self.d_h < 1 or self.vocab < 2:
-            raise ValueError("dims and vocab must be positive (vocab >= 2)")
 
 
 class MixerWeights:

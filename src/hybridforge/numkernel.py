@@ -10,7 +10,13 @@ only the causal key prefix its last query sees, so a call over T keys holds at
 most ATTEND_ROWS x T scores per head, however long the prefill. Its blocks run
 first to last, each writing its own rows of one output; an unrecorded call
 scores them all in one scratch array sized ATTEND_ROWS x T per head.
-``silu`` and ``rms_norm`` write their temporaries in place.
+``silu`` and ``rms_norm`` write their temporaries in place. ``ssm_scan`` over
+one unrecorded step (a decode step: x (batch, 1, groups, d_h) and an h0 state)
+runs the plain update and returns a state array of its own, allocating no
+chunk states. ``add`` and ``mul`` take a Tensor first; a second operand that
+is not a Tensor is a graph constant cast to the first one's dtype: a number
+becomes a numpy scalar, checked with ``math.isfinite`` even inside
+``checked_once``, so a float32 tensor times a float64 scalar stays float32.
 Each primitive records its inputs and a vector-Jacobian closure so that
 ``backward`` can return exact gradients. ``backward`` walks a graph once and
 frees it as it goes: a node drops its inputs and closure, and the arrays the
@@ -26,6 +32,7 @@ cache's buffer, whether recorded or not.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -179,10 +186,15 @@ def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
 
 
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+def _operand(a: Tensor, b, op: str):
+    """b's data and the parents of ``op`` over (a, b). A b that is no Tensor is a
+    constant of a's dtype, checked here: a number becomes a numpy scalar."""
+    if isinstance(b, Tensor):
+        return b.data, (a, b)
+    b = a.data.dtype.type(b)  # an array-like b becomes an array
+    if not (math.isfinite(b) if b.ndim == 0 else np.isfinite(b).all()):
+        raise KernelError(f"{op} got a non-finite constant operand")
+    return b, (a,)
 
 
 def _recording(parents: tuple[Tensor, ...]) -> bool:
@@ -191,10 +203,15 @@ def _recording(parents: tuple[Tensor, ...]) -> bool:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    out = Tensor(data, op=op)
-    if _recording(parents):
-        out._parents = parents
-        out._vjp = vjp
+    # an op makes a float array, or a numpy scalar from 0-d operands: no
+    # Tensor.__init__ to convert it again
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    if op not in _grad_state.unchecked:
+        _check_finite(data, op)
+    out = object.__new__(Tensor)
+    out.data, out.requires_grad = data, False
+    out._parents, out._vjp = (parents, vjp) if _recording(parents) else ((), None)
     return out
 
 
@@ -215,45 +232,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # arithmetic primitives
 
 
-def add(a, b) -> Tensor:
-    a = _wrap(a, getattr(b, "dtype", np.float64))
-    b = _wrap(b, a.dtype)
-    out = a.data + b.data
+def add(a: Tensor, b) -> Tensor:
+    """a + b; b is a Tensor, or a constant of a's dtype (see ``_operand``)."""
+    bd, parents = _operand(a, b, "add")
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(g, a.shape)
+        return (ga,) if len(parents) == 1 else (ga, _unbroadcast(g, bd.shape))
 
-    return _make(out, (a, b), vjp, "add")
+    return _make(a.data + bd, parents, vjp, "add")
 
 
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,), "neg")
 
 
-def mul(a, b) -> Tensor:
-    a = _wrap(a, getattr(b, "dtype", np.float64))
-    b = _wrap(b, a.dtype)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
+def mul(a: Tensor, b) -> Tensor:
+    """a * b; b is a Tensor, or a constant of a's dtype (see ``_operand``)."""
+    ad = a.data
+    bd, parents = _operand(a, b, "mul")
 
     def vjp(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        ga = _unbroadcast(g * bd, a.shape)
+        return (ga,) if len(parents) == 1 else (ga, _unbroadcast(g * ad, bd.shape))
 
-    return _make(out, (a, b), vjp, "mul")
+    return _make(ad * bd, parents, vjp, "mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise KernelError("matmul requires operands with ndim >= 2")
-    out = a.data @ b.data
     ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise KernelError("matmul requires operands with ndim >= 2")
 
     def vjp(g):
         ga = g @ np.swapaxes(bd, -1, -2)
         gb = np.swapaxes(ad, -1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _make(out, (a, b), vjp, "matmul")
+    return _make(ad @ bd, (a, b), vjp, "matmul")
 
 
 def texp(a: Tensor) -> Tensor:
@@ -303,14 +319,13 @@ def silu(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
-    with np.errstate(over="ignore"):  # exp(-a) = inf gives exactly 0
-        s = 1.0 / (1.0 + np.exp(-a.data))
+    ad = a.data
 
-    def vjp(g):
-        return (g * s,)
+    def vjp(g):  # the derivative is sigmoid(a), made only when asked for
+        with np.errstate(over="ignore"):  # exp(-a) = inf gives exactly 0
+            return (g * (1.0 / (1.0 + np.exp(-ad))),)
 
-    return _make(out, (a,), vjp, "softplus")
+    return _make(np.logaddexp(0.0, ad), (a,), vjp, "softplus")
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -465,8 +480,9 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by ``gain``."""
     xd = x.data
     d = xd.shape[-1]
-    # a square that overflows would make r = 0 and the output a finite 0
-    ms = (xd * xd).mean(axis=-1, keepdims=True)
+    # a square that overflows would make r = 0 and the output a finite 0; the
+    # mean without ndarray.mean's Python wrapper, in the same bytes
+    ms = np.add.reduce(xd * xd, -1, keepdims=True) / d
     if "rms_norm" not in _grad_state.unchecked:
         _check_finite(ms, "rms_norm")
     r = 1.0 / np.sqrt(ms + RMS_EPS)
@@ -517,6 +533,14 @@ def conv1d_depthwise(x: Tensor, w: Tensor, tail: np.ndarray | None = None) -> Te
     return _make(out, (x, w), vjp, "conv1d_depthwise")
 
 
+@functools.lru_cache(maxsize=32, typed=True)  # typed: a numpy float64 base computes in float64
+def _inv_freq(base: float, d: int, dtype: np.dtype) -> np.ndarray:
+    """base**(-2i/d) for the d/2 rotary pairs; read-only, as every call shares it."""
+    inv_freq = base ** -(np.arange(0, d, 2, dtype=dtype) / d)
+    inv_freq.setflags(write=False)
+    return inv_freq
+
+
 def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     """Rotate adjacent coordinate pairs of the last axis by position-dependent angles.
 
@@ -528,8 +552,7 @@ def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     if d % 2 != 0:
         raise KernelError("rotary dimension must be even")
     pos = np.asarray(positions, dtype=x.dtype)
-    inv_freq = base ** -(np.arange(0, d, 2, dtype=x.dtype) / d)
-    ang = pos[:, None] * inv_freq[None, :]  # (t, d/2)
+    ang = pos[:, None] * _inv_freq(base, d, x.dtype)[None, :]  # (t, d/2)
     cos = np.cos(ang)[:, None, :]  # broadcast over heads
     sin = np.sin(ang)[:, None, :]
     xe = x.data[..., 0::2]
@@ -591,56 +614,63 @@ def ssm_scan(
     head k reading group k // (heads / groups). ``log_decay`` (< 0; finite where
     its exp underflows) and ``dt`` are (batch, t, heads), ``D`` is (heads,), and
     ``h0``, a graph constant, broadcasts to (batch, heads, d_h, d_h) (default
-    zeros). Returns (y, h_t). Chunks of at most ``SCAN_CHUNK`` steps run as matmuls
+    zeros). Returns (y, h_t), h_t an array of its own. Chunks of at most ``SCAN_CHUNK`` steps run as matmuls
     (the SSD form, Dao & Gu 2024, arXiv 2405.21060): with S the
     cumulative log-decay in a chunk, y = ((C B^T) o exp(S_t - S_s) dt_s [s <= t]) X
     + exp(S) (C h_in), and a closing update carries h_out on. The vjp is the
     reverse chunked scan over the chunk-boundary states, the only states kept;
     it rebuilds the decay matrix exp(S_t - S_s) [s <= t] rather than keep it.
     """
-    got = {"x": x, "b": b, "c": c, "log_decay": log_decay, "D": D, "dt": dt}
-    shapes = {k: v.shape for k, v in got.items()}
-    if x.ndim != 4 or c.ndim != 4:
-        raise KernelError(f"ssm_scan: mismatched shapes {shapes}")
-    n, t, groups, d_h = x.shape
-    heads = c.shape[2]
-    want = {"x": x.shape, "b": x.shape, "c": (n, t, heads, d_h), "log_decay": (n, t, heads),
-            "D": (heads,), "dt": (n, t, heads)}
-    if t < 1 or heads % groups or any(want[k] != v for k, v in shapes.items()):
+    parents = (x, b, c, log_decay, D, dt)
+    xd, bd, cd, ld, Dd, dtd = x.data, b.data, c.data, log_decay.data, D.data, dt.data
+    ok = xd.ndim == cd.ndim == 4
+    if ok:
+        n, t, groups, d_h = xd.shape
+        heads = cd.shape[2]
+        lead = (n, t, heads)
+        got = (bd.shape, cd.shape, ld.shape, Dd.shape, dtd.shape)
+        ok = t >= 1 and heads % groups == 0 and got == (xd.shape, lead + (d_h,), lead,
+                                                         (heads,), lead)
+    if not ok:
+        shapes = {k: p.shape for k, p in zip(("x", "b", "c", "log_decay", "D", "dt"), parents)}
         raise KernelError(f"ssm_scan: mismatched shapes {shapes}")
     r = heads // groups
-    parents = (x, b, c, log_decay, D, dt)
-    xd, bd, cd, ld, Dd, dtd = (p.data for p in parents)
-    nc = -(-t // SCAN_CHUNK)
-    q = -(-t // nc)  # balanced chunks: fewer than nc padded steps
-    hs = np.zeros((n, nc + 1, groups, r, d_h, d_h), dtype=xd.dtype)  # chunk-boundary states
-    if h0 is not None:
-        hs[:, 0] = np.broadcast_to(h0, (n, heads, d_h, d_h)).reshape(hs[:, 0].shape)
+    # h0 in x's dtype with its heads split (groups, r), as the states hold it
+    h0 = 0.0 if h0 is None else h0.astype(xd.dtype, copy=False).reshape(
+        h0.shape[:-3] + (groups, r, d_h, d_h))
     skip = Dd.reshape(groups, r, 1) * xd[:, :, :, None, :]  # (n, t, groups, r, d_h)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if t == 1 and not _recording(parents):  # a decode step: the plain update
-            shape = (n, groups, r, 1, 1)
-            hs[:, 1] = (np.exp(ld[:, 0]).reshape(shape) * hs[:, 0] + dtd[:, 0].reshape(shape)
-                        * bd[:, 0, :, None, :, None] * xd[:, 0, :, None, None, :])
-            y = (cd[:, 0].reshape(n, groups, r, 1, d_h) @ hs[:, 1]).reshape(skip.shape) + skip
-        else:  # what the vjp reads is made here: a recorded scan always takes this path
-            xg, bg = (_chunked(v, nc, q, groups)[:, :, :, :1] for v in (xd, bd))
-            cg, la, dg = (_chunked(v, nc, q, groups) for v in (cd, ld, dtd))
-            S = np.cumsum(la, axis=-1)
-            tri = np.tri(q, dtype=S.dtype)
-            M = cg @ np.swapaxes(bg, -1, -2)  # C B^T, then in place (C B^T) o L o dt_s
-            M *= _decay(S, tri)  # L is dropped here; the vjp rebuilds it
-            M *= dg[..., None, :]
-            to_end = np.exp(S[..., -1:] - S)  # decay from each step to the chunk's end
-            local = np.swapaxes(bg * (to_end * dg)[..., None], -1, -2) @ xg
-            for k in range(nc):
-                hs[:, k + 1] = np.exp(S[:, k, ..., -1, None, None]) * hs[:, k] + local[:, k]
-            yg = cg @ hs[:, :-1]
-            yg *= np.exp(S)[..., None]
-            yg += M @ xg
-            y = _unchunked(yg, t).reshape(skip.shape)
-            y += skip
+    if t == 1 and not _recording(parents):  # a decode step: the plain update, no chunks
+        shape = (n, groups, r, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (np.exp(ld[:, 0]).reshape(shape) * h0 + dtd[:, 0].reshape(shape)
+                 * bd[:, 0, :, None, :, None] * xd[:, 0, :, None, None, :])
+            y = (cd[:, 0].reshape(n, groups, r, 1, d_h) @ h).reshape(skip.shape) + skip
+        # h is made here, so the state returned shares no memory with h0
+        return (_make(y.reshape(n, t, heads, d_h), parents, None, "ssm_scan"),
+                h.reshape(n, heads, d_h, d_h))
+
+    nc = -(-t // SCAN_CHUNK)
+    q = -(-t // nc)  # balanced chunks: fewer than nc padded steps
+    hs = np.empty((n, nc + 1, groups, r, d_h, d_h), dtype=xd.dtype)  # chunk-boundary states
+    hs[:, 0] = h0
+    with np.errstate(over="ignore", invalid="ignore"):  # what the vjp reads is made here
+        xg, bg = (_chunked(v, nc, q, groups)[:, :, :, :1] for v in (xd, bd))
+        cg, la, dg = (_chunked(v, nc, q, groups) for v in (cd, ld, dtd))
+        S = np.cumsum(la, axis=-1)
+        tri = np.tri(q, dtype=S.dtype)
+        M = cg @ np.swapaxes(bg, -1, -2)  # C B^T, then in place (C B^T) o L o dt_s
+        M *= _decay(S, tri)  # L is dropped here; the vjp rebuilds it
+        M *= dg[..., None, :]
+        to_end = np.exp(S[..., -1:] - S)  # decay from each step to the chunk's end
+        local = np.swapaxes(bg * (to_end * dg)[..., None], -1, -2) @ xg
+        for k in range(nc):
+            hs[:, k + 1] = np.exp(S[:, k, ..., -1, None, None]) * hs[:, k] + local[:, k]
+        yg = cg @ hs[:, :-1]
+        yg *= np.exp(S)[..., None]
+        yg += M @ xg
+        y = _unchunked(yg, t).reshape(skip.shape)
+        y += skip
     h_last = hs[:, -1].reshape(n, heads, d_h, d_h).copy()
 
     def vjp(g):
@@ -749,14 +779,16 @@ def repeat(a: Tensor, times: int, axis: int) -> Tensor:
 
 def _check_ids(ids: np.ndarray, n: int, op: str) -> None:
     """Refuse ids outside [0, n); numpy would raise IndexError or wrap a negative one."""
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise KernelError(f"{op} ids must lie in [0, {n}), got {ids.min()}..{ids.max()}")
+    if ids.size:  # the reductions, not ndarray.min/max and their Python wrappers
+        lo, hi = np.minimum.reduce(ids, None), np.maximum.reduce(ids, None)
+        if lo < 0 or hi >= n:
+            raise KernelError(f"{op} ids must lie in [0, {n}), got {lo}..{hi}")
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``table`` by integer id array; scatter-add on backward."""
     ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
+    if ids.dtype.kind not in "iu":
         raise KernelError("embedding ids must be integers")
     _check_ids(ids, table.shape[0], "embedding")
     out = table.data[ids]

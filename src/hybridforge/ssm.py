@@ -125,6 +125,8 @@ def mamba2_forward_seq(
     if state is None:
         return out, None
 
-    old = np.broadcast_to(state.tail, (b,) + state.tail.shape[-2:])
+    old = state.tail
+    if old.ndim == 2:  # an empty state's tail has no batch axis
+        old = np.broadcast_to(old, (b,) + old.shape)
     joined = np.concatenate([old, xbc_pre.data], axis=1)
     return out, SsmState(h=h_last, tail=joined[:, t:].copy())

@@ -82,6 +82,19 @@ def test_config_validation():
     assert cfg.layer_kinds == [KIND_MHA] * 2
 
 
+@pytest.mark.parametrize("dims", [dict(n_kv=0), dict(n_h=0), dict(d=0), dict(d_h=-1)],
+                         ids=["n_kv", "n_h", "d", "d_h"])
+def test_config_refuses_a_dim_below_one_before_dividing_by_it(dims):
+    with pytest.raises(ValueError, match=r"^dims and vocab must be positive"):
+        toy_cfg(**dims)
+
+
+@pytest.mark.parametrize("base", [0.0, -5.0, float("nan")])
+def test_config_refuses_a_rope_base_that_is_not_positive(base):
+    with pytest.raises(ValueError, match=r"^rope_base must be > 0"):
+        toy_cfg(rope_base=base)
+
+
 def test_mla_config_validation():
     cfg = toy_cfg()
     with pytest.raises(ValueError):

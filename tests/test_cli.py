@@ -371,7 +371,11 @@ def saved_teacher(tmp_path):
     (lambda h: h["cfg"].update(n_h=4.0, n_kv=2.0), r"header cfg\.n_h: expected a positive int"),
     (lambda h: h["cfg"].update(rope_base="10000"),
      r"header cfg\.rope_base: expected a finite number"),
-], ids=["unknown", "missing", "not-an-object", "float-dims", "string-rope-base"])
+    (lambda h: h["cfg"].update(rope_base=0), r"header cfg: rope_base must be > 0, got 0"),
+    (lambda h: h["cfg"].update(rope_base=-5.0),
+     r"header cfg: rope_base must be > 0, got -5\.0"),
+], ids=["unknown", "missing", "not-an-object", "float-dims", "string-rope-base", "zero-rope-base",
+        "negative-rope-base"])
 def test_bad_header_config_exits_2_naming_its_field(capsys, tmp_path, edit, message):
     from hybridforge import compose
 

@@ -626,6 +626,71 @@ def test_silu_and_rms_norm_in_place_keep_their_bytes(dtype):
     assert a.tobytes() == a0.tobytes() and gain.tobytes() == gain0.tobytes()
 
 
+@pytest.mark.parametrize("d", [16, 8])
+def test_a_float64_scalar_operand_keeps_float32_and_its_bytes(d):
+    # attention scales its queries by exactly this numpy float64 scalar
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((2, 3, 4)).astype(np.float32)
+    scale = 1.0 / np.sqrt(d)
+    assert type(scale) is np.float64
+    for op, ufunc in ((nk.mul, np.multiply), (nk.add, np.add)):
+        out = op(tensor(a), scale).data
+        assert type(out) is np.ndarray and out.dtype == np.float32
+        assert out.tobytes() == ufunc(a, np.asarray(scale, dtype=np.float32)).tobytes()
+    # a scalar over a 0-d tensor, as a loss mean makes, is still a 0-d array
+    total = nk.mul(nk.tsum(tensor(a, dtype=np.float64)), 0.5).data
+    assert type(total) is np.ndarray and total.shape == () and total.dtype == np.float64
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_scalar_operand_raises_with_and_without_the_fast_pass(value):
+    x = tensor(np.ones((2, 3)))
+    for op in (nk.mul, nk.add):
+        with pytest.raises(KernelError):
+            op(x, value)
+        with pytest.raises(KernelError):
+            nk.checked_once(lambda: op(x, value), lambda out: (out.data,))
+
+
+def test_a_recorded_scalar_operand_passes_the_gradient_on():
+    rng = np.random.default_rng(31)
+    store = ParamStore()
+    p = make_param(store, "p", (3, 4), rng)
+    grads = backward(nk.tsum(nk.add(nk.mul(p, 2.5), 1.0)), store)
+    assert grads["p"].dtype == np.float64
+    assert np.array_equal(grads["p"], np.full((3, 4), 2.5))
+
+
+def test_the_rope_frequency_table_is_shared_and_read_only():
+    table = nk._inv_freq(10000.0, 8, np.dtype(np.float32))
+    assert table is nk._inv_freq(10000.0, 8, np.dtype(np.float32))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 2.0
+    want = 10000.0 ** -(np.arange(0, 8, 2, dtype=np.float32) / 8)
+    assert table.dtype == np.float32 and table.tobytes() == want.tobytes()
+    # a numpy float64 base computes in float64, as the formula does uncached
+    assert nk._inv_freq(np.float64(10000.0), 8, np.dtype(np.float32)).dtype == np.float64
+
+
+def test_a_decode_step_scan_casts_h0_and_returns_its_own_state():
+    # t = 1, unrecorded: float32 inputs and a float64 h0 give float32 y and
+    # state, the bytes of an h0 cast first, in an array that is not h0's
+    rng = np.random.default_rng(32)
+    ins = [tensor(a.data, dtype=np.float32) for a in scan_inputs(rng, t=1)]
+    h0 = rng.standard_normal((2, 4, 2, 2))
+    with no_grad():
+        y, h = nk.ssm_scan(*ins[:5], h0, dt=ins[5])
+        y32, h32 = nk.ssm_scan(*ins[:5], h0.astype(np.float32), dt=ins[5])
+    assert y.dtype == h.dtype == np.float32 and h.shape == h0.shape
+    assert y.data.tobytes() == y32.data.tobytes() and h.tobytes() == h32.tobytes()
+    assert not np.shares_memory(h, h0)
+    h0_32 = h0.astype(np.float32)
+    with no_grad():
+        _, h_same = nk.ssm_scan(*ins[:5], h0_32, dt=ins[5])
+    assert not np.shares_memory(h_same, h0_32)
+
+
 def test_attend_refuses_mismatched_shapes():
     q, k, v = (tensor(np.zeros(s)) for s in ((4, 3), (3, 3), (3, 2)))
     with pytest.raises(KernelError, match="attend: mismatched shapes"):
