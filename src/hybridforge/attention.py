@@ -246,12 +246,11 @@ def row_width(kind: str, cfg: ModelConfig, mcfg: Optional[MLAConfig]) -> int:
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def _start(H: Tensor, cache: Optional[RowCache]) -> np.ndarray:
-    """The absolute positions of the tokens of the (b, t, d) input H."""
+def _start(H: Tensor, cache: Optional[RowCache]) -> int:
+    """The absolute position of the first token of the (b, t, d) input H."""
     if H.ndim != 3:
         raise ValueError(f"H must be (batch, t, d), got shape {H.shape}")
-    t_prev = cache.t if cache is not None else 0
-    return np.arange(t_prev, t_prev + H.shape[1])
+    return cache.t if cache is not None else 0
 
 
 def _finish(ctx: Tensor, W_O: Tensor) -> Tensor:
@@ -291,17 +290,17 @@ def mha_forward(
     copied per head. The weights are trusted: ``HybridModel`` checks their
     shapes once, when the model is built.
     """
-    positions = _start(H, cache)
+    start = _start(H, cache)
     b, t = H.shape[0], H.shape[1]
     n_kv, g, d_h = cfg.n_kv, cfg.n_h // cfg.n_kv, cfg.d_h
 
     q = nk.reshape(nk.matmul(H, w.W_Q), (b, t, cfg.n_h, d_h))
     k = nk.reshape(nk.matmul(H, w.W_K), (b, t, n_kv, d_h))
     v = nk.reshape(nk.matmul(H, w.W_V), (b, t, n_kv, d_h))
-    q = nk.mul(nk.rope_rotate(q, positions, cfg.rope_base), 1.0 / np.sqrt(d_h))
+    q = nk.mul(nk.rope_rotate(q, start, cfg.rope_base), 1.0 / np.sqrt(d_h))
     # a kv head's g query heads are adjacent: one group per kv head
     q = nk.transpose(nk.reshape(q, (b, t, n_kv, g, d_h)), (0, 2, 3, 1, 4))
-    k = nk.rope_rotate(k, positions, cfg.rope_base)
+    k = nk.rope_rotate(k, start, cfg.rope_base)
     # one cache row per token: each kv head's [key | value]
     new_rows = nk.reshape(nk.concat([k, v], axis=-1), (b, t, n_kv, 1, 2 * d_h))
 
@@ -327,7 +326,7 @@ def mla_forward(
     latent (attn @ c_kv) before W_O. Scores scale by 1 / sqrt(d_qk + d_r).
     Shapes, caching and the trust in ``w`` are as in ``mha_forward``.
     """
-    positions = _start(H, cache)
+    start = _start(H, cache)
     b, t = H.shape[0], H.shape[1]
     n_kv, g = cfg.n_kv, cfg.n_h // cfg.n_kv
     r_kv, width = mcfg.r_kv, mcfg.r_kv + mcfg.d_r
@@ -342,12 +341,12 @@ def mla_forward(
     q_c = nk.reshape(nk.transpose(q_c, (0, 2, 1, 3)), (b, n_kv, g * t, mcfg.d_qk))
     q_lat = nk.reshape(nk.matmul(q_c, w_uk), (b, cfg.n_h, t, r_kv))
     q_r = nk.reshape(nk.matmul(c_q, w.W_QR), (b, t, cfg.n_h, mcfg.d_r))
-    q_r = nk.transpose(nk.rope_rotate(q_r, positions, cfg.rope_base), (0, 2, 1, 3))
+    q_r = nk.transpose(nk.rope_rotate(q_r, start, cfg.rope_base), (0, 2, 1, 3))
     q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
 
     c_kv = nk.matmul(H, w.W_DKV)                             # (b, t, r_kv)
     k_r = nk.reshape(nk.matmul(H, w.W_KR), (b, t, 1, mcfg.d_r))
-    k_r = nk.rope_rotate(k_r, positions, cfg.rope_base)      # rotated before caching
+    k_r = nk.rope_rotate(k_r, start, cfg.rope_base)          # rotated before caching
     new_rows = nk.concat([c_kv, nk.reshape(k_r, (b, t, mcfg.d_r))], axis=-1)
 
     rows, new_cache = _rows_so_far(new_rows, cache)

@@ -203,17 +203,31 @@ class HybridModel:
     def _blocks(self, ids, caches: list, keep_mixer_outs: bool = False):
         """Logits, new caches and (if kept) mixer outputs; a None cache runs its
         layer stateless. (t,) ids run as a batch of one, whose axis the logits
-        and mixer outputs drop. Empty ids raise ``ValueError``."""
+        and mixer outputs drop. Empty ids raise ``ValueError``. The embedding,
+        the blocks and the head are one ``nk.checked_once`` (see ``block``)."""
         ids = np.asarray(ids)
         if ids.size == 0:
             raise ValueError(f"empty input: ids of shape {ids.shape} hold no token")
-        x = nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
-        new_caches, outs = [], []
-        for i in range(len(self.layers)):
-            x, c, mixed = self.block(x, i, caches[i])
-            new_caches.append(c)
-            outs.append(mixed)
-        outs = [self.logits(x)] + (outs if keep_mixer_outs else [])
+
+        def run():
+            x = nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
+            new_caches, outs = [], []
+            for i in range(len(self.layers)):
+                x, c, mixed = self.block(x, i, caches[i])
+                new_caches.append(c)
+                outs.append(mixed)
+            return [self.logits(x)] + (outs if keep_mixer_outs else []), new_caches
+
+        def made(out):
+            outs, new_caches = out
+            yield from (o.data for o in outs)
+            for old, c in zip(caches, new_caches):
+                if isinstance(c, SsmState):
+                    yield from (c.h, c.tail)
+                elif isinstance(c, RowCache):
+                    yield c.rows[:, old.t:]
+
+        outs, new_caches = nk.checked_once(run, made)
         if ids.ndim == 1:
             outs = [nk.reshape(o, o.shape[1:]) for o in outs]
         return outs[0], new_caches, outs[1:]
@@ -223,27 +237,18 @@ class HybridModel:
 
         A ``KernelError`` is re-raised behind its sublayer's path:
         ``layers.{i}.mixer`` for the mixer, ``layers.{i}.mlp`` for norms and MLP.
-        The block's finiteness is checked once (``nk.checked_once``): its ops
-        run under raising overflow and invalid flags, and then the stream, the
-        mixer output and the rows or SSM state the block adds to its cache are
-        checked. A flag or a non-finite value re-runs the block with every op
-        checking, so a fault is reported by the op that made it; no warning
-        escapes. One gap remains: an inf that enters the block as input, not
-        made there, raises no flag where exp(-inf) = 0 squashes it. Weights
-        are checked when a model is built or loaded and after each Adam step,
-        and the stream at each block's end.
+        Called on its own, every op checks what it makes. A pass runs its
+        blocks in one ``nk.checked_once``: no op checks, overflow and invalid
+        flags raise, and the logits, the new cache rows or SSM state and the
+        kept mixer outputs are checked once. That is enough, as the stream is
+        only ever added to: a NaN made anywhere reaches the logits, and an inf
+        the next ``rms_norm``, where inf * 0 raises the invalid flag. On a flag
+        or a non-finite value the pass re-runs with every op checking, so the
+        op that made the fault reports it; no warning escapes. One gap remains:
+        an inf that enters the pass from outside raises no flag where
+        exp(-inf) = 0 squashes it. Weights are checked when a model is built or
+        loaded and after each Adam step.
         """
-        def made(out):
-            y, c, mixed = out
-            if isinstance(c, SsmState):
-                return y.data, mixed.data, c.h, c.tail
-            if isinstance(c, RowCache):
-                return y.data, mixed.data, c.rows[:, cache.t:]
-            return y.data, mixed.data
-
-        return nk.checked_once(lambda: self._sublayers(x, i, cache), made)
-
-    def _sublayers(self, x: Tensor, i: int, cache):
         layer, part = self.layers[i], "mlp"
         try:
             z = nk.rms_norm(x, layer.norm1)
@@ -258,10 +263,9 @@ class HybridModel:
             raise type(exc)(f"layers.{i}.{part}: {exc}") from exc
 
     def logits(self, x: Tensor) -> Tensor:
-        """Final norm and output head over the stream leaving the last block,
-        checked once as a block is."""
-        return nk.checked_once(lambda: nk.matmul(nk.rms_norm(x, self.final_norm), self.head),
-                               lambda out: (out.data,))
+        """Final norm and output head over the stream leaving the last block;
+        checked as ``block`` is."""
+        return nk.matmul(nk.rms_norm(x, self.final_norm), self.head)
 
     def init_caches(self, dtype=None) -> list:
         """Empty per-layer decode caches, in the model's dtype unless ``dtype`` is given."""

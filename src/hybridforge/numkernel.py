@@ -13,21 +13,23 @@ scores them all in one scratch array sized ATTEND_ROWS x T per head.
 ``silu`` and ``rms_norm`` write their temporaries in place. ``ssm_scan`` over
 one unrecorded step (a decode step: x (batch, 1, groups, d_h) and an h0 state)
 runs the plain update and returns a state array of its own, allocating no
-chunk states. ``add`` and ``mul`` take a Tensor first; a second operand that
-is not a Tensor is a graph constant cast to the first one's dtype: a number
-becomes a numpy scalar, checked with ``math.isfinite`` even inside
-``checked_once``, so a float32 tensor times a float64 scalar stays float32.
-Each primitive records its inputs and a vector-Jacobian closure so that
-``backward`` can return exact gradients. ``backward`` walks a graph once and
-frees it as it goes: a node drops its inputs and closure, and the arrays the
-closure saved, once it has passed its gradient on. Ops that make values check
-them for finiteness; ops that only move checked values (slice, reshape,
-transpose, concat, cached rows) do not. Inside ``checked_once`` no op checks
-what it makes: the FPU's overflow and invalid flags raise, and the pass checks
-what it returns once. On a flag or a non-finite result the pass runs again
-with every op checking, so the error names the op that made the value. A slice
-or transpose is a view of its input, and ``cached_rows`` a view of a decode
-cache's buffer, whether recorded or not.
+chunk states. ``rope_rotate`` reads its tables from ``_rotation``, cached per
+(start, t, base, d, dtype), so the layers of a pass share one. ``add`` and
+``mul`` take a Tensor first; a second operand that is not a Tensor is a graph
+constant cast to the first one's dtype: a number becomes a numpy scalar,
+checked with ``math.isfinite`` even inside ``checked_once``, so a float32
+tensor times a float64 scalar stays float32. Each primitive records its inputs
+and a vector-Jacobian closure so that ``backward`` can return exact gradients.
+``backward`` walks a graph once and frees it as it goes: a node drops its
+inputs and closure, and the arrays the closure saved, once it has passed its
+gradient on. Ops that make values check them for finiteness; ops that only
+move checked values (slice, reshape, transpose, concat, cached rows) do not.
+Inside ``checked_once`` no op checks what it makes: the FPU's overflow and
+invalid flags raise, and the pass checks what it returns once; a model's whole
+forward pass is one ``checked_once``. On a flag or a non-finite result the
+pass runs again with every op checking, so the error names the op that made
+the value. A slice or transpose is a view of its input, and ``cached_rows`` a
+view of a decode cache's buffer, whether recorded or not.
 """
 
 from __future__ import annotations
@@ -541,35 +543,41 @@ def _inv_freq(base: float, d: int, dtype: np.dtype) -> np.ndarray:
     return inv_freq
 
 
-def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
+@functools.lru_cache(maxsize=32, typed=True)
+def _rotation(start: int, t: int, base: float, d: int, dtype: np.dtype):
+    """Read-only tables of positions start .. start+t-1, shared by every layer of a
+    pass: (t, 1, d) [cos, cos] and (t, 1, d/2, 2) [-sin, sin] of pos * base**(-2i/d)
+    per pair i. The MLA upcycle's own rotary frequencies (ROADMAP item 1) change
+    bytes, so they are not here yet; they will add their frequency set to this key."""
+    ang = np.arange(start, start + t).astype(dtype)[:, None] * _inv_freq(base, d, dtype)
+    cos, sin = np.cos(ang)[:, None, :, None], np.sin(ang)[:, None, :, None]
+    tables = np.concatenate([cos, cos], -1).reshape(t, 1, d), np.concatenate([-sin, sin], -1)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def rope_rotate(x: Tensor, start: int, base: float) -> Tensor:
     """Rotate adjacent coordinate pairs of the last axis by position-dependent angles.
 
-    ``x`` has shape (..., t, heads, d) with d even; pair i of a vector turns by
-    angle pos * base**(-2i/d).  The rotation is an isometry, so per-token norms
-    are preserved and the vjp is the inverse rotation.
+    ``x`` has shape (..., t, heads, d) with d even, its t tokens at positions
+    start .. start+t-1; pair i of a vector turns by angle pos * base**(-2i/d).
+    The turn is x*cos + swap_pairs(x)*[-sin, sin] (RoFormer, Su et al. 2021,
+    arXiv 2104.09864, section 3.4.2), the bytes of the interleaved form, rounded
+    once to x's dtype. It is an isometry, so per-token norms are preserved and
+    the vjp, g*cos - swap_pairs(g)*[-sin, sin], is the inverse turn.
     """
     d = x.shape[-1]
     if d % 2 != 0:
         raise KernelError("rotary dimension must be even")
-    pos = np.asarray(positions, dtype=x.dtype)
-    ang = pos[:, None] * _inv_freq(base, d, x.dtype)[None, :]  # (t, d/2)
-    cos = np.cos(ang)[:, None, :]  # broadcast over heads
-    sin = np.sin(ang)[:, None, :]
-    xe = x.data[..., 0::2]
-    xo = x.data[..., 1::2]
-    out = np.empty_like(x.data)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
+    c2, s2 = _rotation(start, x.shape[-3], base, d, x.dtype)
 
-    def vjp(g):
-        ge = g[..., 0::2]
-        go = g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = ge * cos + go * sin
-        gx[..., 1::2] = -ge * sin + go * cos
-        return (gx,)
+    def turn(a, op):  # a*c2 op swap_pairs(a)*s2: np.add turns, np.subtract turns back
+        out = a * c2
+        op(out, (a.reshape(a.shape[:-1] + (-1, 2))[..., ::-1] * s2).reshape(a.shape), out=out)
+        return out.astype(a.dtype, copy=False)
 
-    return _make(out, (x,), vjp, "rope")
+    return _make(turn(x.data, np.add), (x,), lambda g: (turn(g, np.subtract),), "rope")
 
 
 # Steps per chunk of ssm_scan. Of 8, 16, 32 and 64, 16 was fastest on the toy

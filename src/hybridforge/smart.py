@@ -191,15 +191,19 @@ def _batch_kls(teacher, base, variants, inputs: np.ndarray) -> list[float]:
     are the same in the base and in swap i, so they run once. Returns L+1
     values, the base first.
     """
-    with nk.no_grad():  # grad mode is per thread; a pool worker sets its own
-        t_logits = teacher.forward(inputs)
+    b = len(inputs)
+
+    def stacked():  # one pass, its finiteness checked once as HybridModel.forward's is
         x = nk.embedding(base.embed, inputs)
-        b = x.shape[0]
         for j, variant in enumerate(variants):
             swapped, _, _ = variant.block(nk.getitem(x, slice(0, b)), j)
             x, _, _ = base.block(x, j)
             x = nk.concat([x, swapped], axis=0)
-        logits = base.logits(x)
+        return base.logits(x)
+
+    with nk.no_grad():  # grad mode is per thread; a pool worker sets its own
+        t_logits = teacher.forward(inputs)
+        logits = nk.checked_once(stacked, lambda out: (out.data,))
         return [kd_loss(t_logits, nk.getitem(logits, slice(k * b, (k + 1) * b))).item()
                 for k in range(base.cfg.L + 1)]
 

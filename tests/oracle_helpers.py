@@ -214,6 +214,29 @@ def _reference_rope(x, positions, base):
     return out
 
 
+def interleaved_rope(x, positions, base, g=None):
+    """Rotary rotation of x (..., t, heads, d) in the interleaved straight-line
+    form: even and odd coordinates written apart, cos and sin of pos *
+    base**(-2i/d) computed per call. With g, the vjp of that rotation at g.
+    The pair frequencies are computed as ``numkernel._inv_freq`` computes them,
+    so a numpy float64 base gives float64 tables and a result rounded once."""
+    d = x.shape[-1]
+    inv_freq = base ** -(np.arange(0, d, 2, dtype=x.dtype) / d)
+    ang = np.asarray(positions, dtype=x.dtype)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
+    if g is None:
+        xe, xo = x[..., 0::2], x[..., 1::2]
+        out = np.empty_like(x)
+        out[..., 0::2] = xe * cos - xo * sin
+        out[..., 1::2] = xe * sin + xo * cos
+        return out
+    ge, go = g[..., 0::2], g[..., 1::2]
+    gx = np.empty_like(g)
+    gx[..., 0::2] = ge * cos + go * sin
+    gx[..., 1::2] = -ge * sin + go * cos
+    return gx
+
+
 def reference_mla(h, w, cfg, mcfg):
     """Straight-line causal latent attention over one (t, d) sequence.
 

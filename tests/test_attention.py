@@ -129,7 +129,7 @@ def test_rope_unit_pair_rotation():
     x = np.zeros((1, 1, 4))
     x[0, 0, 0] = 1.0
     for p in (1, 2, 5):
-        out = nk.rope_rotate(tensor(x, dtype=np.float64), np.array([p]), 10000.0).data
+        out = nk.rope_rotate(tensor(x, dtype=np.float64), p, 10000.0).data
         assert abs(out[0, 0, 0] - np.cos(p)) < 1e-12
         assert abs(out[0, 0, 1] - np.sin(p)) < 1e-12
 
@@ -418,18 +418,17 @@ def test_cache_rows_hold_documented_layout():
     mcfg = toy_mla_cfg(cfg)
     rng = np.random.default_rng(44)
     h = rng.standard_normal((5, cfg.d))
-    pos = np.arange(5)
     aw = rand_attn(cfg, rng)
     _, cache = mha_forward(tensor(h[None], dtype=np.float64), aw, cfg, empty_cache(KIND_MHA, cfg))
     rows = cache.rows[0].reshape(5, cfg.n_kv, 2, cfg.d_h)
     key = nk.rope_rotate(tensor((h @ aw.W_K.data).reshape(5, cfg.n_kv, cfg.d_h), dtype=np.float64),
-                         pos, cfg.rope_base)
+                         0, cfg.rope_base)
     assert np.array_equal(rows[:, :, 0], key.data)
     assert np.array_equal(rows[:, :, 1], (h @ aw.W_V.data).reshape(5, cfg.n_kv, cfg.d_h))
     mw = rand_mla(cfg, mcfg, rng)
     _, cache = mla_forward(tensor(h[None], dtype=np.float64), mw, cfg, mcfg,
                            empty_cache(KIND_MLA, cfg, mcfg))
-    k_r = nk.rope_rotate(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), pos, cfg.rope_base)
+    k_r = nk.rope_rotate(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), 0, cfg.rope_base)
     assert np.array_equal(cache.rows[0, :, : mcfg.r_kv], h @ mw.W_DKV.data)
     assert np.array_equal(cache.rows[0, :, mcfg.r_kv :], k_r.data[:, 0])
 

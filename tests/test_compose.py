@@ -31,7 +31,7 @@ from hybridforge.compose import (
     load_checkpoint,
     save_checkpoint,
 )
-from hybridforge.smart import HybridLayout
+from hybridforge.smart import HybridLayout, _batch_kls
 from hybridforge.ssm import SsmState
 from oracle_helpers import reference_model
 
@@ -480,14 +480,14 @@ def watch_block(monkeypatch, layer):
     first value it makes there; an op named in ``plant`` has the first value it
     makes overflow, on every run of the block; ``runs`` counts the runs of
     every block."""
-    make, sublayers, mix = nk._make, HybridModel._sublayers, HybridModel._mix
+    make, block, mix = nk._make, HybridModel.block, HybridModel._mix
     st = {"part": None, "planted": False, "seen": {}, "plant": None, "runs": 0}
 
-    def watched_sublayers(self, x, i, cache):
+    def watched_block(self, x, i, cache=None):
         st["part"], st["planted"] = ("mlp" if i == layer else None), False
         st["runs"] += 1
         try:
-            return sublayers(self, x, i, cache)
+            return block(self, x, i, cache)
         finally:
             st["part"] = None
 
@@ -509,7 +509,7 @@ def watch_block(monkeypatch, layer):
                 data *= 2  # a fast pass raises the overflow flag; a replay makes an inf
         return make(data, parents, vjp, op)
 
-    monkeypatch.setattr(HybridModel, "_sublayers", watched_sublayers)
+    monkeypatch.setattr(HybridModel, "block", watched_block)
     monkeypatch.setattr(HybridModel, "_mix", watched_mix)
     monkeypatch.setattr(nk, "_make", watched_make)
     return st
@@ -553,7 +553,77 @@ def test_an_overflow_at_any_op_of_a_block_is_reported_by_that_op(monkeypatch, la
                 with pytest.raises(nk.KernelError, match=rf"^layers\.{layer}\.{part}: "
                                                          rf"{op} produced non-finite values$"):
                     call()
-            assert watch["runs"] == layer + 2  # the blocks before it, its fast pass, its replay
+            # the pass's fast run up to the fault, then its replay up to the fault
+            assert watch["runs"] == 2 * (layer + 1)
+
+
+def test_a_pass_checks_its_finiteness_once(monkeypatch):
+    # a recorded forward, a cached step and a stacked sensitivity pass each
+    # enter checked_once once, however many blocks they run
+    teacher, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    ids = np.random.default_rng(10).integers(0, 32, size=(2, 7))
+    with nk.no_grad():
+        _, caches = hybrid.forward_cached(ids[:, :6], hybrid.init_caches())
+    checked_once, entered = nk.checked_once, []
+
+    def counting(run, made):
+        entered.append(run)
+        return checked_once(run, made)
+
+    monkeypatch.setattr(nk, "checked_once", counting)
+    variants = [mamba.with_mixers(mla, [i]) for i in range(mamba.cfg.L)]
+    calls = {"forward": lambda: hybrid.forward(ids),
+             "step": lambda: hybrid.forward_cached(ids[:, 6:], caches),
+             "sensitivity": lambda: _batch_kls(teacher, mamba, variants, ids)}
+    for name, call in calls.items():
+        entered.clear()
+        call()
+        # the sensitivity pass runs its teacher's forward too
+        assert len(entered) == (2 if name == "sensitivity" else 1), name
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_stream_between_blocks_is_reported(monkeypatch, value):
+    # a value planted into the stream after block 1, with no flag raised, is
+    # caught by the pass's one check: an inf raises the invalid flag at the
+    # next rms_norm (inf * 0), and a NaN reaches the logits
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    block = HybridModel.block
+
+    def planting(self, x, i, cache=None):
+        y, c, mixed = block(self, x, i, cache)
+        if i == 1:
+            y.data[0, 0, 0] = value
+        return y, c, mixed
+
+    monkeypatch.setattr(HybridModel, "block", planting)
+    ids = np.arange(6) % 32
+    for call in (lambda: hybrid.forward(ids),
+                 lambda: hybrid.forward_cached(ids, hybrid.init_caches())):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nk.KernelError, match=r"^layers\.2\.mlp: rms_norm produced"):
+                call()
+
+
+@pytest.mark.parametrize("layer, kind", [(0, KIND_MHA), (1, KIND_MLA), (2, KIND_MAMBA2)])
+def test_a_block_called_on_its_own_checks_every_op(monkeypatch, layer, kind):
+    # outside a pass, every value-making op of the block checks what it makes;
+    # inside one, none does
+    cfg = toy_cfg(layer_kinds=[KIND_MHA, KIND_MLA, KIND_MAMBA2, KIND_MHA])
+    model = build_model(cfg, toy_mcfg(), seed=1, dtype=np.float64)
+    checked, check = [], nk._check_finite
+    monkeypatch.setattr(nk, "_check_finite", lambda arr, op: checked.append(op) or check(arr, op))
+    x = nk.embedding(model.embed, np.arange(7)[None] % 32)
+    with nk.no_grad():
+        checked.clear()
+        model.block(x, layer, model.init_caches()[layer])
+        assert set(checked) == set(BLOCK_OPS[kind])
+        checked.clear()
+        model.forward_cached(np.arange(7) % 32, model.init_caches())
+        assert checked == []
 
 
 def test_a_benign_overflow_keeps_the_fast_pass(monkeypatch):

@@ -19,7 +19,8 @@ from hybridforge.numkernel import (
     svd_truncated,
     tensor,
 )
-from oracle_helpers import check_grads, finite_diff_grad, reference_attend, reference_ssm_scan
+from oracle_helpers import (_reference_rope, check_grads, finite_diff_grad, interleaved_rope,
+                            reference_attend, reference_ssm_scan)
 
 
 def rel_err(a, b):
@@ -315,28 +316,63 @@ def test_grad_rope():
     rng = np.random.default_rng(10)
     store = ParamStore()
     x = make_param(store, "x", (2, 5, 3, 8), rng)  # (batch, time, heads, dim)
-    pos = np.arange(5)
 
     def f(p):
-        return nk.tsum(nk.mul(nk.rope_rotate(x, pos, 10000.0), x))
+        return nk.tsum(nk.mul(nk.rope_rotate(x, 3, 10000.0), x))
 
     check_grads(f, store)
 
 
-@pytest.mark.parametrize("shape,positions", [
-    ((1, 6, 2, 8), np.arange(6)),
-    ((3, 2, 6), np.arange(3)),
-    ((7, 3, 8), np.arange(7) * 13),
+@pytest.mark.parametrize("shape,starts", [
+    ((1, 6, 2, 8), [0]),
+    ((3, 2, 6), [0, 5]),
+    ((7, 3, 8), list(range(0, 7 * 13, 13))),
 ], ids=["batched", "unbatched", "wide-positions"])
-def test_rope_preserves_norm_and_position_zero(shape, positions):
+def test_rope_preserves_norm_and_position_zero(shape, starts):
+    # each start turns the whole input, except the wide case, which turns
+    # token k alone at start 13 k; position zero (start 0's first token) stays
     rng = np.random.default_rng(11)
-    x = tensor(rng.standard_normal(shape), dtype=np.float64)
-    out = nk.rope_rotate(x, positions, 10000.0)
-    n_in = np.linalg.norm(x.data, axis=-1)
-    n_out = np.linalg.norm(out.data, axis=-1)
-    assert np.allclose(n_in, n_out, atol=1e-12)
-    out0 = nk.rope_rotate(x, np.zeros(len(positions), dtype=int), 10000.0)
-    assert np.allclose(out0.data, x.data, atol=1e-12)
+    x = rng.standard_normal(shape)
+    if len(starts) == shape[-3]:  # one start per token
+        out = np.concatenate([nk.rope_rotate(tensor(x[k:k + 1], dtype=np.float64), s,
+                                             10000.0).data for k, s in enumerate(starts)])
+        turned = [out]
+    else:
+        turned = [nk.rope_rotate(tensor(x, dtype=np.float64), s, 10000.0).data for s in starts]
+    for out in turned:
+        assert np.allclose(np.linalg.norm(x, axis=-1), np.linalg.norm(out, axis=-1), atol=1e-12)
+    assert np.allclose(turned[0][..., 0, :, :], x[..., 0, :, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("start,t", [(0, 1), (0, 9), (7, 3), (1023, 1), (40000, 4)])
+def test_rope_matches_the_reference_rotation(start, t):
+    rng = np.random.default_rng(start + t)
+    x = rng.standard_normal((t, 3, 8))
+    out = nk.rope_rotate(tensor(x, dtype=np.float64), start, 10000.0).data
+    positions = np.arange(start, start + t)
+    for h in range(3):
+        assert np.abs(out[:, h] - _reference_rope(x[:, h], positions, 10000.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_keeps_the_bytes_of_the_interleaved_form(dtype):
+    # forward and vjp against the straight-line interleaved oracle, float32 and
+    # float64 inputs, with a python-float and a numpy-float64 base
+    rng = np.random.default_rng(33)
+    for case in range(40):
+        t, heads, d = int(rng.integers(1, 9)), int(rng.integers(1, 4)), 2 * int(rng.integers(1, 9))
+        lead = tuple(int(n) for n in rng.integers(1, 3, size=case % 3))
+        start = int(rng.integers(0, 3000))
+        base = np.float64(500.0) if case % 4 == 3 else 10000.0
+        x = tensor(rng.standard_normal(lead + (t, heads, d)), dtype=dtype, requires_grad=True)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        out = nk.rope_rotate(x, start, base)
+        positions = np.arange(start, start + t)
+        want = interleaved_rope(x.data, positions, base)
+        assert out.dtype == dtype and out.data.tobytes() == want.tobytes()
+        (gx,) = out._vjp(g)
+        want = interleaved_rope(x.data, positions, base, g=g)
+        assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
 
 
 def test_rope_relative_phase():
@@ -345,8 +381,8 @@ def test_rope_relative_phase():
     q = rng.standard_normal((1, 1, 1, 8))
     k = rng.standard_normal((1, 1, 1, 8))
     def score(pq, pk):
-        rq = nk.rope_rotate(tensor(q, dtype=np.float64), np.array([pq]), 10000.0).data
-        rk = nk.rope_rotate(tensor(k, dtype=np.float64), np.array([pk]), 10000.0).data
+        rq = nk.rope_rotate(tensor(q, dtype=np.float64), pq, 10000.0).data
+        rk = nk.rope_rotate(tensor(k, dtype=np.float64), pk, 10000.0).data
         return float((rq * rk).sum())
     assert abs(score(7, 3) - score(11, 7)) < 1e-9
 
@@ -671,6 +707,26 @@ def test_the_rope_frequency_table_is_shared_and_read_only():
     assert table.dtype == np.float32 and table.tobytes() == want.tobytes()
     # a numpy float64 base computes in float64, as the formula does uncached
     assert nk._inv_freq(np.float64(10000.0), 8, np.dtype(np.float32)).dtype == np.float64
+
+
+def test_the_rotation_tables_are_shared_and_read_only():
+    # a (t, 1, d) cos table and a (t, 1, d/2, 2) signed-sin table per
+    # (start, t, base, d, dtype), in the bytes of the uncached formula
+    c2, s2 = nk._rotation(5, 3, 10000.0, 8, np.dtype(np.float32))
+    assert c2 is nk._rotation(5, 3, 10000.0, 8, np.dtype(np.float32))[0]
+    assert s2 is nk._rotation(5, 3, 10000.0, 8, np.dtype(np.float32))[1]
+    assert c2.shape == (3, 1, 8) and s2.shape == (3, 1, 4, 2)
+    for table in (c2, s2):
+        assert table.dtype == np.float32 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 2.0
+    inv_freq = nk._inv_freq(10000.0, 8, np.dtype(np.float32))
+    ang = np.arange(5, 8, dtype=np.float32)[:, None] * inv_freq
+    assert c2[:, 0, 0::2].tobytes() == c2[:, 0, 1::2].tobytes() == np.cos(ang).tobytes()
+    assert s2[:, 0, :, 1].tobytes() == np.sin(ang).tobytes()
+    assert s2[:, 0, :, 0].tobytes() == (-np.sin(ang)).tobytes()
+    # a numpy float64 base computes in float64, as the formula does uncached
+    assert nk._rotation(5, 3, np.float64(10000.0), 8, np.dtype(np.float32))[0].dtype == np.float64
 
 
 def test_a_decode_step_scan_casts_h0_and_returns_its_own_state():
