@@ -57,7 +57,6 @@ class ModelConfig:
     n_kv: int
     d_h: int
     vocab: int
-    rope_base: float = 10000.0
     layer_kinds: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -67,13 +66,14 @@ class ModelConfig:
             raise ValueError("L must be >= 1")
         if min(self.d, self.n_h, self.n_kv, self.d_h) < 1 or self.vocab < 2:
             raise ValueError("dims and vocab must be positive (vocab >= 2)")
-        if not self.rope_base > 0:  # base**(-2i/d) needs a positive base
-            raise ValueError(f"rope_base must be > 0, got {self.rope_base}")
         if len(self.layer_kinds) != self.L:
             raise ValueError("layer_kinds length must equal L")
         for kind in self.layer_kinds:
             if kind not in _KINDS:
                 raise ValueError(f"unknown layer kind {kind!r}")
+        if KIND_MHA in self.layer_kinds and self.d_h % 2 != 0:
+            raise ValueError(f"d_h must be even for the rotary pairs of an MHA layer, "
+                             f"got {self.d_h}")
         if self.n_h % self.n_kv != 0:
             raise ValueError("n_h must be divisible by n_kv")
 
@@ -297,10 +297,10 @@ def mha_forward(
     q = nk.reshape(nk.matmul(H, w.W_Q), (b, t, cfg.n_h, d_h))
     k = nk.reshape(nk.matmul(H, w.W_K), (b, t, n_kv, d_h))
     v = nk.reshape(nk.matmul(H, w.W_V), (b, t, n_kv, d_h))
-    q = nk.mul(nk.rope_rotate(q, start, cfg.rope_base), 1.0 / np.sqrt(d_h))
+    q = nk.mul(nk.rope_rotate(q, start), 1.0 / np.sqrt(d_h))
     # a kv head's g query heads are adjacent: one group per kv head
     q = nk.transpose(nk.reshape(q, (b, t, n_kv, g, d_h)), (0, 2, 3, 1, 4))
-    k = nk.rope_rotate(k, start, cfg.rope_base)
+    k = nk.rope_rotate(k, start)
     # one cache row per token: each kv head's [key | value]
     new_rows = nk.reshape(nk.concat([k, v], axis=-1), (b, t, n_kv, 1, 2 * d_h))
 
@@ -341,12 +341,12 @@ def mla_forward(
     q_c = nk.reshape(nk.transpose(q_c, (0, 2, 1, 3)), (b, n_kv, g * t, mcfg.d_qk))
     q_lat = nk.reshape(nk.matmul(q_c, w_uk), (b, cfg.n_h, t, r_kv))
     q_r = nk.reshape(nk.matmul(c_q, w.W_QR), (b, t, cfg.n_h, mcfg.d_r))
-    q_r = nk.transpose(nk.rope_rotate(q_r, start, cfg.rope_base), (0, 2, 1, 3))
+    q_r = nk.transpose(nk.rope_rotate(q_r, start), (0, 2, 1, 3))
     q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
 
     c_kv = nk.matmul(H, w.W_DKV)                             # (b, t, r_kv)
     k_r = nk.reshape(nk.matmul(H, w.W_KR), (b, t, 1, mcfg.d_r))
-    k_r = nk.rope_rotate(k_r, start, cfg.rope_base)          # rotated before caching
+    k_r = nk.rope_rotate(k_r, start)                         # rotated before caching
     new_rows = nk.concat([c_kv, nk.reshape(k_r, (b, t, mcfg.d_r))], axis=-1)
 
     rows, new_cache = _rows_so_far(new_rows, cache)

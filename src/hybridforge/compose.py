@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ __all__ = [
 ]
 
 MAGIC = b"HFRG"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _ALIGN = 64
 
 MIXERS = {KIND_MHA: AttentionWeights, KIND_MLA: MLAWeights, KIND_MAMBA2: Mamba2Weights}
@@ -203,11 +202,14 @@ class HybridModel:
     def _blocks(self, ids, caches: list, keep_mixer_outs: bool = False):
         """Logits, new caches and (if kept) mixer outputs; a None cache runs its
         layer stateless. (t,) ids run as a batch of one, whose axis the logits
-        and mixer outputs drop. Empty ids raise ``ValueError``. The embedding,
-        the blocks and the head are one ``nk.checked_once`` (see ``block``)."""
+        and mixer outputs drop. Empty ids, or ids of another rank, raise
+        ``ValueError``. The embedding, the blocks and the head are one
+        ``nk.checked_once`` (see ``block``)."""
         ids = np.asarray(ids)
         if ids.size == 0:
             raise ValueError(f"empty input: ids of shape {ids.shape} hold no token")
+        if ids.ndim not in (1, 2):
+            raise ValueError(f"ids must be (t,) or (batch, t), got shape {ids.shape}")
 
         def run():
             x = nk.embedding(self.embed, ids[None] if ids.ndim == 1 else ids)
@@ -573,8 +575,6 @@ def _validate_directory(header) -> None:
 # types are exact, so a bool is not an int and 4.0 is not a dim.
 _HEADER_TYPES = {
     "int": ("a positive int", lambda v: type(v) is int and v >= 1),
-    "float": ("a finite number",
-              lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
     "list[str]": ("a list of strings",
                   lambda v: type(v) is list and all(type(k) is str for k in v)),
 }

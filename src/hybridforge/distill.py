@@ -108,8 +108,8 @@ def kd_loss(teacher_logits: Tensor, student_logits: Tensor) -> Tensor:
     """Forward KL(teacher || student), summed over positions, averaged over batch."""
     if teacher_logits.shape != student_logits.shape:
         raise ValueError("logit shape mismatch")
-    t_logp = nk.log_softmax(Tensor(np.asarray(teacher_logits.data)), axis=-1)
-    s_logp = nk.log_softmax(student_logits, axis=-1)
+    t_logp = nk.log_softmax(Tensor(np.asarray(teacher_logits.data)))
+    s_logp = nk.log_softmax(student_logits)
     p = Tensor(np.exp(t_logp.data))  # teacher side carries no gradient
     per_token = nk.tsum(nk.mul(p, nk.add(Tensor(t_logp.data), nk.neg(s_logp))), axis=-1)
     if per_token.ndim == 1:  # single unbatched sequence

@@ -179,7 +179,7 @@ def stream_splits(count: int) -> dict[str, tuple[int, int]]:
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean next-token negative log-likelihood over every position."""
-    logp = nk.log_softmax(logits, axis=-1)
+    logp = nk.log_softmax(logits)
     picked = nk.take_last_axis(logp, np.asarray(targets))
     return nk.neg(nk.tmean(picked))
 

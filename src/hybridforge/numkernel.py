@@ -14,7 +14,7 @@ scores them all in one scratch array sized ATTEND_ROWS x T per head.
 one unrecorded step (a decode step: x (batch, 1, groups, d_h) and an h0 state)
 runs the plain update and returns a state array of its own, allocating no
 chunk states. ``rope_rotate`` reads its tables from ``_rotation``, cached per
-(start, t, base, d, dtype), so the layers of a pass share one. ``add`` and
+(start, t, d, dtype), so the layers of a pass share one. ``add`` and
 ``mul`` take a Tensor first; a second operand that is not a Tensor is a graph
 constant cast to the first one's dtype: a number becomes a numpy scalar,
 checked with ``math.isfinite`` even inside ``checked_once``, so a float32
@@ -78,18 +78,12 @@ class GraphError(KernelError):
 # a Tensor built by one skips the check. "cache" is ``cached_rows``: decode-cache
 # rows, each checked by the op that made it before it was cached.
 _MOVES = frozenset({"getitem", "reshape", "transpose", "concat", "cache"})
-# Inside ``checked_once`` the ops that make values skip their check too; only
-# "tensor", data from outside, is still checked where it is wrapped.
-_FAST_UNCHECKED = _MOVES | {
-    "add", "neg", "mul", "matmul", "exp", "log", "sigmoid", "silu", "softplus", "sum",
-    "softmax", "log_softmax", "attend", "rms_norm", "conv1d_depthwise", "rope",
-    "ssm_scan", "repeat", "embedding", "take_last_axis"}
 
 
 class _GradState(threading.local):
     def __init__(self):
         self.enabled = True
-        self.unchecked = _MOVES  # the ops whose values skip the finiteness check
+        self.checking = True  # False inside ``checked_once``: no op checks what it makes
 
 
 _grad_state = _GradState()
@@ -130,8 +124,8 @@ def checked_once(run: Callable, made: Callable):
     ``made`` must list every array that leaves it: a NaN that only
     propagates raises no flag.
     """
-    prev = _grad_state.unchecked
-    _grad_state.unchecked = _FAST_UNCHECKED
+    prev = _grad_state.checking
+    _grad_state.checking = False
     try:
         with np.errstate(over="raise", invalid="raise"):
             out = run()
@@ -140,7 +134,7 @@ def checked_once(run: Callable, made: Callable):
     except FloatingPointError:
         pass
     finally:
-        _grad_state.unchecked = prev
+        _grad_state.checking = prev
     with np.errstate(over="ignore", invalid="ignore"):
         return run()
 
@@ -150,12 +144,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, op: str = "tensor"):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        if op not in _grad_state.unchecked:
-            _check_finite(arr, op)
+        _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -209,7 +202,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     # Tensor.__init__ to convert it again
     if type(data) is not np.ndarray:
         data = np.asarray(data)
-    if op not in _grad_state.unchecked:
+    if _grad_state.checking and op not in _MOVES:
         _check_finite(data, op)
     out = object.__new__(Tensor)
     out.data, out.requires_grad = data, False
@@ -275,8 +268,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
-    if "exp" in _grad_state.unchecked:  # in checked_once: a later exp(-inf) = 0 may hide
-        out = np.exp(a.data)            # the inf, so the overflow flag must raise here
+    if not _grad_state.checking:  # in checked_once: a later exp(-inf) = 0 may hide
+        out = np.exp(a.data)        # the inf, so the overflow flag must raise here
     else:
         with np.errstate(over="ignore"):  # the check reports the inf
             out = np.exp(a.data)
@@ -330,27 +323,20 @@ def softplus(a: Tensor) -> Tensor:
     return _make(np.logaddexp(0.0, ad), (a,), vjp, "softplus")
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
     shape = a.shape
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).astype(a.dtype, copy=False),)
 
     return _make(np.asarray(out), (a,), vjp, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def tmean(a: Tensor) -> Tensor:
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -365,14 +351,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), vjp, "softmax")
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(a: Tensor) -> Tensor:
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     soft = np.exp(out)
 
     def vjp(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - soft * g.sum(axis=-1, keepdims=True),)
 
     return _make(out, (a,), vjp, "log_softmax")
 
@@ -390,7 +376,7 @@ def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray, scores: np.nda
     ``scores``; their output is written into ``out``."""
     n = qb.shape[-2]
     p = np.matmul(qb, np.swapaxes(kb, -1, -2), out=scores)
-    if "attend" not in _grad_state.unchecked:
+    if _grad_state.checking:
         _check_finite(p, "attend")
     if n > 1:  # a single query is the newest position and sees every key
         p[..., -n:] += np.triu(np.full((n, n), NEG_MASK, p.dtype), 1)
@@ -485,7 +471,7 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     # a square that overflows would make r = 0 and the output a finite 0; the
     # mean without ndarray.mean's Python wrapper, in the same bytes
     ms = np.add.reduce(xd * xd, -1, keepdims=True) / d
-    if "rms_norm" not in _grad_state.unchecked:
+    if _grad_state.checking:
         _check_finite(ms, "rms_norm")
     r = 1.0 / np.sqrt(ms + RMS_EPS)
     out = xd * r
@@ -535,21 +521,26 @@ def conv1d_depthwise(x: Tensor, w: Tensor, tail: np.ndarray | None = None) -> Te
     return _make(out, (x, w), vjp, "conv1d_depthwise")
 
 
-@functools.lru_cache(maxsize=32, typed=True)  # typed: a numpy float64 base computes in float64
-def _inv_freq(base: float, d: int, dtype: np.dtype) -> np.ndarray:
-    """base**(-2i/d) for the d/2 rotary pairs; read-only, as every call shares it."""
-    inv_freq = base ** -(np.arange(0, d, 2, dtype=dtype) / d)
+# The rotary base of every teacher here, RoFormer's (Su et al. 2021, arXiv 2104.09864);
+# a teacher trained at another base (Llama 3: 500000) would make it a setting again.
+ROPE_BASE = 10000.0
+
+
+@functools.lru_cache(maxsize=32)
+def _inv_freq(d: int, dtype: np.dtype) -> np.ndarray:
+    """ROPE_BASE**(-2i/d) for the d/2 rotary pairs; read-only, as every call shares it."""
+    inv_freq = ROPE_BASE ** -(np.arange(0, d, 2, dtype=dtype) / d)
     inv_freq.setflags(write=False)
     return inv_freq
 
 
-@functools.lru_cache(maxsize=32, typed=True)
-def _rotation(start: int, t: int, base: float, d: int, dtype: np.dtype):
+@functools.lru_cache(maxsize=32)
+def _rotation(start: int, t: int, d: int, dtype: np.dtype):
     """Read-only tables of positions start .. start+t-1, shared by every layer of a
-    pass: (t, 1, d) [cos, cos] and (t, 1, d/2, 2) [-sin, sin] of pos * base**(-2i/d)
+    pass: (t, 1, d) [cos, cos] and (t, 1, d/2, 2) [-sin, sin] of pos * ROPE_BASE**(-2i/d)
     per pair i. The MLA upcycle's own rotary frequencies (ROADMAP item 1) change
     bytes, so they are not here yet; they will add their frequency set to this key."""
-    ang = np.arange(start, start + t).astype(dtype)[:, None] * _inv_freq(base, d, dtype)
+    ang = np.arange(start, start + t).astype(dtype)[:, None] * _inv_freq(d, dtype)
     cos, sin = np.cos(ang)[:, None, :, None], np.sin(ang)[:, None, :, None]
     tables = np.concatenate([cos, cos], -1).reshape(t, 1, d), np.concatenate([-sin, sin], -1)
     for table in tables:
@@ -557,25 +548,25 @@ def _rotation(start: int, t: int, base: float, d: int, dtype: np.dtype):
     return tables
 
 
-def rope_rotate(x: Tensor, start: int, base: float) -> Tensor:
+def rope_rotate(x: Tensor, start: int) -> Tensor:
     """Rotate adjacent coordinate pairs of the last axis by position-dependent angles.
 
     ``x`` has shape (..., t, heads, d) with d even, its t tokens at positions
-    start .. start+t-1; pair i of a vector turns by angle pos * base**(-2i/d).
+    start .. start+t-1; pair i of a vector turns by angle pos * ROPE_BASE**(-2i/d).
     The turn is x*cos + swap_pairs(x)*[-sin, sin] (RoFormer, Su et al. 2021,
-    arXiv 2104.09864, section 3.4.2), the bytes of the interleaved form, rounded
-    once to x's dtype. It is an isometry, so per-token norms are preserved and
-    the vjp, g*cos - swap_pairs(g)*[-sin, sin], is the inverse turn.
+    arXiv 2104.09864, section 3.4.2), the bytes of the interleaved form. It is
+    an isometry, so per-token norms are preserved and the vjp,
+    g*cos - swap_pairs(g)*[-sin, sin], is the inverse turn.
     """
     d = x.shape[-1]
     if d % 2 != 0:
         raise KernelError("rotary dimension must be even")
-    c2, s2 = _rotation(start, x.shape[-3], base, d, x.dtype)
+    c2, s2 = _rotation(start, x.shape[-3], d, x.dtype)
 
     def turn(a, op):  # a*c2 op swap_pairs(a)*s2: np.add turns, np.subtract turns back
         out = a * c2
         op(out, (a.reshape(a.shape[:-1] + (-1, 2))[..., ::-1] * s2).reshape(a.shape), out=out)
-        return out.astype(a.dtype, copy=False)
+        return out
 
     return _make(turn(x.data, np.add), (x,), lambda g: (turn(g, np.subtract),), "rope")
 

@@ -1,14 +1,17 @@
 """Selective state-space token mixer with constant-size decode state.
 
-The mixer follows the Mamba-2 block layout (Dao & Gu 2024, arXiv 2405.21060,
-section 7): one in-projection writes a value path x, an input-gate path B,
-an output-read path C and a per-head step size; one short causal depthwise
-convolution temporally fuses the concatenated ``xBC`` channels. A per-head
-gated recurrence then runs over (d_h x d_h) hidden matrices: every step
-decays the hidden matrix by an input-dependent factor in (0, 1) and writes a
-rank-1 outer product. Decode therefore needs only the hidden matrices plus
-the last ``CONV_K`` - 1 raw ``xBC`` rows, regardless of how many tokens came
-before. ``CONV_K`` is Mamba-2's fixed conv width, not a config field.
+The mixer is Mamba-2's SSD recurrence with its fused in-projection and causal
+conv (Dao & Gu 2024, arXiv 2405.21060, section 7), not that section's whole
+block: it has no z gate, no SiLU after the conv and no gated RMSNorm before
+the out-projection (ROADMAP's Mamba-2 item adds them). One in-projection
+writes a value path x, an input-gate path B, an output-read path C and a
+per-head step size; one short causal depthwise convolution temporally fuses
+the concatenated ``xBC`` channels. A per-head gated recurrence then runs over
+(d_h x d_h) hidden matrices: every step decays the hidden matrix by an
+input-dependent factor in (0, 1) and writes a rank-1 outer product. Decode
+therefore needs only the hidden matrices plus the last ``CONV_K`` - 1 raw
+``xBC`` rows, regardless of how many tokens came before. ``CONV_K`` is
+Mamba-2's fixed conv width, not a config field.
 
 The recurrence itself is one kernel primitive, ``numkernel.ssm_scan``: a
 chunked scan (a few matmuls per chunk of steps) with a hand-written vjp that

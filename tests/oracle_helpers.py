@@ -11,7 +11,7 @@ nothing else.
 
 import numpy as np
 
-from hybridforge.numkernel import KernelError, backward
+from hybridforge.numkernel import ROPE_BASE, KernelError, backward
 from hybridforge.smart import LayoutError, gap_bounds
 
 
@@ -218,8 +218,7 @@ def interleaved_rope(x, positions, base, g=None):
     """Rotary rotation of x (..., t, heads, d) in the interleaved straight-line
     form: even and odd coordinates written apart, cos and sin of pos *
     base**(-2i/d) computed per call. With g, the vjp of that rotation at g.
-    The pair frequencies are computed as ``numkernel._inv_freq`` computes them,
-    so a numpy float64 base gives float64 tables and a result rounded once."""
+    The pair frequencies are computed as ``numkernel._inv_freq`` computes them."""
     d = x.shape[-1]
     inv_freq = base ** -(np.arange(0, d, 2, dtype=x.dtype) / d)
     ang = np.asarray(positions, dtype=x.dtype)[:, None] * inv_freq[None, :]
@@ -252,13 +251,13 @@ def reference_mla(h, w, cfg, mcfg):
     W = {name: np.asarray(tns.data, dtype=np.float64) for name, tns in w.items()}
     c_q = h @ W["W_DQ"]
     c_kv = h @ W["W_DKV"]
-    k_r = _reference_rope(h @ W["W_KR"], pos, cfg.rope_base)
+    k_r = _reference_rope(h @ W["W_KR"], pos, ROPE_BASE)
     heads = []
     for k in range(cfg.n_h):
         g = k // group
         q = np.concatenate([
             c_q @ W["W_UQ"][:, k * d_qk:(k + 1) * d_qk],
-            _reference_rope(c_q @ W["W_QR"][:, k * d_r:(k + 1) * d_r], pos, cfg.rope_base),
+            _reference_rope(c_q @ W["W_QR"][:, k * d_r:(k + 1) * d_r], pos, ROPE_BASE),
         ], axis=1)
         key = np.concatenate([c_kv @ W["W_UK"][:, g * d_qk:(g + 1) * d_qk], k_r], axis=1)
         val = c_kv @ W["W_UV"][:, g * d_v:(g + 1) * d_v]
@@ -286,8 +285,8 @@ def reference_mha(h, w, cfg):
     heads = []
     for k in range(cfg.n_h):
         g = k // group
-        q = _reference_rope(h @ W["W_Q"][:, k * d_h:(k + 1) * d_h], pos, cfg.rope_base)
-        key = _reference_rope(h @ W["W_K"][:, g * d_h:(g + 1) * d_h], pos, cfg.rope_base)
+        q = _reference_rope(h @ W["W_Q"][:, k * d_h:(k + 1) * d_h], pos, ROPE_BASE)
+        key = _reference_rope(h @ W["W_K"][:, g * d_h:(g + 1) * d_h], pos, ROPE_BASE)
         val = h @ W["W_V"][:, g * d_h:(g + 1) * d_h]
         ctx = np.zeros((t, d_h))
         for i in range(t):

@@ -89,10 +89,16 @@ def test_config_refuses_a_dim_below_one_before_dividing_by_it(dims):
         toy_cfg(**dims)
 
 
-@pytest.mark.parametrize("base", [0.0, -5.0, float("nan")])
-def test_config_refuses_a_rope_base_that_is_not_positive(base):
-    with pytest.raises(ValueError, match=r"^rope_base must be > 0"):
-        toy_cfg(rope_base=base)
+def test_config_refuses_an_odd_head_dim_only_with_an_mha_layer():
+    # MHA turns all d_h coordinates of a head in rotary pairs; an SSM layer
+    # turns none, and MLA only its d_r, which MLAConfig keeps even
+    for kinds in (["mha"], ["mamba2", "mha"], ["mla", "mha"]):
+        with pytest.raises(ValueError, match=r"^d_h must be even .*MHA layer, got 3$"):
+            ModelConfig(L=len(kinds), d=6, n_h=2, n_kv=1, d_h=3, vocab=8, layer_kinds=kinds)
+    from hybridforge.compose import build_model
+
+    cfg = ModelConfig(L=2, d=6, n_h=2, n_kv=1, d_h=3, vocab=8, layer_kinds=["mamba2"] * 2)
+    assert build_model(cfg, seed=0).forward(np.arange(5)).shape == (5, 8)
 
 
 def test_mla_config_validation():
@@ -129,7 +135,7 @@ def test_rope_unit_pair_rotation():
     x = np.zeros((1, 1, 4))
     x[0, 0, 0] = 1.0
     for p in (1, 2, 5):
-        out = nk.rope_rotate(tensor(x, dtype=np.float64), p, 10000.0).data
+        out = nk.rope_rotate(tensor(x, dtype=np.float64), p).data
         assert abs(out[0, 0, 0] - np.cos(p)) < 1e-12
         assert abs(out[0, 0, 1] - np.sin(p)) < 1e-12
 
@@ -422,13 +428,13 @@ def test_cache_rows_hold_documented_layout():
     _, cache = mha_forward(tensor(h[None], dtype=np.float64), aw, cfg, empty_cache(KIND_MHA, cfg))
     rows = cache.rows[0].reshape(5, cfg.n_kv, 2, cfg.d_h)
     key = nk.rope_rotate(tensor((h @ aw.W_K.data).reshape(5, cfg.n_kv, cfg.d_h), dtype=np.float64),
-                         0, cfg.rope_base)
+                         0)
     assert np.array_equal(rows[:, :, 0], key.data)
     assert np.array_equal(rows[:, :, 1], (h @ aw.W_V.data).reshape(5, cfg.n_kv, cfg.d_h))
     mw = rand_mla(cfg, mcfg, rng)
     _, cache = mla_forward(tensor(h[None], dtype=np.float64), mw, cfg, mcfg,
                            empty_cache(KIND_MLA, cfg, mcfg))
-    k_r = nk.rope_rotate(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), 0, cfg.rope_base)
+    k_r = nk.rope_rotate(tensor((h @ mw.W_KR.data)[:, None], dtype=np.float64), 0)
     assert np.array_equal(cache.rows[0, :, : mcfg.r_kv], h @ mw.W_DKV.data)
     assert np.array_equal(cache.rows[0, :, mcfg.r_kv :], k_r.data[:, 0])
 

@@ -369,13 +369,9 @@ def saved_teacher(tmp_path):
     (lambda h: h["cfg"].pop("vocab"), r"header cfg: .*missing .*argument: 'vocab'"),
     (lambda h: h.update(mcfg=[1]), r"header mcfg: expected an object"),
     (lambda h: h["cfg"].update(n_h=4.0, n_kv=2.0), r"header cfg\.n_h: expected a positive int"),
-    (lambda h: h["cfg"].update(rope_base="10000"),
-     r"header cfg\.rope_base: expected a finite number"),
-    (lambda h: h["cfg"].update(rope_base=0), r"header cfg: rope_base must be > 0, got 0"),
-    (lambda h: h["cfg"].update(rope_base=-5.0),
-     r"header cfg: rope_base must be > 0, got -5\.0"),
-], ids=["unknown", "missing", "not-an-object", "float-dims", "string-rope-base", "zero-rope-base",
-        "negative-rope-base"])
+    (lambda h: h["cfg"].update(d_h=3),
+     r"header cfg: d_h must be even for the rotary pairs of an MHA layer, got 3"),
+], ids=["unknown", "missing", "not-an-object", "float-dims", "odd-d_h"])
 def test_bad_header_config_exits_2_naming_its_field(capsys, tmp_path, edit, message):
     from hybridforge import compose
 
@@ -384,6 +380,30 @@ def test_bad_header_config_exits_2_naming_its_field(capsys, tmp_path, edit, mess
     with pytest.raises(compose.CheckpointError, match=f"^{message}$"):
         compose.load_checkpoint(str(path))
     refused_by_upcycle(capsys, tmp_path, message)
+
+
+def test_a_format_3_checkpoint_exits_2(capsys, tmp_path):
+    # a version-3 header carried cfg.rope_base; the base is now nk.ROPE_BASE
+    from hybridforge import compose
+
+    path = saved_teacher(tmp_path)
+    rewrite_header(path, lambda h: (h["cfg"].update(rope_base=10000.0), h)[1])
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = np.array([3], dtype="<u4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(compose.CheckpointError, match="^format version 3 unsupported$"):
+        compose.load_checkpoint(str(path))
+    refused_by_upcycle(capsys, tmp_path, "format version 3 unsupported")
+
+
+def test_an_odd_head_dim_exits_2_before_compute(capsys, tmp_path):
+    cfg = write_json(tmp_path / "t.json", {
+        "model": {"L": 1, "d": 6, "n_h": 2, "n_kv": 1, "d_h": 3, "vocab": 8}, "data": "data"})
+    out = tmp_path / "o"
+    assert main(["train-teacher", "--config", cfg, "--out", str(out)]) == 2
+    assert re.search(r"^error: train-teacher config: model: d_h must be even",
+                     capsys.readouterr().err, re.M)
+    assert not (out / "teacher.hfrg").exists()
 
 
 def _edit_entry(key, value):

@@ -22,6 +22,7 @@ from hybridforge.attention import (
 from hybridforge.compose import (
     FORMAT_VERSION,
     MIXERS,
+    _HEADER_TYPES,
     CheckpointError,
     HybridModel,
     assemble,
@@ -369,6 +370,18 @@ def test_empty_ids_are_refused_by_both_entry_points(shape):
         hybrid.forward_cached(ids, hybrid.init_caches(np.float64))
 
 
+@pytest.mark.parametrize("shape", [(), (2, 3, 4)], ids=["0-d", "3-d"])
+def test_ids_of_another_rank_are_refused_naming_their_shape(shape):
+    _, mla, mamba = converted_pair()
+    hybrid = assemble(mla, mamba, HybridLayout(mla_indices=[0, 2]))
+    ids = np.zeros(shape, dtype=np.int64)
+    message = re.escape(f"ids must be (t,) or (batch, t), got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hybrid.forward(ids)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hybrid.forward_cached(ids, hybrid.init_caches(np.float64))
+
+
 def test_kernel_error_names_its_layer():
     # an overflowing decay exponent in SSM layer 1 is reported with that layer's path
     _, mla, mamba = converted_pair()
@@ -664,7 +677,7 @@ def test_a_replay_after_a_cache_append_keeps_the_cache(monkeypatch):
     silu, armed = nk.silu, [False]
 
     def flagged(a):
-        if armed[0] and "silu" in nk._grad_state.unchecked:
+        if armed[0] and not nk._grad_state.checking:
             armed[0] = False
             raise FloatingPointError("overflow encountered")
         return silu(a)
@@ -877,6 +890,13 @@ def test_checkpoint_refuses_non_finite_tensors(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_every_config_field_has_a_header_type():
+    # a field without a row would make load_checkpoint raise a bare KeyError
+    for cls in (ModelConfig, MLAConfig):
+        for f in dataclasses.fields(cls):
+            assert f.type in _HEADER_TYPES, f"{cls.__name__}.{f.name}: {f.type}"
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(hybrid_model(), path)
@@ -889,10 +909,10 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
     # 1 is the format before the fused SSM in-projection, 2 the one whose
-    # header still carried conv_k
+    # header still carried conv_k, 3 the one whose header still carried rope_base
     path = str(tmp_path / "model.hfrg")
     save_checkpoint(hybrid_model(), path)
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         blob = bytearray(open(path, "rb").read())
         blob[4:8] = np.array([version], dtype="<u4").tobytes()
         open(path, "wb").write(bytes(blob))

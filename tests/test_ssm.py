@@ -17,8 +17,8 @@ D, N_H, N_KV, D_H = 12, 4, 2, 3
 
 
 def ssm_cfg(d=D, n_h=N_H, n_kv=N_KV, d_h=D_H):
-    """A one-layer config carrying the mixer's dims; vocab goes unused."""
-    return ModelConfig(L=1, d=d, n_h=n_h, n_kv=n_kv, d_h=d_h, vocab=2)
+    """A one-layer SSM config carrying the mixer's dims; vocab goes unused."""
+    return ModelConfig(L=1, d=d, n_h=n_h, n_kv=n_kv, d_h=d_h, vocab=2, layer_kinds=[KIND_MAMBA2])
 
 
 CFG = ssm_cfg()
@@ -56,12 +56,11 @@ def blocks(w, cfg):
 
 def test_weight_validation():
     # the model gate names the SSM tensor whose shape contradicts the configs
-    cfg = dataclasses.replace(CFG, layer_kinds=[KIND_MAMBA2])
-    shared = dict(build_model(cfg, seed=0, dtype=np.float64).named_tensors())
+    shared = dict(build_model(CFG, seed=0, dtype=np.float64).named_tensors())
     w = rand_weights(np.random.default_rng(0))
     assert len(w.items()) == 6
 
-    def gate(cfg=cfg):
+    def gate(cfg=CFG):
         mixer = {f"layers.0.mixer.{n}": t for n, t in w.items()}
         return from_tensors(cfg, None, {**shared, **mixer})
 
@@ -72,7 +71,7 @@ def test_weight_validation():
         gate()
     w.W_in = good
     with pytest.raises(ValueError, match=r"^layers\.0\.mixer\.W_in shape .* != expected"):
-        gate(dataclasses.replace(cfg, d_h=D_H + 1))
+        gate(dataclasses.replace(CFG, d_h=D_H + 1))
     good = w.conv
     for width in (0, CONV_K - 1, CONV_K + 1):  # the conv width is the constant, not the conv's own
         w.conv = tensor(np.zeros((good.shape[0], width)), dtype=np.float64)
