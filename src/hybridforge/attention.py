@@ -17,6 +17,7 @@ cache size is the quantity the rest of the toolkit budgets against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -297,7 +298,7 @@ def mha_forward(
     q = nk.reshape(nk.matmul(H, w.W_Q), (b, t, cfg.n_h, d_h))
     k = nk.reshape(nk.matmul(H, w.W_K), (b, t, n_kv, d_h))
     v = nk.reshape(nk.matmul(H, w.W_V), (b, t, n_kv, d_h))
-    q = nk.mul(nk.rope_rotate(q, start), 1.0 / np.sqrt(d_h))
+    q = nk.mul(nk.rope_rotate(q, start), 1.0 / math.sqrt(d_h))
     # a kv head's g query heads are adjacent: one group per kv head
     q = nk.transpose(nk.reshape(q, (b, t, n_kv, g, d_h)), (0, 2, 3, 1, 4))
     k = nk.rope_rotate(k, start)
@@ -342,7 +343,7 @@ def mla_forward(
     q_lat = nk.reshape(nk.matmul(q_c, w_uk), (b, cfg.n_h, t, r_kv))
     q_r = nk.reshape(nk.matmul(c_q, w.W_QR), (b, t, cfg.n_h, mcfg.d_r))
     q_r = nk.transpose(nk.rope_rotate(q_r, start), (0, 2, 1, 3))
-    q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / np.sqrt(mcfg.d_qk + mcfg.d_r))
+    q = nk.mul(nk.concat([q_lat, q_r], axis=-1), 1.0 / math.sqrt(mcfg.d_qk + mcfg.d_r))
 
     c_kv = nk.matmul(H, w.W_DKV)                             # (b, t, r_kv)
     k_r = nk.reshape(nk.matmul(H, w.W_KR), (b, t, 1, mcfg.d_r))

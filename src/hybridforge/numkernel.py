@@ -8,8 +8,9 @@ surgery (slice / reshape / transpose / concat / repeat / gather).
 ``attend`` runs its queries in blocks of ``ATTEND_ROWS``, each scored against
 only the causal key prefix its last query sees, so a call over T keys holds at
 most ATTEND_ROWS x T scores per head, however long the prefill. Its blocks run
-first to last, each writing its own rows of one output; an unrecorded call
-scores them all in one scratch array sized ATTEND_ROWS x T per head.
+first to last, each writing its own rows of one output; an unrecorded call of
+several blocks scores them all in one scratch array sized ATTEND_ROWS x T per
+head, and one of a single block (a decode step) into one t x T array.
 ``silu`` and ``rms_norm`` write their temporaries in place. ``ssm_scan`` over
 one unrecorded step (a decode step: x (batch, 1, groups, d_h) and an h0 state)
 runs the plain update and returns a state array of its own, allocating no
@@ -18,12 +19,15 @@ chunk states. ``rope_rotate`` reads its tables from ``_rotation``, cached per
 ``mul`` take a Tensor first; a second operand that is not a Tensor is a graph
 constant cast to the first one's dtype: a number becomes a numpy scalar,
 checked with ``math.isfinite`` even inside ``checked_once``, so a float32
-tensor times a float64 scalar stays float32. Each primitive records its inputs
-and a vector-Jacobian closure so that ``backward`` can return exact gradients.
-``backward`` walks a graph once and frees it as it goes: a node drops its
-inputs and closure, and the arrays the closure saved, once it has passed its
-gradient on. Ops that make values check them for finiteness; ops that only
-move checked values (slice, reshape, transpose, concat, cached rows) do not.
+tensor times a float64 scalar stays float32. Each primitive asks ``_recording``
+once whether it records: under ``no_grad``, or over graph constants only, it
+builds nothing and its output has no graph edge. Otherwise it records its
+inputs and a vector-Jacobian closure so that ``backward`` can return exact
+gradients. ``backward`` walks a graph once and frees it as it goes: a node
+drops its inputs and closure, and the arrays the closure saved, once it has
+passed its gradient on. Ops that make values check them for finiteness; ops
+that only move checked values (slice, reshape, transpose, concat, cached rows)
+do not.
 Inside ``checked_once`` no op checks what it makes: the FPU's overflow and
 invalid flags raise, and the pass checks what it returns once; a model's whole
 forward pass is one ``checked_once``. On a flag or a non-finite result the
@@ -193,11 +197,14 @@ def _operand(a: Tensor, b, op: str):
 
 
 def _recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over ``parents`` records: each op asks once, and builds its
+    vjp closure only if so."""
     # a recorded node, or one a backward has walked, has a vjp
     return _grad_state.enabled and any(p.requires_grad or p._vjp is not None for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
+    """The op's output: a graph edge to ``parents`` if it has a ``vjp``, none if None."""
     # an op makes a float array, or a numpy scalar from 0-d operands: no
     # Tensor.__init__ to convert it again
     if type(data) is not np.ndarray:
@@ -205,8 +212,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     if _grad_state.checking and op not in _MOVES:
         _check_finite(data, op)
     out = object.__new__(Tensor)
-    out.data, out.requires_grad = data, False
-    out._parents, out._vjp = (parents, vjp) if _recording(parents) else ((), None)
+    out.data, out.requires_grad, out._vjp = data, False, vjp
+    out._parents = () if vjp is None else parents
     return out
 
 
@@ -230,27 +237,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     """a + b; b is a Tensor, or a constant of a's dtype (see ``_operand``)."""
     bd, parents = _operand(a, b, "add")
-
-    def vjp(g):
-        ga = _unbroadcast(g, a.shape)
-        return (ga,) if len(parents) == 1 else (ga, _unbroadcast(g, bd.shape))
-
+    vjp = None
+    if _recording(parents):
+        def vjp(g):
+            ga = _unbroadcast(g, a.shape)
+            return (ga,) if len(parents) == 1 else (ga, _unbroadcast(g, bd.shape))
     return _make(a.data + bd, parents, vjp, "add")
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            return (-g,)
+    return _make(-a.data, (a,), vjp, "neg")
 
 
 def mul(a: Tensor, b) -> Tensor:
     """a * b; b is a Tensor, or a constant of a's dtype (see ``_operand``)."""
     ad = a.data
     bd, parents = _operand(a, b, "mul")
-
-    def vjp(g):
-        ga = _unbroadcast(g * bd, a.shape)
-        return (ga,) if len(parents) == 1 else (ga, _unbroadcast(g * ad, bd.shape))
-
+    vjp = None
+    if _recording(parents):
+        def vjp(g):
+            ga = _unbroadcast(g * bd, a.shape)
+            return (ga,) if len(parents) == 1 else (ga, _unbroadcast(g * ad, bd.shape))
     return _make(ad * bd, parents, vjp, "mul")
 
 
@@ -258,12 +269,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise KernelError("matmul requires operands with ndim >= 2")
-
-    def vjp(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
+    vjp = None
+    if _recording((a, b)):
+        def vjp(g):
+            ga = g @ np.swapaxes(bd, -1, -2)
+            gb = np.swapaxes(ad, -1, -2) @ g
+            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
     return _make(ad @ bd, (a, b), vjp, "matmul")
 
 
@@ -273,29 +284,28 @@ def texp(a: Tensor) -> Tensor:
     else:
         with np.errstate(over="ignore"):  # the check reports the inf
             out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            return (g * out,)
     return _make(out, (a,), vjp, "exp")
 
 
 def tlog(a: Tensor) -> Tensor:
-    out = np.log(a.data)
     ad = a.data
-
-    def vjp(g):
-        return (g / ad,)
-
-    return _make(out, (a,), vjp, "log")
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            return (g / ad,)
+    return _make(np.log(ad), (a,), vjp, "log")
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            return (g * out * (1.0 - out),)
     return _make(out, (a,), vjp, "sigmoid")
 
 
@@ -306,33 +316,32 @@ def silu(a: Tensor) -> Tensor:
     s += 1.0
     np.divide(1.0, s, out=s)
     out = a.data * s
-
-    def vjp(g):
-        return (g * (s + out * (1.0 - s)),)
-
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            return (g * (s + out * (1.0 - s)),)
     return _make(out, (a,), vjp, "silu")
 
 
 def softplus(a: Tensor) -> Tensor:
     ad = a.data
-
-    def vjp(g):  # the derivative is sigmoid(a), made only when asked for
-        with np.errstate(over="ignore"):  # exp(-a) = inf gives exactly 0
-            return (g * (1.0 / (1.0 + np.exp(-ad))),)
-
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):  # the derivative is sigmoid(a), made only when asked for
+            with np.errstate(over="ignore"):  # exp(-a) = inf gives exactly 0
+                return (g * (1.0 / (1.0 + np.exp(-ad))),)
     return _make(np.logaddexp(0.0, ad), (a,), vjp, "softplus")
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = a.data.sum(axis=axis)
     shape = a.shape
-
-    def vjp(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).astype(a.dtype, copy=False),)
-
-    return _make(np.asarray(out), (a,), vjp, "sum")
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).astype(a.dtype, copy=False),)
+    return _make(a.data.sum(axis=axis), (a,), vjp, "sum")
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -343,11 +352,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            dot = (g * out).sum(axis=axis, keepdims=True)
+            return (out * (g - dot),)
     return _make(out, (a,), vjp, "softmax")
 
 
@@ -355,11 +364,12 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    soft = np.exp(out)
+    vjp = None
+    if _recording((a,)):
+        soft = np.exp(out)
 
-    def vjp(g):
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
-
+        def vjp(g):
+            return (g - soft * g.sum(axis=-1, keepdims=True),)
     return _make(out, (a,), vjp, "log_softmax")
 
 
@@ -375,14 +385,15 @@ def _attend_block(qb: np.ndarray, kb: np.ndarray, vb: np.ndarray, scores: np.nda
     """Probabilities of n queries qb, the last n of kb's positions, scored into
     ``scores``; their output is written into ``out``."""
     n = qb.shape[-2]
-    p = np.matmul(qb, np.swapaxes(kb, -1, -2), out=scores)
+    p = np.matmul(qb, kb.mT, out=scores)
     if _grad_state.checking:
         _check_finite(p, "attend")
     if n > 1:  # a single query is the newest position and sees every key
         p[..., -n:] += np.triu(np.full((n, n), NEG_MASK, p.dtype), 1)
-    p -= p.max(axis=-1, keepdims=True)
+    # the reductions .max and .sum run, without their Python wrappers
+    p -= np.maximum.reduce(p, -1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, -1, keepdims=True)
     np.matmul(p, vb, out=out)
     return p
 
@@ -416,10 +427,11 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     work; a call of at most ``ATTEND_ROWS`` queries is one block. The blocks
     run first to last, and each writes its output rows straight into the one
     output array. A block's scores are exponentiated and normalized in place.
-    An unrecorded call scores every block into a prefix of one scratch array
-    of min(t, ``ATTEND_ROWS``) x T per head, so a long prefill does not
-    allocate, and fault in, fresh scores per block. A recorded call keeps
-    each block's probabilities in an array of their own, all its vjp keeps.
+    An unrecorded call of several blocks scores every block into a prefix of
+    one scratch array of ``ATTEND_ROWS`` x T per head, so a long prefill does
+    not allocate, and fault in, fresh scores per block; one of a single block
+    scores into one t x T array per head. A recorded call keeps each block's
+    probabilities in an array of their own, all its vjp keeps.
     Only the computed scores and the output are checked: finite scores give
     probabilities in [0, 1] over a sum >= 1.
     """
@@ -434,33 +446,32 @@ def attend(q: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     dtype = np.result_type(qd, kd, vd)
     out = np.empty(lead + (t, vd.shape[-1]), dtype)
     # np.empty: a block touches only the pages of the scratch that it writes
-    scratch = None if recorded else np.empty(math.prod(lead) * min(t, ATTEND_ROWS) * T, dtype)
+    scratch = (None if recorded or t <= ATTEND_ROWS
+               else np.empty(math.prod(lead) * ATTEND_ROWS * T, dtype))
     try:
         for i0 in range(0, t, ATTEND_ROWS):
             i1 = min(i0 + ATTEND_ROWS, t)
             seen = T - t + i1
             shape = lead + (i1 - i0, seen)
-            scores = (np.empty(shape, dtype) if recorded
+            scores = (np.empty(shape, dtype) if scratch is None
                       else scratch[:math.prod(shape)].reshape(shape))
-            p = _attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], scores,
-                              out[..., i0:i1, :])
-            if recorded:
-                kept.append(p)
+            kept.append(_attend_block(qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :],
+                                      scores, out[..., i0:i1, :]))
     except ValueError:  # numpy refuses to write a broadcast wider than q's into q's shape
         raise _mismatched(q, keys, values) from None
-
-    def vjp(g):
-        gq = np.empty(g.shape[:-1] + qd.shape[-1:], g.dtype)
-        gk, gv = np.zeros(kd.shape, g.dtype), np.zeros(vd.shape, g.dtype)
-        for i0, p in zip(range(0, t, ATTEND_ROWS), kept):
-            i1 = i0 + p.shape[-2]
-            seen = T - t + i1
-            gq[..., i0:i1, :], bk, bv = _attend_block_vjp(
-                g[..., i0:i1, :], qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], p)
-            gk[..., :seen, :] += bk
-            gv[..., :seen, :] += bv
-        return _unbroadcast(gq, q.shape), gk, gv
-
+    vjp = None
+    if recorded:
+        def vjp(g):
+            gq = np.empty(g.shape[:-1] + qd.shape[-1:], g.dtype)
+            gk, gv = np.zeros(kd.shape, g.dtype), np.zeros(vd.shape, g.dtype)
+            for i0, p in zip(range(0, t, ATTEND_ROWS), kept):
+                i1 = i0 + p.shape[-2]
+                seen = T - t + i1
+                gq[..., i0:i1, :], bk, bv = _attend_block_vjp(
+                    g[..., i0:i1, :], qd[..., i0:i1, :], kd[..., :seen, :], vd[..., :seen, :], p)
+                gk[..., :seen, :] += bk
+                gv[..., :seen, :] += bv
+            return _unbroadcast(gq, q.shape), gk, gv
     return _make(out, parents, vjp, "attend")
 
 
@@ -476,14 +487,14 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     r = 1.0 / np.sqrt(ms + RMS_EPS)
     out = xd * r
     out *= gain.data
-
-    def vjp(g):
-        gg = g * gain.data
-        inner = (gg * xd).sum(axis=-1, keepdims=True)
-        gx = r * gg - (r**3 / d) * xd * inner
-        ggain = (g * xd * r).reshape(-1, d).sum(axis=0)
-        return gx.astype(xd.dtype, copy=False), ggain.astype(gain.dtype, copy=False)
-
+    vjp = None
+    if _recording((x, gain)):
+        def vjp(g):
+            gg = g * gain.data
+            inner = (gg * xd).sum(axis=-1, keepdims=True)
+            gx = r * gg - (r**3 / d) * xd * inner
+            ggain = (g * xd * r).reshape(-1, d).sum(axis=0)
+            return gx.astype(xd.dtype, copy=False), ggain.astype(gain.dtype, copy=False)
     return _make(out, (x, gain), vjp, "rms_norm")
 
 
@@ -509,15 +520,15 @@ def conv1d_depthwise(x: Tensor, w: Tensor, tail: np.ndarray | None = None) -> Te
     out = np.zeros_like(xd)
     for j in range(k):
         out += wd[:, j] * xp[..., j : j + t, :]
-
-    def vjp(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wd)
-        for j in range(k):
-            gxp[..., j : j + t, :] += wd[:, j] * g
-            gw[:, j] = (g * xp[..., j : j + t, :]).reshape(-1, ch).sum(axis=0)
-        return gxp[..., k - 1 :, :], gw
-
+    vjp = None
+    if _recording((x, w)):
+        def vjp(g):
+            gxp = np.zeros_like(xp)
+            gw = np.zeros_like(wd)
+            for j in range(k):
+                gxp[..., j : j + t, :] += wd[:, j] * g
+                gw[:, j] = (g * xp[..., j : j + t, :]).reshape(-1, ch).sum(axis=0)
+            return gxp[..., k - 1 :, :], gw
     return _make(out, (x, w), vjp, "conv1d_depthwise")
 
 
@@ -567,8 +578,11 @@ def rope_rotate(x: Tensor, start: int) -> Tensor:
         out = a * c2
         op(out, (a.reshape(a.shape[:-1] + (-1, 2))[..., ::-1] * s2).reshape(a.shape), out=out)
         return out
-
-    return _make(turn(x.data, np.add), (x,), lambda g: (turn(g, np.subtract),), "rope")
+    vjp = None
+    if _recording((x,)):
+        def vjp(g):
+            return (turn(g, np.subtract),)
+    return _make(turn(x.data, np.add), (x,), vjp, "rope")
 
 
 # Steps per chunk of ssm_scan. Of 8, 16, 32 and 64, 16 was fastest on the toy
@@ -639,7 +653,8 @@ def ssm_scan(
         h0.shape[:-3] + (groups, r, d_h, d_h))
     skip = Dd.reshape(groups, r, 1) * xd[:, :, :, None, :]  # (n, t, groups, r, d_h)
 
-    if t == 1 and not _recording(parents):  # a decode step: the plain update, no chunks
+    recorded = _recording(parents)
+    if t == 1 and not recorded:  # a decode step: the plain update, no chunks
         shape = (n, groups, r, 1, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             h = (np.exp(ld[:, 0]).reshape(shape) * h0 + dtd[:, 0].reshape(shape)
@@ -671,37 +686,37 @@ def ssm_scan(
         y = _unchunked(yg, t).reshape(skip.shape)
         y += skip
     h_last = hs[:, -1].reshape(n, heads, d_h, d_h).copy()
-
-    def vjp(g):
-        gy, CB = _chunked(g, nc, q, groups), cg @ np.swapaxes(bg, -1, -2)
-        eS, h_in, gh = np.exp(S), hs[:, :-1], np.zeros_like(hs[:, 1:])
-        for k in range(nc - 1, 0, -1):  # dL/dh_out of each chunk, carried backwards
-            gh[:, k - 1] = (np.exp(S[:, k, ..., -1, None, None]) * gh[:, k]
-                            + np.swapaxes(cg[:, k] * eS[:, k, ..., None], -1, -2) @ gy[:, k])
-        # y = M X + exp(S) (C h_in), with M = (C B^T) o L o dt_s
-        A = (gy @ np.swapaxes(xg, -1, -2)) * _decay(S, tri)
-        gCB = A * dg[..., None, :]
-        gdt = (A * CB).sum(axis=-2)
-        E = gCB * CB
-        gS = E.sum(axis=-1) - E.sum(axis=-2) + eS * ((cg @ h_in) * gy).sum(axis=-1)
-        gc = gCB @ bg + eS[..., None] * (gy @ np.swapaxes(h_in, -1, -2))
-        gx = np.swapaxes(M, -1, -2) @ gy + Dd.reshape(groups, r, 1, 1) * gy
-        gb = np.swapaxes(gCB, -1, -2) @ cg
-        # h_out = exp(S_end) h_in + sum_s to_end_s dt_s outer(b_s, x_s)
-        xgh = xg @ np.swapaxes(gh, -1, -2)
-        gx += (to_end * dg)[..., None] * (bg @ gh)
-        gb += (to_end * dg)[..., None] * xgh
-        gw = (bg * xgh).sum(axis=-1) * to_end
-        gdt += gw
-        gS -= gw * dg
-        gS[..., -1] += (gw * dg).sum(axis=-1) + eS[..., -1] * (gh * h_in).sum(axis=(-2, -1))
-        gD = (gy * xg).sum(axis=(0, 1, 4, 5)).reshape(heads)
-        grads = [_unchunked(gx.sum(axis=3, keepdims=True), t),
-                 _unchunked(gb.sum(axis=3, keepdims=True), t), _unchunked(gc, t),
-                 _unchunked(np.cumsum(gS[..., ::-1], axis=-1)[..., ::-1], t), gD,
-                 _unchunked(gdt, t)]
-        return tuple(grads)
-
+    vjp = None
+    if recorded:
+        def vjp(g):
+            gy, CB = _chunked(g, nc, q, groups), cg @ np.swapaxes(bg, -1, -2)
+            eS, h_in, gh = np.exp(S), hs[:, :-1], np.zeros_like(hs[:, 1:])
+            for k in range(nc - 1, 0, -1):  # dL/dh_out of each chunk, carried backwards
+                gh[:, k - 1] = (np.exp(S[:, k, ..., -1, None, None]) * gh[:, k]
+                                + np.swapaxes(cg[:, k] * eS[:, k, ..., None], -1, -2) @ gy[:, k])
+            # y = M X + exp(S) (C h_in), with M = (C B^T) o L o dt_s
+            A = (gy @ np.swapaxes(xg, -1, -2)) * _decay(S, tri)
+            gCB = A * dg[..., None, :]
+            gdt = (A * CB).sum(axis=-2)
+            E = gCB * CB
+            gS = E.sum(axis=-1) - E.sum(axis=-2) + eS * ((cg @ h_in) * gy).sum(axis=-1)
+            gc = gCB @ bg + eS[..., None] * (gy @ np.swapaxes(h_in, -1, -2))
+            gx = np.swapaxes(M, -1, -2) @ gy + Dd.reshape(groups, r, 1, 1) * gy
+            gb = np.swapaxes(gCB, -1, -2) @ cg
+            # h_out = exp(S_end) h_in + sum_s to_end_s dt_s outer(b_s, x_s)
+            xgh = xg @ np.swapaxes(gh, -1, -2)
+            gx += (to_end * dg)[..., None] * (bg @ gh)
+            gb += (to_end * dg)[..., None] * xgh
+            gw = (bg * xgh).sum(axis=-1) * to_end
+            gdt += gw
+            gS -= gw * dg
+            gS[..., -1] += (gw * dg).sum(axis=-1) + eS[..., -1] * (gh * h_in).sum(axis=(-2, -1))
+            gD = (gy * xg).sum(axis=(0, 1, 4, 5)).reshape(heads)
+            grads = [_unchunked(gx.sum(axis=3, keepdims=True), t),
+                     _unchunked(gb.sum(axis=3, keepdims=True), t), _unchunked(gc, t),
+                     _unchunked(np.cumsum(gS[..., ::-1], axis=-1)[..., ::-1], t), gD,
+                     _unchunked(gdt, t)]
+            return tuple(grads)
     return _make(y.reshape(n, t, heads, d_h), parents, vjp, "ssm_scan"), h_last
 
 
@@ -711,45 +726,45 @@ def ssm_scan(
 
 def getitem(a: Tensor, idx) -> Tensor:
     """A slice of ``a``: a view of it, recorded or not."""
-    shape, dtype = a.shape, a.dtype
+    vjp = None
+    if _recording((a,)):
+        shape, dtype = a.shape, a.dtype
 
-    def vjp(g):
-        ga = np.zeros(shape, dtype=dtype)
-        ga[idx] += g
-        return (ga,)
-
+        def vjp(g):
+            ga = np.zeros(shape, dtype=dtype)
+            ga[idx] += g
+            return (ga,)
     return _make(a.data[idx], (a,), vjp, "getitem")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-    orig = a.shape
+    vjp = None
+    if _recording((a,)):
+        orig = a.shape
 
-    def vjp(g):
-        return (g.reshape(orig),)
-
-    return _make(out, (a,), vjp, "reshape")
+        def vjp(g):
+            return (g.reshape(orig),)
+    return _make(a.data.reshape(shape), (a,), vjp, "reshape")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     """Permuted axes of ``a``: a view of it, recorded or not."""
     axes = tuple(axes)
-
-    def vjp(g):
-        return (g.transpose(np.argsort(axes)),)
-
+    vjp = None
+    if _recording((a,)):
+        def vjp(g):
+            return (g.transpose(np.argsort(axes)),)
     return _make(a.data.transpose(axes), (a,), vjp, "transpose")
 
 
 def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     parts = tuple(parts)
-    out = np.concatenate([p.data for p in parts], axis=axis)
-
-    def vjp(g):
-        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, parts, vjp, "concat")
+    vjp = None
+    if _recording(parts):
+        def vjp(g):
+            splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+            return tuple(np.split(g, splits, axis=axis))
+    return _make(np.concatenate([p.data for p in parts], axis=axis), parts, vjp, "concat")
 
 
 def cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
@@ -759,21 +774,26 @@ def cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
     not. The earlier rows are graph constants; the gradient of the last t rows
     goes to ``new``.
     """
-    t = new.shape[1]
-    return _make(rows, (new,), lambda g: (g[:, -t:],), "cache")
+    vjp = None
+    if _recording((new,)):
+        t = new.shape[1]
+
+        def vjp(g):
+            return (g[:, -t:],)
+    return _make(rows, (new,), vjp, "cache")
 
 
 def repeat(a: Tensor, times: int, axis: int) -> Tensor:
     """Repeat each slice along an axis ``times`` times (GQA head sharing)."""
-    out = np.repeat(a.data, times, axis=axis)
-    n = a.shape[axis]
-    ax = axis % a.ndim
+    vjp = None
+    if _recording((a,)):
+        n = a.shape[axis]
+        ax = axis % a.ndim
 
-    def vjp(g):
-        new_shape = g.shape[:ax] + (n, times) + g.shape[ax + 1 :]
-        return (g.reshape(new_shape).sum(axis=ax + 1),)
-
-    return _make(out, (a,), vjp, "repeat")
+        def vjp(g):
+            new_shape = g.shape[:ax] + (n, times) + g.shape[ax + 1 :]
+            return (g.reshape(new_shape).sum(axis=ax + 1),)
+    return _make(np.repeat(a.data, times, axis=axis), (a,), vjp, "repeat")
 
 
 def _check_ids(ids: np.ndarray, n: int, op: str) -> None:
@@ -790,31 +810,32 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.dtype.kind not in "iu":
         raise KernelError("embedding ids must be integers")
     _check_ids(ids, table.shape[0], "embedding")
-    out = table.data[ids]
-    vshape = table.shape
+    vjp = None
+    if _recording((table,)):
+        vshape = table.shape
 
-    def vjp(g):
-        gt = np.zeros(vshape, dtype=table.dtype)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, vshape[-1]))
-        return (gt,)
-
-    return _make(out, (table,), vjp, "embedding")
+        def vjp(g):
+            gt = np.zeros(vshape, dtype=table.dtype)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, vshape[-1]))
+            return (gt,)
+    return _make(table.data[ids], (table,), vjp, "embedding")
 
 
 def take_last_axis(a: Tensor, ids: np.ndarray) -> Tensor:
     """Select one entry per row along the last axis (label gather)."""
     ids = np.asarray(ids)
     _check_ids(ids, a.shape[-1], "take_last_axis")
-    out = np.take_along_axis(a.data, ids[..., None], axis=-1)[..., 0]
-    shape, dtype = a.shape, a.dtype
+    vjp = None
+    if _recording((a,)):
+        shape, dtype = a.shape, a.dtype
 
-    def vjp(g):
-        ga = np.zeros(shape, dtype=dtype)
-        lead = np.ix_(*[np.arange(n) for n in shape[:-1]])
-        np.add.at(ga, lead + (ids,), g)
-        return (ga,)
-
-    return _make(out, (a,), vjp, "take_last_axis")
+        def vjp(g):
+            ga = np.zeros(shape, dtype=dtype)
+            lead = np.ix_(*[np.arange(n) for n in shape[:-1]])
+            np.add.at(ga, lead + (ids,), g)
+            return (ga,)
+    return _make(np.take_along_axis(a.data, ids[..., None], axis=-1)[..., 0], (a,), vjp,
+                 "take_last_axis")
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,86 @@ def test_no_grad_blocks_recording():
     assert out2._parents != ()
 
 
+def _pos(*shape):
+    """Small positive float64 values: in the domain of log and of a decay rate."""
+    return np.random.default_rng(len(shape) + sum(shape)).random(shape) + 0.5
+
+
+# Every op of the kernel: how to call it on Tensors of the arrays that follow.
+GATED_OPS = {
+    "add": (nk.add, [_pos(2, 3), _pos(3)]),
+    "add_constant": (lambda a: nk.add(a, 0.5), [_pos(2, 3)]),
+    "neg": (nk.neg, [_pos(2, 3)]),
+    "mul": (nk.mul, [_pos(2, 3), _pos(2, 3)]),
+    "mul_constant": (lambda a: nk.mul(a, 0.25), [_pos(2, 3)]),
+    "matmul": (nk.matmul, [_pos(2, 3), _pos(3, 4)]),
+    "texp": (nk.texp, [_pos(2, 3)]),
+    "tlog": (nk.tlog, [_pos(2, 3)]),
+    "sigmoid": (nk.sigmoid, [_pos(2, 3)]),
+    "silu": (nk.silu, [_pos(2, 3)]),
+    "softplus": (nk.softplus, [_pos(2, 3)]),
+    "tsum": (lambda a: nk.tsum(a, axis=-1), [_pos(2, 3)]),
+    "softmax": (nk.softmax, [_pos(2, 3)]),
+    "log_softmax": (nk.log_softmax, [_pos(2, 3)]),
+    "attend": (nk.attend, [_pos(1, 2, 3, 4), _pos(1, 1, 5, 4), _pos(1, 1, 5, 2)]),
+    "rms_norm": (nk.rms_norm, [_pos(2, 3, 4), _pos(4)]),
+    "conv1d_depthwise": (nk.conv1d_depthwise, [_pos(1, 5, 3), _pos(3, 4)]),
+    "rope_rotate": (lambda x: nk.rope_rotate(x, 2), [_pos(1, 3, 2, 4)]),
+    "ssm_scan": (lambda x, b, c, ld, D, dt: nk.ssm_scan(x, b, c, ld, D, dt=dt)[0],
+                 [_pos(1, 3, 1, 2), _pos(1, 3, 1, 2), _pos(1, 3, 2, 2), -_pos(1, 3, 2),
+                  _pos(2), _pos(1, 3, 2)]),
+    "getitem": (lambda a: nk.getitem(a, (slice(0, 1),)), [_pos(2, 3)]),
+    "reshape": (lambda a: nk.reshape(a, (3, 2)), [_pos(2, 3)]),
+    "transpose": (lambda a: nk.transpose(a, (1, 0)), [_pos(2, 3)]),
+    "concat": (lambda a, b: nk.concat([a, b], axis=0), [_pos(2, 3), _pos(1, 3)]),
+    "cached_rows": (lambda new: nk.cached_rows(_pos(1, 4, 3), new), [_pos(1, 2, 3)]),
+    "repeat": (lambda a: nk.repeat(a, 2, axis=0), [_pos(2, 3)]),
+    "embedding": (lambda t: nk.embedding(t, np.array([0, 4, 2])), [_pos(5, 3)]),
+    "take_last_axis": (lambda a: nk.take_last_axis(a, np.array([2, 0])), [_pos(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED_OPS))
+def test_an_op_builds_its_vjp_only_when_it_records(monkeypatch, name):
+    # one _recording call decides: an op that does not record, under no_grad
+    # or over constants only, hands _make no vjp and makes no graph edge; one
+    # over a trainable input records. The bytes are the same either way.
+    op, arrays = GATED_OPS[name]
+    made, asked = [], []
+    make, recording = nk._make, nk._recording
+
+    def spy_make(data, parents, vjp, op_name):
+        made.append(vjp)
+        return make(data, parents, vjp, op_name)
+
+    def spy_recording(parents):
+        asked.append(parents)
+        return recording(parents)
+
+    monkeypatch.setattr(nk, "_make", spy_make)
+    monkeypatch.setattr(nk, "_recording", spy_recording)
+    outs = []
+    # (grad mode, which inputs are trainable): no_grad over trainable inputs,
+    # grad on over constants, grad on with only the last input trainable
+    for grad, trainable in ((False, "all"), (True, "none"), (True, "last")):
+        made.clear()
+        asked.clear()
+        ts = [tensor(a, dtype=np.float64, requires_grad=trainable == "all"
+                     or (trainable == "last" and i == len(arrays) - 1))
+              for i, a in enumerate(arrays)]
+        if grad:
+            out = op(*ts)
+        else:
+            with no_grad():
+                out = op(*ts)
+        recorded = trainable == "last"
+        assert len(made) == 1 and (made[0] is not None) == recorded
+        assert (out._parents != ()) == recorded and (out._vjp is not None) == recorded
+        assert len(asked) == 1
+        outs.append(out.data.tobytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_backward_requires_scalar():
     store = ParamStore()
     p = store.add("p", tensor([1.0, 2.0], dtype=np.float64))
@@ -607,6 +687,30 @@ def test_unrecorded_attend_scores_every_block_in_one_array(monkeypatch, layout, 
     assert np.abs(free.data - reference_attend(*inputs)).max() <= 1e-12
     assert score_arrays(unrecorded) == arrays
     assert score_arrays(scores) == len(scores) == len(unrecorded)
+
+
+@pytest.mark.parametrize("layout", sorted(ATTEND_LAYOUTS))
+@pytest.mark.parametrize("t", [1, nk.ATTEND_ROWS])
+def test_an_unrecorded_single_block_scores_into_one_array_of_its_own(monkeypatch, layout, t):
+    # a call of at most ATTEND_ROWS queries, a decode step's among them, is
+    # one block: it scores into one (..., t, T) array, not into a prefix of a
+    # scratch array, in the bytes of a recorded call
+    T = nk.ATTEND_ROWS + 9
+    inputs = attend_inputs(np.random.default_rng(31), layout, t, T)
+    scores = spy_scores(monkeypatch)
+    with no_grad():
+        free = nk.attend(*(tensor(a, dtype=np.float64) for a in inputs))
+    assert len(scores) == 1
+    assert scores[0].base is None and scores[0].shape == inputs[0].shape[:-1] + (T,)
+    store = ParamStore()
+    kept = nk.attend(*(store.add(n, tensor(a, dtype=np.float64)) for n, a in zip("qkv", inputs)))
+    assert free.data.tobytes() == kept.data.tobytes()
+    assert np.abs(free.data - reference_attend(*inputs)).max() <= 1e-12
+    # keys whose leading axes do not broadcast to q's: 3 against q's 2
+    q, _, v = (tensor(a, dtype=np.float64) for a in inputs)
+    keys = tensor(np.zeros((3,) + inputs[1].shape[1:]), dtype=np.float64)
+    with no_grad(), pytest.raises(KernelError, match=r"^attend: mismatched shapes"):
+        nk.attend(q, keys, v)
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
